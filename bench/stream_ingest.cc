@@ -1,8 +1,8 @@
 /// \file stream_ingest.cc
 /// \brief Streaming-ingestion benchmark: sustained updates/sec and query
-/// latency *while* ingesting, streaming (UpdateStream + StreamApplier
-/// micro-batches) head-to-head against stop-the-world bulk batches over the
-/// same op sequence.
+/// latency *while* ingesting, streaming (micro-batches through a
+/// single-applier ApplierPool) head-to-head against stop-the-world bulk
+/// batches over the same op sequence.
 ///
 ///   ./build/bench/stream_ingest [ops] [--min-speedup X] [--json path]
 ///
@@ -37,7 +37,7 @@
 #include "common/stopwatch.h"
 #include "engine/query_engine.h"
 #include "pattern/pattern_builder.h"
-#include "stream/stream_applier.h"
+#include "stream/applier_pool.h"
 #include "stream/update_stream.h"
 #include "workload/graph_gen.h"
 #include "workload/pattern_gen.h"
@@ -114,7 +114,7 @@ struct PassResult {
   double query_p50_ms = 0.0;
   double query_p99_ms = 0.0;
   std::vector<MatchResult> final_answers;
-  EngineStats stats;
+  obs::MetricsSnapshot metrics;
 };
 
 std::unique_ptr<QueryEngine> MakeEngine(const Graph& base,
@@ -203,7 +203,7 @@ PassResult RunPass(QueryEngine* engine, const std::vector<Pattern>& probes,
     resp.result.Normalize();
     out.final_answers.push_back(std::move(resp.result));
   }
-  out.stats = engine->stats();
+  out.metrics = engine->metrics()->TakeSnapshot();
   return out;
 }
 
@@ -241,22 +241,22 @@ int main(int argc, char** argv) {
   std::printf("graph: %zu nodes, %zu edges; %zu views; %zu streamed ops\n\n",
               base.num_nodes(), base.num_edges(), views.size(), ops.size());
 
-  // --- streaming pass: micro-batches through UpdateStream + applier ------
+  // --- streaming pass: micro-batches through a K=1 applier pool ----------
   std::unique_ptr<QueryEngine> stream_engine = MakeEngine(base, views, probes);
   PassResult streamed =
       RunPass(stream_engine.get(), probes, ops.size(), [&](QueryEngine* e) {
-        UpdateStreamOptions so;
-        so.queue_capacity = 1024;
-        UpdateStream stream(so);
-        StreamApplier applier(e, &stream, {});
+        ApplierPoolOptions po;
+        po.num_appliers = 1;
+        po.stream.queue_capacity = 1024;
+        ApplierPool pool(e, po);
         for (const EdgeUpdate& op : ops) {
-          if (stream.Push(op) == 0) {
+          if (pool.Push(op) == 0) {
             std::fprintf(stderr, "push failed\n");
             std::exit(1);
           }
         }
-        Status st = applier.FlushAndWait();
-        if (!st.ok() || !applier.Stop().ok()) {
+        Status st = pool.FlushAndWait();
+        if (!st.ok() || !pool.Stop().ok()) {
           std::fprintf(stderr, "stream apply failed: %s\n",
                        st.ToString().c_str());
           std::exit(1);
@@ -307,16 +307,21 @@ int main(int argc, char** argv) {
   };
   report_pass("streaming", streamed);
   report_pass("bulk", bulk);
-  const StreamStats& ss = streamed.stats.stream;
+  const obs::MetricsSnapshot& sm = streamed.metrics;
+  const double batches =
+      static_cast<double>(sm.CounterValue("stream.batches_applied"));
+  const double max_batch = sm.GaugeValue("stream.max_batch_size");
+  const double lag_max = sm.GaugeValue("stream.publish_lag_ms_max");
   std::printf(
-      "stream: batches=%zu max_batch=%zu coalesced=%zu queue_max=%zu "
+      "stream: batches=%.0f max_batch=%.0f coalesced=%llu queue_max=%.0f "
       "publish_lag avg %.2fms max %.2fms\n",
-      ss.batches_applied, ss.max_batch_size, ss.ops_coalesced,
-      ss.max_queue_depth,
-      ss.batches_applied == 0
-          ? 0.0
-          : ss.publish_lag_ms_total / static_cast<double>(ss.batches_applied),
-      ss.publish_lag_ms_max);
+      batches, max_batch,
+      static_cast<unsigned long long>(
+          sm.CounterValue("stream.ops_coalesced")),
+      sm.GaugeValue("stream.queue_depth_max"),
+      batches == 0 ? 0.0
+                   : sm.GaugeValue("stream.publish_lag_ms_total") / batches,
+      lag_max);
 
   const double stall_ratio =
       bulk.query_p99_ms / std::max(streamed.query_p99_ms, 1e-9);
@@ -336,9 +341,9 @@ int main(int argc, char** argv) {
                static_cast<double>(streamed.queries_during_ingest)},
               {"query_p50_ms", streamed.query_p50_ms},
               {"query_p99_ms", streamed.query_p99_ms},
-              {"batches", static_cast<double>(ss.batches_applied)},
-              {"max_batch", static_cast<double>(ss.max_batch_size)},
-              {"publish_lag_ms_max", ss.publish_lag_ms_max}});
+              {"batches", batches},
+              {"max_batch", max_batch},
+              {"publish_lag_ms_max", lag_max}});
   report.Add("stop_the_world",
              {{"ingest_seconds", bulk.ingest_seconds},
               {"updates_per_sec", static_cast<double>(ops.size()) /

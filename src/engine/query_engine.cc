@@ -141,29 +141,8 @@ void QueryEngine::InitMetrics() {
       m.FindOrCreateCounter("delta.fallback_area_too_large");
   h_.delta_fallback_disabled =
       m.FindOrCreateCounter("delta.fallback_disabled");
-  h_.stream_ops_ingested = m.FindOrCreateCounter("stream.ops_ingested");
-  h_.stream_ops_applied = m.FindOrCreateCounter("stream.ops_applied");
-  h_.stream_ops_coalesced = m.FindOrCreateCounter("stream.ops_coalesced");
-  h_.stream_ops_dropped = m.FindOrCreateCounter("stream.ops_dropped");
-  h_.stream_batches_applied = m.FindOrCreateCounter("stream.batches_applied");
-  h_.stream_apply_failures = m.FindOrCreateCounter("stream.apply_failures");
-  h_.stream_flushes = m.FindOrCreateCounter("stream.flushes");
-  h_.stream_retries = m.FindOrCreateCounter("stream.retries");
-  h_.stream_quarantines = m.FindOrCreateCounter("stream.quarantines");
-  h_.stream_revives = m.FindOrCreateCounter("stream.revives");
-  h_.stream_redo_depth = m.FindOrCreateGauge("stream.redo_depth");
-  h_.stream_queue_depth = m.FindOrCreateGauge("stream.queue_depth");
-  h_.stream_queue_depth_max = m.FindOrCreateGauge("stream.queue_depth_max");
-  h_.stream_max_batch_size = m.FindOrCreateGauge("stream.max_batch_size");
-  h_.stream_publish_lag_max =
-      m.FindOrCreateGauge("stream.publish_lag_ms_max");
-  h_.stream_publish_lag_total =
-      m.FindOrCreateGauge("stream.publish_lag_ms_total");
-  h_.stream_applied_through =
-      m.FindOrCreateGauge("stream.applied_through_ts");
   h_.stream_appliers = m.FindOrCreateGauge("stream.appliers");
   h_.stream_appliers->Set(1.0);
-  h_.stream_batch_size = m.FindOrCreateHistogram("stream.batch_size");
   h_.mvcc_asof_queries = m.FindOrCreateCounter("mvcc.asof_queries");
   h_.mvcc_asof_misses = m.FindOrCreateCounter("mvcc.asof_misses");
   h_.mvcc_ryw_waits = m.FindOrCreateCounter("mvcc.ryw_waits");
@@ -181,10 +160,25 @@ void QueryEngine::InitMetrics() {
   h_.update_insert_phase_us =
       m.FindOrCreateHistogram("update.insert_phase_us");
 
-  // net.* (src/net/server.h) is registered up front like everything else
-  // so the names are present — and schema-pinnable — in every exporter
-  // artifact, socket-served or file-driven; the server resolves the same
-  // handles by name at Start.
+  // stream.* (stream/applier_pool.h) and net.* (src/net/server.h) are
+  // registered up front like everything else so the names are present —
+  // and schema-pinnable — in every exporter artifact, streamed or not,
+  // socket-served or file-driven; the applier pool and the server resolve
+  // the same handles by name.
+  for (const char* name :
+       {"stream.ops_ingested", "stream.ops_applied", "stream.ops_coalesced",
+        "stream.ops_dropped", "stream.batches_applied",
+        "stream.apply_failures", "stream.flushes", "stream.retries",
+        "stream.quarantines", "stream.revives"}) {
+    m.FindOrCreateCounter(name);
+  }
+  for (const char* name :
+       {"stream.redo_depth", "stream.queue_depth", "stream.queue_depth_max",
+        "stream.max_batch_size", "stream.publish_lag_ms_max",
+        "stream.publish_lag_ms_total", "stream.applied_through_ts"}) {
+    m.FindOrCreateGauge(name);
+  }
+  m.FindOrCreateHistogram("stream.batch_size");
   for (const char* name :
        {"net.connections_accepted", "net.connections_closed",
         "net.frames_received", "net.frames_sent", "net.queries",
@@ -810,8 +804,25 @@ Status QueryEngine::PinOrMaterialize(const std::vector<uint32_t>& needed,
       lk.lock();
     }
     if (!installed) {
-      return Status::Internal(
-          "view materialization kept racing update batches");
+      // Update batches kept landing mid-computation (a streaming burst):
+      // materialize once more under the exclusive lock, where none can, so
+      // churn delays this query instead of failing it.
+      lk.unlock();
+      Status st;
+      {
+        std::unique_lock<std::shared_mutex> ul(mu_);
+        ViewExtension ext;
+        std::vector<std::vector<NodeId>> relation;
+        st = RefreshViewExtension(cache_.views().view(v), *snapshot_,
+                                  /*seeded=*/false, &ext, &relation);
+        if (st.ok()) {
+          cache_.Install(v, std::move(ext), std::move(relation),
+                         /*pin=*/true);
+          pinned->push_back(v);
+        }
+      }
+      lk.lock();
+      GPMV_RETURN_NOT_OK(st);
     }
   }
   return Status::OK();
@@ -876,25 +887,6 @@ MatchResult QueryEngine::ExpandMinimized(const MinimizedPattern& min,
   out.Normalize();
   out.DeriveNodeMatches(original);
   return out;
-}
-
-Status QueryEngine::ApplyUpdates(const std::vector<EdgeUpdate>& batch) {
-  return ApplyUpdatesInternal(batch, /*through_ts=*/0);
-}
-
-Status QueryEngine::ApplyStreamBatch(const std::vector<EdgeUpdate>& batch,
-                                     uint64_t through_ts) {
-  return ApplyUpdatesInternal(batch, through_ts, /*slice=*/0);
-}
-
-Status QueryEngine::ApplyStreamBatchSlice(const std::vector<EdgeUpdate>& batch,
-                                          uint64_t through_ts, size_t slice) {
-  if (slice >= slice_clock_.num_slices()) {
-    return Status::InvalidArgument(
-        "stream slice " + std::to_string(slice) +
-        " out of range; call ConfigureStreamSlices first");
-  }
-  return ApplyUpdatesInternal(batch, through_ts, slice);
 }
 
 void QueryEngine::ConfigureStreamSlices(size_t num_slices) {
@@ -964,50 +956,16 @@ void QueryEngine::AdvanceStreamSlice(size_t slice, uint64_t ts) {
   PublishCut();
 }
 
-void QueryEngine::MergeStreamStats(const StreamStats& delta) {
-  if (!opts_.obs.enabled) return;
-  // One shared-gate group per micro-batch delta: a racing stats() reader
-  // (exclusive on the gate) sees the whole batch or none of it, which is
-  // what keeps invariants like ops_ingested == applied + coalesced +
-  // dropped and Σ batch_size_hist == batches_applied true in every
-  // snapshot (the TSan suite asserts them while racing the applier).
-  auto group = metrics_.Group();
-  h_.stream_ops_ingested->Add(delta.ops_ingested);
-  h_.stream_ops_applied->Add(delta.ops_applied);
-  h_.stream_ops_coalesced->Add(delta.ops_coalesced);
-  h_.stream_ops_dropped->Add(delta.ops_dropped);
-  h_.stream_batches_applied->Add(delta.batches_applied);
-  h_.stream_apply_failures->Add(delta.apply_failures);
-  h_.stream_retries->Add(delta.retries);
-  h_.stream_quarantines->Add(delta.quarantines);
-  h_.stream_revives->Add(delta.revives);
-  h_.stream_flushes->Add(delta.flushes);
-  h_.stream_queue_depth_max->SetMax(
-      static_cast<double>(delta.max_queue_depth));
-  h_.stream_max_batch_size->SetMax(
-      static_cast<double>(delta.max_batch_size));
-  h_.stream_publish_lag_max->SetMax(delta.publish_lag_ms_max);
-  h_.stream_publish_lag_total->Add(delta.publish_lag_ms_total);
-  h_.stream_applied_through->SetMax(
-      static_cast<double>(delta.applied_through_ts));
-  for (size_t b = 0; b < kStreamBatchBuckets; ++b) {
-    // Re-record each bucketed batch at its bucket's lower bound: the
-    // registry histogram's BucketFor maps 2^b back to bucket b, so the
-    // 12-bucket delta folds losslessly into the low buckets of the
-    // 40-bucket metric (deltas are per-batch, so counts are almost
-    // always 0 or 1).
-    const uint64_t representative = b == 0 ? 1 : (uint64_t{1} << b);
-    for (size_t n = 0; n < delta.batch_size_hist[b]; ++n) {
-      h_.stream_batch_size->Record(representative);
-    }
+Status QueryEngine::ApplyStreamBatchSlice(const std::vector<EdgeUpdate>& batch,
+                                          uint64_t through_ts, size_t slice) {
+  if (slice >= slice_clock_.num_slices()) {
+    return Status::InvalidArgument(
+        "stream slice " + std::to_string(slice) +
+        " out of range; call ConfigureStreamSlices first");
   }
-}
-
-Status QueryEngine::ApplyUpdatesInternal(const std::vector<EdgeUpdate>& batch,
-                                         uint64_t through_ts, size_t slice) {
   // `stream.apply` fault point: fail a streamed commit *before* any
   // mutation or lock — the batch is untouched, so the applier's in-place
-  // retry (stream_applier.h) is sound by construction.
+  // retry (stream/applier_pool.h) is sound by construction.
   if (through_ts != 0 && GPMV_FAULT_POINT(opts_.fault, "stream.apply")) {
     return FaultInjector::InjectedFault("stream.apply");
   }
@@ -1228,7 +1186,7 @@ EngineStats QueryEngine::stats() const {
   EngineStats out;
   if (opts_.obs.enabled) {
     // Exclusive on the snapshot gate: every grouped writer (query counter
-    // tails, stream-batch merges, update tails) is either fully before or
+    // tails, stream batches, update tails) is either fully before or
     // fully after this read, so the reconstructed struct preserves the
     // same cross-counter invariants the old single-mutex aggregate did.
     auto gate = metrics_.ReadGate();
@@ -1273,24 +1231,6 @@ EngineStats QueryEngine::stats() const {
     out.delta.fallback_area_too_large =
         h_.delta_fallback_area_too_large->Value();
     out.delta.fallback_disabled = h_.delta_fallback_disabled->Value();
-    out.stream.ops_ingested = h_.stream_ops_ingested->Value();
-    out.stream.ops_applied = h_.stream_ops_applied->Value();
-    out.stream.ops_coalesced = h_.stream_ops_coalesced->Value();
-    out.stream.ops_dropped = h_.stream_ops_dropped->Value();
-    out.stream.batches_applied = h_.stream_batches_applied->Value();
-    out.stream.apply_failures = h_.stream_apply_failures->Value();
-    out.stream.retries = h_.stream_retries->Value();
-    out.stream.quarantines = h_.stream_quarantines->Value();
-    out.stream.revives = h_.stream_revives->Value();
-    out.stream.flushes = h_.stream_flushes->Value();
-    out.stream.max_queue_depth =
-        static_cast<size_t>(h_.stream_queue_depth_max->Value());
-    out.stream.max_batch_size =
-        static_cast<size_t>(h_.stream_max_batch_size->Value());
-    out.stream.publish_lag_ms_max = h_.stream_publish_lag_max->Value();
-    out.stream.publish_lag_ms_total = h_.stream_publish_lag_total->Value();
-    out.stream.applied_through_ts =
-        static_cast<uint64_t>(h_.stream_applied_through->Value());
     out.mvcc_asof_queries = h_.mvcc_asof_queries->Value();
     out.mvcc_asof_misses = h_.mvcc_asof_misses->Value();
     out.mvcc_ryw_waits = h_.mvcc_ryw_waits->Value();
@@ -1299,18 +1239,6 @@ EngineStats QueryEngine::stats() const {
     out.shed_queries = h_.shed_queries->Value();
     out.degraded_queries = h_.degraded_queries->Value();
     out.stream_appliers = static_cast<size_t>(h_.stream_appliers->Value());
-    // 40-bucket registry histogram -> the struct's 12 buckets: identical
-    // power-of-two boundaries below the fold, everything >= the last
-    // stream bucket folds into it (MergeStreamStats only records
-    // representatives <= 2^11, so the fold is exact).
-    for (size_t b = 0; b < kStreamBatchBuckets - 1; ++b) {
-      out.stream.batch_size_hist[b] = h_.stream_batch_size->BucketCount(b);
-    }
-    for (size_t b = kStreamBatchBuckets - 1; b < obs::kHistogramBuckets;
-         ++b) {
-      out.stream.batch_size_hist[kStreamBatchBuckets - 1] +=
-          h_.stream_batch_size->BucketCount(b);
-    }
   }
   out.cache = cache_.stats();
   out.pool = pool_.stats();

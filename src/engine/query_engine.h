@@ -42,7 +42,7 @@
 /// and evaluate it entirely *outside* the registry lock (historical cuts
 /// are immutable). A pinned old cut survives GC until its last pin drops;
 /// unpinned cuts age out of the retained window on publish. Streamed
-/// commits are slice-aware: N concurrent `StreamApplier`s (stream/
+/// commits are slice-aware: the N appliers of an ApplierPool (stream/
 /// applier_pool.h) commit disjoint slice sets independently — each slice's
 /// clock advances monotonically at its chain-head commit, and the global
 /// `applied_through_ts` derives from the *minimum* over slice clocks, so a
@@ -106,7 +106,6 @@
 #include "shard/shard_sim.h"
 #include "shard/sharded_snapshot.h"
 #include "simulation/match_result.h"
-#include "stream/stream_stats.h"
 
 namespace gpmv {
 
@@ -260,13 +259,6 @@ struct EngineStats {
   /// Full-result cache counters (hits skip planning's downstream cost:
   /// no pinning, no materialization, no fixpoint).
   ResultCacheStats result_cache;
-  /// Streaming ingestion counters (stream/stream_stats.h): queue depth
-  /// high-water, micro-batch size histogram, publish lag, applied-through
-  /// watermark. Merged once per micro-batch by the StreamApplier, as a
-  /// single unit under the registry's snapshot gate — a concurrent stats()
-  /// reader (which takes the gate exclusively) never observes a torn
-  /// batch, so cross-counter invariants hold in every snapshot.
-  StreamStats stream;
   size_t queries = 0;
   size_t plans_match_join = 0;
   size_t plans_partial = 0;
@@ -353,27 +345,22 @@ class QueryEngine {
   /// slices owning a touched endpoint re-freeze, *after* the exclusive
   /// section; until the new ShardedSnapshot publishes, fan-out plans fall
   /// back to the (already updated) global snapshot.
-  Status ApplyUpdates(const std::vector<EdgeUpdate>& batch);
+  Status ApplyUpdates(const std::vector<EdgeUpdate>& batch) {
+    return ApplyStreamBatchSlice(batch, /*through_ts=*/0, /*slice=*/0);
+  }
 
-  /// Streaming (non-stop-the-world) update entry point, called by the
-  /// StreamApplier once per drained micro-batch: identical two-phase apply
-  /// to ApplyUpdates — micro-batches keep the exclusive section short, so
-  /// Submit/Query never stall behind a bulk ingest — plus the published
-  /// snapshot is stamped as applied-through `through_ts` (monotone; see
-  /// QueryResponse::applied_through_ts). The batch must already be
-  /// coalesced to at most one op per edge (UpdateStream::Coalesce) for the
-  /// engine's batch set-semantics to coincide with stream order. Commits
-  /// as stream slice 0 — the single-applier form of ApplyStreamBatchSlice.
-  Status ApplyStreamBatch(const std::vector<EdgeUpdate>& batch,
-                          uint64_t through_ts);
-
-  /// Slice-aware streaming commit, called by each applier of an
-  /// ApplierPool: identical apply path, but the watermark bookkeeping is
-  /// per-slice — `slice`'s clock advances to `through_ts` (monotone; slice
-  /// commits serialize at the chain head), and the *global*
-  /// applied_through_ts derives from the minimum over all slice clocks, so
-  /// a lagging applier can never publish a hole: the watermark waits at
-  /// its oldest unapplied op.
+  /// The one commit path: ApplyUpdates' two-phase apply, plus — for a
+  /// streamed micro-batch (`through_ts != 0`, called by each applier of an
+  /// ApplierPool) — per-slice watermark bookkeeping: `slice`'s clock
+  /// advances to `through_ts` (monotone; slice commits serialize at the
+  /// chain head), and the *global* applied_through_ts derives from the
+  /// minimum over all slice clocks, so a lagging applier can never publish
+  /// a hole: the watermark waits at its oldest unapplied op. Micro-batches
+  /// keep the exclusive section short, so Submit/Query never stall behind
+  /// a bulk ingest. A streamed batch must already be coalesced to at most
+  /// one op per edge (UpdateStream::Coalesce) for the engine's batch
+  /// set-semantics to coincide with stream order. Every commit appends a
+  /// SnapshotCut to the chain.
   Status ApplyStreamBatchSlice(const std::vector<EdgeUpdate>& batch,
                                uint64_t through_ts, size_t slice);
 
@@ -420,7 +407,7 @@ class QueryEngine {
   size_t mvcc_pinned_cuts() const { return chain_.pinned_cuts(); }
   uint64_t mvcc_gc_collected() const { return chain_.gc_collected(); }
 
-  /// Quarantine signal from a stream applier (stream/stream_applier.h):
+  /// Quarantine signal from a stream applier (stream/applier_pool.h):
   /// while any slice is flagged, queries report `degraded` and — with
   /// EngineOptions::degraded_serving — unreachable read-your-writes floors
   /// are served from the head cut instead of waiting out their timeout.
@@ -432,12 +419,6 @@ class QueryEngine {
   size_t quarantined_slices() const {
     return quarantined_slices_.load(std::memory_order_acquire);
   }
-
-  /// Folds one applier-built StreamStats delta into the stream.* metrics
-  /// while holding the registry's snapshot gate shared — one merge per
-  /// micro-batch, as a unit, which is what keeps concurrently read stats
-  /// snapshots un-torn (writers never block each other on the gate).
-  void MergeStreamStats(const StreamStats& delta);
 
   /// Stream timestamp the *published* snapshot has applied through (0
   /// before any streamed batch). Monotone; readable lock-free from any
@@ -497,12 +478,6 @@ class QueryEngine {
   /// probes never stale-drop the head's memo entry).
   QueryResponse ExecuteAsOf(const Pattern& q, const QueryOptions& qopts,
                             double queue_wait_ms);
-
-  /// Shared body of ApplyUpdates / ApplyStreamBatch(Slice); `through_ts !=
-  /// 0` advances `slice`'s clock and re-derives the min watermark with the
-  /// published snapshot; every commit appends a SnapshotCut to the chain.
-  Status ApplyUpdatesInternal(const std::vector<EdgeUpdate>& batch,
-                              uint64_t through_ts, size_t slice = 0);
 
   /// Appends the current (snapshot_, slice clock) state as a SnapshotCut;
   /// caller holds the registry lock at least shared. Returns the new
@@ -601,27 +576,7 @@ class QueryEngine {
     obs::Counter* delta_fallback_unmatched;
     obs::Counter* delta_fallback_area_too_large;
     obs::Counter* delta_fallback_disabled;
-    // streaming ingestion (EngineStats::stream)
-    obs::Counter* stream_ops_ingested;
-    obs::Counter* stream_ops_applied;
-    obs::Counter* stream_ops_coalesced;
-    obs::Counter* stream_ops_dropped;
-    obs::Counter* stream_batches_applied;
-    obs::Counter* stream_apply_failures;
-    obs::Counter* stream_flushes;
-    obs::Gauge* stream_queue_depth;        // Set (live depth, applier)
-    obs::Gauge* stream_queue_depth_max;    // SetMax
-    obs::Gauge* stream_max_batch_size;     // SetMax
-    obs::Gauge* stream_publish_lag_max;    // SetMax (ms)
-    obs::Gauge* stream_publish_lag_total;  // Add (ms)
-    obs::Gauge* stream_applied_through;    // SetMax (stream ts)
-    obs::Gauge* stream_appliers;           // Set (configured slice count)
-    obs::Histogram* stream_batch_size;
-    // retry / quarantine / revive (stream/stream_applier.h)
-    obs::Counter* stream_retries;
-    obs::Counter* stream_quarantines;
-    obs::Counter* stream_revives;
-    obs::Gauge* stream_redo_depth;         // Set (live redo-log depth)
+    obs::Gauge* stream_appliers;  // Set (configured slice count)
     // MVCC chain (graph/mvcc.h); chain depth / pins / GC total surface as
     // collector gauges read straight off the chain.
     obs::Counter* mvcc_asof_queries;
@@ -671,7 +626,7 @@ class QueryEngine {
   /// Per-slice applied-through clocks; see graph/mvcc.h. One slice until
   /// an ApplierPool calls ConfigureStreamSlices.
   SliceClock slice_clock_;
-  /// Retained chain of committed cuts; every ApplyUpdatesInternal commit
+  /// Retained chain of committed cuts; every ApplyStreamBatchSlice commit
   /// appends, heartbeats republish the head watermark, AS OF queries pin.
   SnapshotChain chain_;
   /// Read-your-writes wait channel: waiters block here until the watermark

@@ -34,7 +34,8 @@
 /// `push_deadline_ms` elapses — then the client gets a kDeadlineExceeded
 /// error frame and reading resumes. A quarantined slice fails fast with
 /// kResourceExhausted (retryable after revival) rather than burning the
-/// deadline, mirroring ApplierPool::PushWithDeadline.
+/// deadline (ApplierPool::TryPush reports kQuarantined before any ticket
+/// is assigned).
 ///
 /// Read-your-writes: each connection tracks the highest stream ts it was
 /// acked and every subsequent query on that connection carries

@@ -25,12 +25,11 @@
 ///    a snapshot may miss an in-flight record (bounded, monotone error).
 ///    The concurrency suite (tests/obs_test.cc, TSan label) stress-tests
 ///    exactly this contract.
-///  * Histograms are power-of-two bucketed, following the pattern proven
-///    by stream_stats.h: bucket 0 counts values <= 1, bucket b >= 1 counts
-///    [2^b, 2^(b+1)), the last bucket is open-ended. p50/p95/p99 come from
-///    linear interpolation inside the straddling bucket. Latencies record
-///    microseconds; size histograms record raw counts (the unit is part of
-///    the metric name: `*_us`, `*_size`).
+///  * Histograms are power-of-two bucketed: bucket 0 counts values <= 1,
+///    bucket b >= 1 counts [2^b, 2^(b+1)), the last bucket is open-ended.
+///    p50/p95/p99 come from linear interpolation inside the straddling
+///    bucket. Latencies record microseconds; size histograms record raw
+///    counts (the unit is part of the metric name: `*_us`, `*_size`).
 ///
 /// This header is dependency-free beyond the standard library (everything
 /// under src/ may include it; nothing here includes anything under src/).
@@ -116,7 +115,7 @@ class Gauge {
 class Histogram {
  public:
   /// Bucket for `v`: 0 when v <= 1, else floor(log2(v)), capped at the
-  /// open-ended last bucket. Matches stream_stats.h's BatchBucket.
+  /// open-ended last bucket.
   static size_t BucketFor(uint64_t v) {
     size_t b = 0;
     while (v > 1 && b + 1 < kHistogramBuckets) {

@@ -1,17 +1,27 @@
 /// \file applier_pool.h
-/// \brief N concurrent stream appliers over disjoint slice sets: the
-/// multi-applier front half of the MVCC snapshot chain (graph/mvcc.h,
-/// QueryEngine::ApplyStreamBatchSlice).
+/// \brief The streaming-update front door: K concurrent appliers over
+/// disjoint slice sets, the front half of the MVCC snapshot chain
+/// (graph/mvcc.h, QueryEngine::ApplyStreamBatchSlice). K = 1 is the single
+/// applier; there is no other streaming path.
 ///
-/// Topology: one pool owns K = `num_appliers` (UpdateStream, StreamApplier)
-/// pairs — slice i's applier drains slice i's stream and commits through
-/// the engine's slice-aware path. Ops route by edge:
-/// `SliceOf(u, v) = hash(u, v) % K`, so *every op on one edge lands in one
-/// slice* — per-edge last-op-wins coalescing and per-slice FIFO order then
-/// reproduce sequential semantics exactly, while ops on different edges
-/// commute across slices (the stream's ordering contract already only
-/// promises per-edge order). Appliers drain, coalesce and validate
-/// concurrently; their commits serialize only at the engine's chain head.
+/// Topology: one pool owns K = `num_appliers` slices, each an UpdateStream
+/// plus one applier thread that drains it and commits through the engine's
+/// slice-aware path. Ops route by edge: `SliceOf(u, v) = hash(u, v) % K`,
+/// so *every op on one edge lands in one slice* — per-edge last-op-wins
+/// coalescing and per-slice FIFO order then reproduce sequential semantics
+/// exactly, while ops on different edges commute across slices (the
+/// stream's ordering contract only promises per-edge order). Appliers
+/// drain, coalesce and validate concurrently; their commits serialize only
+/// at the engine's chain head.
+///
+/// Adaptive micro-batching: an applier drains whatever is queued, up to a
+/// moving cap. While an apply is in flight the queue accumulates, so batch
+/// size tracks the ingest-rate/apply-latency ratio by itself; the cap
+/// steers publish lag — an apply slower than `max_lag_ms` halves it (AIMD),
+/// a fast one lets it grow back toward `max_batch`. Every handled batch is
+/// recorded into the engine's `stream.*` metrics as one registry group, so
+/// a concurrent snapshot never sees a torn batch: `stream.ops_ingested ==
+/// ops_applied + ops_coalesced + ops_dropped` holds in every snapshot.
 ///
 /// Timestamps: one *global* ticket source spans all K streams — Push grabs
 /// a ticket under the pool mutex, then enqueues under a *per-slice* routing
@@ -38,23 +48,25 @@
 /// in that tail) and its clock heartbeats forward
 /// (QueryEngine::AdvanceStreamSlice). A slice with a pending op keeps its
 /// clock — and therefore the global watermark — exactly at its last
-/// applied ts: a lagging applier can never publish a hole. A *quarantined*
-/// applier (retries exhausted — see stream_applier.h) is never heartbeated:
-/// its failed batch is retained in the redo log, not applied, so its slice
-/// clock pins the watermark at its last successful apply — FlushAndWait
-/// then returns the quarantine status (kResourceExhausted) with the
-/// watermark still short of the global ts, and producers routing to that
-/// slice feel queue backpressure (Push blocks; PushWithDeadline fast-fails
-/// kResourceExhausted). ReviveSlice replays the slice's redo log and, on
-/// success, lets the next refresh heartbeat the slice clock back up to the
-/// global ts — the watermark reintegrates without holes because nothing
-/// was ever skipped.
+/// applied ts: a lagging applier can never publish a hole.
 ///
-/// Quiesce/teardown mirror the single-applier contract: FlushAndWait
-/// flushes every applier then refreshes the watermark to the global ts;
-/// Stop closes all streams, joins all threads, returns the first sticky
-/// failure (a quarantined slice's retained ops are discarded by its
-/// applier's Stop as explicit ops_dropped — the only drop path).
+/// Failure contract — retry, quarantine, revive (docs/ROBUSTNESS.md): a
+/// failed micro-batch apply is *retried in place* with capped, jittered
+/// exponential backoff (StreamRetryOptions); the engine's apply validates
+/// all-or-nothing before mutating, so re-applying a failed batch is always
+/// sound. A batch that exhausts its attempts (or fails deterministically:
+/// kInvalidArgument never retries) *quarantines* its slice: the batch moves
+/// to a per-slice redo log, the applier parks instead of draining, and the
+/// slice's sticky status becomes kResourceExhausted. A quarantined slice is
+/// never heartbeated, so its clock pins the watermark at its last
+/// successful apply; FlushAndWait returns the quarantine status, blocking
+/// Push feels queue backpressure, and TryPush fast-fails kQuarantined.
+/// Nothing is dropped while quarantined: a retained batch's ops count into
+/// the stream counters only when its redo entry resolves. ReviveSlice
+/// replays the redo log and the next refresh heartbeats the healed slice
+/// back up to the global ts. The *only* drop path is Stop() on a
+/// quarantined slice, which discards the redo log and the queued remainder
+/// as explicit `stream.ops_dropped`.
 
 #ifndef GPMV_STREAM_APPLIER_POOL_H_
 #define GPMV_STREAM_APPLIER_POOL_H_
@@ -67,17 +79,37 @@
 
 #include "common/status.h"
 #include "engine/query_engine.h"
-#include "stream/stream_applier.h"
 #include "stream/update_stream.h"
 
 namespace gpmv {
 
+/// Bounded-retry policy for failed micro-batch applies.
+struct StreamRetryOptions {
+  /// Total apply attempts per batch before quarantine (clamped to >= 1;
+  /// 1 = no retries). kInvalidArgument failures (deterministic validation
+  /// errors) quarantine immediately regardless.
+  size_t max_attempts = 4;
+  /// First backoff delay; doubles per retry (jittered to [50%, 100%] of
+  /// nominal), capped at backoff_max_ms. 0 retries immediately.
+  double backoff_base_ms = 1.0;
+  double backoff_max_ms = 50.0;
+  /// Jitter RNG seed (mixed with the slice index so K appliers draw
+  /// distinct streams).
+  uint64_t jitter_seed = 0x9e3779b97f4a7c15ULL;
+};
+
 struct ApplierPoolOptions {
   /// Concurrent appliers / stream slices (clamped to >= 1).
   size_t num_appliers = 2;
-  /// Per-applier micro-batching knobs (slice / use_slice_commit /
-  /// on_batch_handled are overwritten by the pool).
-  StreamApplierOptions applier;
+  /// Upper bound on ops per micro-batch (post-coalesce batches are
+  /// smaller).
+  size_t max_batch = 256;
+  /// Target publish-lag bound: an apply slower than this halves the drain
+  /// cap, a faster one doubles it back (never above max_batch, never below
+  /// 1). 0 disables adaptation (the cap stays at max_batch).
+  double max_lag_ms = 20.0;
+  /// Failed-apply retry policy (see file comment).
+  StreamRetryOptions retry;
   /// Per-slice queue sizing.
   UpdateStreamOptions stream;
 };
@@ -101,14 +133,6 @@ class ApplierPool {
   /// stopped.
   uint64_t Push(EdgeUpdate op);
 
-  /// Deadline-bounded Push. Fast-fails kResourceExhausted (assigning no
-  /// ticket) when the target slice is quarantined — its consumer is parked,
-  /// so waiting on its full queue would only time out anyway — and returns
-  /// kDeadlineExceeded when the slice queue stays full past `timeout_ms`.
-  /// On success stores the assigned ts through `*ts` (when non-null).
-  Status PushWithDeadline(EdgeUpdate op, double timeout_ms,
-                          uint64_t* ts = nullptr);
-
   /// Outcome of the non-blocking TryPush admission path.
   enum class TryPushResult {
     kOk = 0,       ///< accepted; `*ts_out` holds the assigned ts
@@ -118,22 +142,26 @@ class ApplierPool {
   };
 
   /// Non-blocking Push — the net server's admission path, which must never
-  /// block its event-loop thread. The target slice's queue depth is probed
-  /// under the slice routing mutex *before* a ticket is assigned, so a
-  /// kWouldBlock outcome burns nothing: the caller parks the op and retries
-  /// it later without marching the global ticket source (and with it every
-  /// watermark target) forward on each attempt.
+  /// block its event-loop thread. A quarantined slice fails fast, and the
+  /// target slice's queue depth is probed under the slice routing mutex
+  /// *before* a ticket is assigned, so neither refusal burns a ticket: the
+  /// caller parks the op and retries it later without marching the global
+  /// ticket source (and with it every watermark target) forward on each
+  /// attempt.
   TryPushResult TryPush(EdgeUpdate op, uint64_t* ts_out = nullptr);
 
   /// Blocks until every op pushed before the call is applied-and-published
   /// or retained behind a quarantine, then heartbeats every quiet slice so
   /// the published watermark reaches the global last-assigned ts. Returns
-  /// the first applier's quarantine status (OK while all healthy).
+  /// the first slice's quarantine status (OK while all healthy).
   Status FlushAndWait();
 
-  /// Replays slice `i`'s quarantined redo log from the calling thread
-  /// (StreamApplier::Revive) and refreshes the watermark so the healed
-  /// slice clock catches back up. OK and a no-op on a healthy slice.
+  /// Replays slice `i`'s quarantined redo log from the calling thread (the
+  /// slice's applier stays parked meanwhile) with the configured retry
+  /// policy, then refreshes the watermark so the healed slice clock
+  /// catches back up. On failure the unreplayed remainder stays
+  /// quarantined and the cause is returned. OK and a no-op on a healthy
+  /// slice.
   Status ReviveSlice(size_t i);
 
   /// True while slice `i`'s applier is quarantined (redo retained, thread
@@ -141,10 +169,11 @@ class ApplierPool {
   bool slice_quarantined(size_t i) const;
 
   /// Closes every stream, drains remainders, joins all applier threads.
-  /// Idempotent; returns the first sticky failure.
+  /// Idempotent: every call returns the first sticky failure (a slice
+  /// quarantined when it was stopped keeps its kResourceExhausted).
   Status Stop();
 
-  size_t num_appliers() const { return appliers_.size(); }
+  size_t num_appliers() const { return slices_.size(); }
   /// Last globally assigned stream timestamp. Before the first Push this
   /// is the engine watermark the ticket source resumed from (0 on a
   /// fresh engine).
@@ -158,27 +187,37 @@ class ApplierPool {
   static size_t SliceOf(NodeId u, NodeId v, size_t k);
 
  private:
+  class Slice;           ///< one stream + its applier thread (.cc)
+  struct StreamMetrics;  ///< the engine's stream.* handles (.cc)
+
+  /// Assigns the next global ticket to slice `s` and enqueues `op` under
+  /// it (blocking for space when `block`). On refusal — pool stopped, or
+  /// the stream closed underneath — un-routes the op and returns 0. The
+  /// caller holds route_mu_[s].
+  uint64_t Route(size_t s, EdgeUpdate op, bool block);
+
   /// Heartbeat pass (see file comment): advances the clock of every slice
   /// that has consumed everything ever routed to it.
   void RefreshWatermark();
 
   QueryEngine* engine_;
   ApplierPoolOptions opts_;
+  std::unique_ptr<StreamMetrics> metrics_;
 
   mutable std::mutex mu_;  ///< routing: ticket source + per-slice tails
   /// Per-slice enqueue sequencing (see Push): acquired *before* mu_ and
   /// held across the blocking enqueue, which mu_ never is. Lock order:
-  /// route_mu_[s] -> mu_; RefreshWatermark takes only mu_.
+  /// route_mu_[s] -> mu_ -> a slice's own mutex; RefreshWatermark takes
+  /// only mu_ (then each slice's).
   std::unique_ptr<std::mutex[]> route_mu_;
   uint64_t next_ts_ = 1;  ///< re-seeded from the engine watermark + 1
   std::vector<uint64_t> last_routed_;  ///< last ts routed to each slice
   std::vector<uint64_t> routed_count_;
   bool stopped_ = false;
 
-  /// Slice i's queue and its applier; appliers after streams so applier
-  /// threads (which touch the streams) are joined first on destruction.
-  std::vector<std::unique_ptr<UpdateStream>> streams_;
-  std::vector<std::unique_ptr<StreamApplier>> appliers_;
+  /// Last member: slice threads (which touch everything above) are joined
+  /// first on destruction.
+  std::vector<std::unique_ptr<Slice>> slices_;
 };
 
 }  // namespace gpmv

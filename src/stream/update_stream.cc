@@ -1,5 +1,6 @@
 #include "stream/update_stream.h"
 
+#include <algorithm>
 #include <unordered_map>
 #include <utility>
 
@@ -9,162 +10,38 @@ UpdateStream::UpdateStream(UpdateStreamOptions opts) : opts_(opts) {
   if (opts_.queue_capacity == 0) opts_.queue_capacity = 1;
 }
 
-uint64_t UpdateStream::Push(EdgeUpdate op) {
-  std::unique_lock<std::mutex> lk(mu_);
-  not_full_.wait(lk, [this] {
-    return closed_ || queue_.size() < opts_.queue_capacity;
-  });
-  if (closed_) return 0;
-  const uint64_t ts = next_ts_++;
-  queue_.push_back(Element{op, ts, std::chrono::steady_clock::now()});
-  ++ops_accepted_;
-  max_depth_ = std::max(max_depth_, queue_.size());
-  lk.unlock();
-  not_empty_.notify_one();
-  return ts;
+PushError UpdateStream::Push(EdgeUpdate op, uint64_t ts) {
+  return Enqueue(op, ts, /*block=*/true);
 }
 
-uint64_t UpdateStream::Push(EdgeUpdate op, double timeout_ms,
-                            bool* timed_out) {
-  if (timed_out != nullptr) *timed_out = false;
-  std::unique_lock<std::mutex> lk(mu_);
-  const bool ok = not_full_.wait_for(
-      lk, std::chrono::duration<double, std::milli>(timeout_ms),
-      [this] { return closed_ || queue_.size() < opts_.queue_capacity; });
-  if (!ok) {
-    if (timed_out != nullptr) *timed_out = true;
-    return 0;
-  }
-  if (closed_) return 0;
-  const uint64_t ts = next_ts_++;
-  queue_.push_back(Element{op, ts, std::chrono::steady_clock::now()});
-  ++ops_accepted_;
-  max_depth_ = std::max(max_depth_, queue_.size());
-  lk.unlock();
-  not_empty_.notify_one();
-  return ts;
+PushError UpdateStream::TryPush(EdgeUpdate op, uint64_t ts) {
+  return Enqueue(op, ts, /*block=*/false);
 }
 
-uint64_t UpdateStream::PushWithTs(EdgeUpdate op, uint64_t ts,
-                                  PushError* err) {
-  if (err != nullptr) *err = PushError::kNone;
+PushError UpdateStream::Enqueue(EdgeUpdate op, uint64_t ts, bool block) {
   std::unique_lock<std::mutex> lk(mu_);
-  // Validate the ticket before waiting for space: a stale ticket will be
-  // rejected no matter how long we wait, so parking the producer on a full
-  // queue first would stall it (potentially unboundedly, behind a
-  // quarantined consumer) only to refuse the op anyway.
-  if (closed_) {
-    if (err != nullptr) *err = PushError::kClosed;
-    return 0;
-  }
-  if (ts < next_ts_) {
-    if (err != nullptr) *err = PushError::kStaleTicket;
-    return 0;
-  }
-  not_full_.wait(lk, [this] {
-    return closed_ || queue_.size() < opts_.queue_capacity;
-  });
-  if (closed_) {
-    if (err != nullptr) *err = PushError::kClosed;
-    return 0;
-  }
-  if (ts < next_ts_) {
-    // Another producer slipped a higher ticket in while we waited — only
-    // possible for callers that don't serialize per-stream, but report it
-    // faithfully rather than folding it into kClosed.
-    if (err != nullptr) *err = PushError::kStaleTicket;
-    return 0;
-  }
-  next_ts_ = ts + 1;
-  queue_.push_back(Element{op, ts, std::chrono::steady_clock::now()});
-  ++ops_accepted_;
-  max_depth_ = std::max(max_depth_, queue_.size());
-  lk.unlock();
-  not_empty_.notify_one();
-  return ts;
-}
-
-uint64_t UpdateStream::PushWithTs(EdgeUpdate op, uint64_t ts,
-                                  double timeout_ms, bool* timed_out,
-                                  PushError* err) {
-  if (timed_out != nullptr) *timed_out = false;
-  if (err != nullptr) *err = PushError::kNone;
-  std::unique_lock<std::mutex> lk(mu_);
-  // Stale-ticket / closed fast paths before burning any of the deadline
-  // (see the blocking overload).
-  if (closed_) {
-    if (err != nullptr) *err = PushError::kClosed;
-    return 0;
-  }
-  if (ts < next_ts_) {
-    if (err != nullptr) *err = PushError::kStaleTicket;
-    return 0;
-  }
-  const bool ok = not_full_.wait_for(
-      lk, std::chrono::duration<double, std::milli>(timeout_ms),
-      [this] { return closed_ || queue_.size() < opts_.queue_capacity; });
-  if (!ok) {
-    if (timed_out != nullptr) *timed_out = true;
-    if (err != nullptr) *err = PushError::kTimeout;
-    return 0;
-  }
-  if (closed_) {
-    if (err != nullptr) *err = PushError::kClosed;
-    return 0;
-  }
-  if (ts < next_ts_) {
-    if (err != nullptr) *err = PushError::kStaleTicket;
-    return 0;
-  }
-  next_ts_ = ts + 1;
-  queue_.push_back(Element{op, ts, std::chrono::steady_clock::now()});
-  ++ops_accepted_;
-  max_depth_ = std::max(max_depth_, queue_.size());
-  lk.unlock();
-  not_empty_.notify_one();
-  return ts;
-}
-
-uint64_t UpdateStream::TryPush(EdgeUpdate op, bool* full) {
-  std::unique_lock<std::mutex> lk(mu_);
-  if (full != nullptr) *full = false;
-  if (closed_) return 0;
+  // Validate before waiting for space: a stale ticket will be refused no
+  // matter how long we wait, so parking the producer on a full queue first
+  // would stall it (potentially unboundedly, behind a quarantined
+  // consumer) only to refuse the op anyway.
+  if (closed_) return PushError::kClosed;
+  if (ts <= last_ts_) return PushError::kStaleTicket;
   if (queue_.size() >= opts_.queue_capacity) {
-    if (full != nullptr) *full = true;
-    return 0;
+    if (!block) return PushError::kWouldBlock;
+    not_full_.wait(lk, [this] {
+      return closed_ || queue_.size() < opts_.queue_capacity;
+    });
+    if (closed_) return PushError::kClosed;
+    // Another producer may have slipped a higher ticket in while we
+    // waited — only possible for callers that don't serialize per stream.
+    if (ts <= last_ts_) return PushError::kStaleTicket;
   }
-  const uint64_t ts = next_ts_++;
+  last_ts_ = ts;
   queue_.push_back(Element{op, ts, std::chrono::steady_clock::now()});
-  ++ops_accepted_;
   max_depth_ = std::max(max_depth_, queue_.size());
   lk.unlock();
   not_empty_.notify_one();
-  return ts;
-}
-
-uint64_t UpdateStream::TryPushWithTs(EdgeUpdate op, uint64_t ts,
-                                     PushError* err) {
-  if (err != nullptr) *err = PushError::kNone;
-  std::unique_lock<std::mutex> lk(mu_);
-  if (closed_) {
-    if (err != nullptr) *err = PushError::kClosed;
-    return 0;
-  }
-  if (ts < next_ts_) {
-    if (err != nullptr) *err = PushError::kStaleTicket;
-    return 0;
-  }
-  if (queue_.size() >= opts_.queue_capacity) {
-    if (err != nullptr) *err = PushError::kWouldBlock;
-    return 0;
-  }
-  next_ts_ = ts + 1;
-  queue_.push_back(Element{op, ts, std::chrono::steady_clock::now()});
-  ++ops_accepted_;
-  max_depth_ = std::max(max_depth_, queue_.size());
-  lk.unlock();
-  not_empty_.notify_one();
-  return ts;
+  return PushError::kNone;
 }
 
 void UpdateStream::Close() {
@@ -173,15 +50,10 @@ void UpdateStream::Close() {
     if (closed_) return;
     closed_ = true;
   }
-  // Blocked producers fail their Push; a blocked consumer wakes to drain
+  // Blocked producers fail their enqueue; a blocked consumer wakes to drain
   // the remainder (and to observe closed-and-empty).
   not_full_.notify_all();
   not_empty_.notify_all();
-}
-
-bool UpdateStream::closed() const {
-  std::lock_guard<std::mutex> lk(mu_);
-  return closed_;
 }
 
 bool UpdateStream::Drain(size_t max_ops, StreamDrainResult* out) {
@@ -215,19 +87,14 @@ bool UpdateStream::Drain(size_t max_ops, StreamDrainResult* out) {
   return true;
 }
 
-uint64_t UpdateStream::last_assigned_ts() const {
+uint64_t UpdateStream::last_ts() const {
   std::lock_guard<std::mutex> lk(mu_);
-  return next_ts_ - 1;
+  return last_ts_;
 }
 
 size_t UpdateStream::depth() const {
   std::lock_guard<std::mutex> lk(mu_);
   return queue_.size();
-}
-
-size_t UpdateStream::ops_accepted() const {
-  std::lock_guard<std::mutex> lk(mu_);
-  return ops_accepted_;
 }
 
 size_t UpdateStream::max_depth() const {

@@ -1,8 +1,8 @@
 /// \file update_stream.h
-/// \brief Streaming-update ingestion front-end: a bounded multi-producer /
-/// single-consumer queue of timestamped edge operations, drained by the
-/// background StreamApplier (stream/stream_applier.h) into adaptive
-/// micro-batches.
+/// \brief One slice's ingest queue: a bounded multi-producer /
+/// single-consumer queue of timestamped edge operations, fed by
+/// ApplierPool (stream/applier_pool.h) and drained by that slice's applier
+/// thread into adaptive micro-batches.
 ///
 /// Ordering contract — the stream's observable semantics are *sequential*:
 /// the final graph equals the one obtained by applying every accepted op in
@@ -21,15 +21,17 @@
 /// would resurrect a deleted edge. tests/stream_equivalence_test.cc pins
 /// both formulations.
 ///
-/// Timestamps are dense 1-based sequence numbers assigned under the queue
-/// mutex at Push; they double as the bounded-staleness watermark
-/// ("applied-through") that the applier stamps onto published snapshots.
+/// Timestamps (tickets) come from the pool's global ticket source; each
+/// queue sees a strictly increasing subsequence of them, and they double as
+/// the bounded-staleness watermark ("applied-through") the applier stamps
+/// onto published snapshots.
 ///
-/// Concurrency: any number of producer threads may Push concurrently
-/// (blocking while the queue is at capacity — backpressure, like the
-/// executor's bounded task queue); exactly one consumer drains. Close()
-/// makes further Push calls fail and lets the consumer drain the remainder;
-/// Drain returns false only once the stream is closed *and* empty.
+/// Concurrency: any number of producer threads may enqueue (Push blocks
+/// while the queue is at capacity — backpressure, like the executor's
+/// bounded task queue; TryPush never waits); exactly one consumer drains.
+/// Close() makes further enqueues fail and lets the consumer drain the
+/// remainder; Drain returns false only once the stream is closed *and*
+/// empty.
 
 #ifndef GPMV_STREAM_UPDATE_STREAM_H_
 #define GPMV_STREAM_UPDATE_STREAM_H_
@@ -43,7 +45,6 @@
 #include <vector>
 
 #include "engine/query_engine.h"
-#include "stream/stream_stats.h"
 
 namespace gpmv {
 
@@ -53,20 +54,12 @@ struct UpdateStreamOptions {
   size_t queue_capacity = 4096;
 };
 
-/// One accepted edge op with its assigned stream timestamp.
-struct TimestampedUpdate {
-  EdgeUpdate op;
-  uint64_t ts = 0;
-};
-
-/// Why a Push/PushWithTs/TryPush returned 0. The blocking overloads can
-/// only report kClosed/kStaleTicket; the deadline overloads add kTimeout;
-/// the Try overloads add kWouldBlock.
+/// Why an enqueue was refused. Push can report kClosed / kStaleTicket;
+/// TryPush adds kWouldBlock.
 enum class PushError {
   kNone = 0,      ///< accepted
   kClosed,        ///< stream was closed
-  kStaleTicket,   ///< PushWithTs ts not above every ts this stream has seen
-  kTimeout,       ///< deadline elapsed while the queue stayed full
+  kStaleTicket,   ///< ts not above every ts this stream has accepted
   kWouldBlock,    ///< TryPush with the queue at capacity
 };
 
@@ -88,54 +81,22 @@ class UpdateStream {
   UpdateStream(const UpdateStream&) = delete;
   UpdateStream& operator=(const UpdateStream&) = delete;
 
-  /// Enqueues `op`, blocking while the queue is at capacity. Returns the
-  /// assigned (1-based, strictly increasing) timestamp, or 0 if the stream
-  /// was closed.
-  uint64_t Push(EdgeUpdate op);
+  /// Enqueues `op` under ticket `ts`, blocking while the queue is at
+  /// capacity. `ts` must exceed every ticket this stream has accepted.
+  /// Ticket order is validated *before* waiting for space — a stale ticket
+  /// is refused at once rather than parking the producer on a full queue
+  /// only to be refused once space frees up.
+  PushError Push(EdgeUpdate op, uint64_t ts);
 
-  /// Deadline-bounded Push: waits at most `timeout_ms` for queue space.
-  /// Returns 0 on close *or* timeout; `*timed_out` (when non-null)
-  /// distinguishes the two. The escape hatch for producers backpressured
-  /// by a consumer that stopped draining (a quarantined slice applier) —
-  /// they surface kDeadlineExceeded instead of blocking forever.
-  uint64_t Push(EdgeUpdate op, double timeout_ms, bool* timed_out);
+  /// Non-blocking Push: kWouldBlock instead of waiting for space. The net
+  /// server's admission path (through ApplierPool::TryPush) — it parks the
+  /// op per connection instead of blocking its event loop. A stale ticket
+  /// is reported before a full queue.
+  PushError TryPush(EdgeUpdate op, uint64_t ts);
 
-  /// Enqueues `op` with an *externally assigned* timestamp — the
-  /// ApplierPool's routing path, where one global ticket source spans K
-  /// per-slice streams and each stream sees a strictly increasing
-  /// subsequence of it. `ts` must exceed every timestamp this stream has
-  /// seen; returns `ts` on success and 0 when closed or out of order, with
-  /// `*err` (when non-null) naming the reason. Ticket order is validated
-  /// *before* waiting for queue space — a stale ticket is rejected
-  /// immediately rather than parking the producer on a full queue only to
-  /// be refused once space frees up. Blocks at capacity like Push.
-  uint64_t PushWithTs(EdgeUpdate op, uint64_t ts, PushError* err = nullptr);
-
-  /// Deadline-bounded PushWithTs (see the deadline-bounded Push): returns
-  /// 0 on close, out-of-order ts, or timeout. `*err` (when non-null)
-  /// distinguishes all three (kClosed / kStaleTicket / kTimeout);
-  /// `*timed_out` is kept for callers that only care about the timeout
-  /// bit. Like the blocking overload, a stale ticket fails fast without
-  /// consuming any of the deadline.
-  uint64_t PushWithTs(EdgeUpdate op, uint64_t ts, double timeout_ms,
-                      bool* timed_out, PushError* err = nullptr);
-
-  /// Non-blocking Push: fails (returns 0) when the queue is full or the
-  /// stream is closed; `*full` distinguishes the two when non-null.
-  uint64_t TryPush(EdgeUpdate op, bool* full = nullptr);
-
-  /// Non-blocking PushWithTs: never waits for queue space. Returns `ts`
-  /// on success, else 0 with `*err` set to kClosed, kStaleTicket, or
-  /// kWouldBlock. The net server's admission path — it parks the op
-  /// per-connection instead of blocking its event loop.
-  uint64_t TryPushWithTs(EdgeUpdate op, uint64_t ts,
-                         PushError* err = nullptr);
-
-  /// Stops accepting ops (Push returns 0 from now on) and wakes a blocked
+  /// Stops accepting ops (enqueues fail from now on) and wakes a blocked
   /// Drain so the consumer can finish the remainder. Idempotent.
   void Close();
-
-  bool closed() const;
 
   /// Consumer side (single-threaded): blocks until at least one op is
   /// queued or the stream is closed; pops up to `max_ops` ops, coalesces
@@ -143,18 +104,16 @@ class UpdateStream {
   /// an empty `out->batch` — only when the stream is closed and empty.
   bool Drain(size_t max_ops, StreamDrainResult* out);
 
-  /// Last timestamp assigned by Push (0 before the first op): the quiesce
-  /// watermark FlushAndWait targets.
-  uint64_t last_assigned_ts() const;
+  /// Highest ticket accepted so far (0 before the first op): the quiesce
+  /// target of a flush.
+  uint64_t last_ts() const;
 
   size_t depth() const;
 
   /// Configured queue capacity (constant after construction).
   size_t capacity() const { return opts_.queue_capacity; }
 
-  /// Enqueue-side counters: ops accepted so far and the depth high-water
-  /// mark (the applier folds these into its per-batch deltas).
-  size_t ops_accepted() const;
+  /// Enqueue-side depth high-water mark (stream.queue_depth_max).
   size_t max_depth() const;
 
   /// Last-op-wins canonicalization, exposed for oracles and the applier
@@ -170,13 +129,15 @@ class UpdateStream {
     std::chrono::steady_clock::time_point enqueued_at;
   };
 
+  /// Shared body of Push / TryPush.
+  PushError Enqueue(EdgeUpdate op, uint64_t ts, bool block);
+
   UpdateStreamOptions opts_;
   mutable std::mutex mu_;
   std::condition_variable not_full_;
   std::condition_variable not_empty_;
   std::deque<Element> queue_;
-  uint64_t next_ts_ = 1;
-  size_t ops_accepted_ = 0;
+  uint64_t last_ts_ = 0;
   size_t max_depth_ = 0;
   bool closed_ = false;
 };

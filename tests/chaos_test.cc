@@ -203,11 +203,11 @@ TEST(ChaosEquivalenceTest, NoFaultScheduleChangesFinalAnswers) {
 
         ApplierPoolOptions po;
         po.num_appliers = k;
-        po.applier.max_batch = 8;  // many micro-batches => many fault hits
+        po.max_batch = 8;  // many micro-batches => many fault hits
         // Fast retries so a quarantined schedule doesn't stall the suite.
-        po.applier.retry.max_attempts = 3;
-        po.applier.retry.backoff_base_ms = 0.2;
-        po.applier.retry.backoff_max_ms = 1.0;
+        po.retry.max_attempts = 3;
+        po.retry.backoff_base_ms = 0.2;
+        po.retry.backoff_max_ms = 1.0;
         // A quarantined slice stops draining; its queue must hold the whole
         // remainder so producers never block on a parked consumer.
         po.stream.queue_capacity = ops.size() + 16;
@@ -261,19 +261,22 @@ TEST(ChaosEquivalenceTest, NoFaultScheduleChangesFinalAnswers) {
         }
 
         // Zero silent drops: every op accounted for, none discarded.
-        EngineStats s = engine->stats();
-        EXPECT_EQ(s.stream.ops_ingested, ops.size());
-        EXPECT_EQ(s.stream.ops_dropped, 0u);
-        EXPECT_EQ(s.stream.ops_ingested,
-                  s.stream.ops_applied + s.stream.ops_coalesced);
+        const obs::MetricsSnapshot m = engine->metrics()->TakeSnapshot();
+        EXPECT_EQ(m.CounterValue("stream.ops_ingested"), ops.size());
+        EXPECT_EQ(m.CounterValue("stream.ops_dropped"), 0u);
+        EXPECT_EQ(m.CounterValue("stream.ops_ingested"),
+                  m.CounterValue("stream.ops_applied") +
+                      m.CounterValue("stream.ops_coalesced"));
         if (profile == Profile::kApply) {
           EXPECT_GT(fault.fired("stream.apply"), 0u);
-          EXPECT_EQ(s.stream.apply_failures, fault.fired("stream.apply"));
-          EXPECT_EQ(s.stream.quarantines > 0, any_quarantined);
-          EXPECT_EQ(s.stream.revives > 0, any_quarantined);
+          EXPECT_EQ(m.CounterValue("stream.apply_failures"),
+                    fault.fired("stream.apply"));
+          EXPECT_EQ(m.CounterValue("stream.quarantines") > 0,
+                    any_quarantined);
+          EXPECT_EQ(m.CounterValue("stream.revives") > 0, any_quarantined);
         } else {
           EXPECT_GT(fault.fired("snapshot.refreeze"), 0u);
-          EXPECT_EQ(s.stream.quarantines, 0u);
+          EXPECT_EQ(m.CounterValue("stream.quarantines"), 0u);
         }
 
         ASSERT_TRUE(pool.Stop().ok());

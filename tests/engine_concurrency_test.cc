@@ -23,8 +23,6 @@
 #include "pattern/pattern_builder.h"
 #include "simulation/bounded.h"
 #include "stream/applier_pool.h"
-#include "stream/stream_applier.h"
-#include "stream/update_stream.h"
 #include "test_util.h"
 #include "workload/graph_gen.h"
 #include "workload/pattern_gen.h"
@@ -169,6 +167,36 @@ TEST(EngineConcurrencyTest, TinyBudgetEvictionChurnStaysConsistent) {
   EXPECT_TRUE(engine.CheckCacheConsistency(/*expect_unpinned=*/true));
 }
 
+/// Cross-metric stream invariants every consistent registry read must
+/// show while an applier races the reader: no op silently lost, one
+/// batch-size record per applied batch, and a watermark within the ops
+/// pushed. Reads the metrics by name under the registry's exclusive read
+/// gate — the same cut TakeSnapshot takes — without copying the whole
+/// registry on every spin of a reader loop (which would stall the racing
+/// queries behind the gate instead of just racing them).
+void ExpectStreamCutConsistent(obs::MetricsRegistry* reg,
+                               uint64_t total_ops) {
+  obs::MetricsRegistry& r = *reg;
+  const obs::Counter* ingested = r.FindOrCreateCounter("stream.ops_ingested");
+  const obs::Counter* applied = r.FindOrCreateCounter("stream.ops_applied");
+  const obs::Counter* coalesced =
+      r.FindOrCreateCounter("stream.ops_coalesced");
+  const obs::Counter* dropped = r.FindOrCreateCounter("stream.ops_dropped");
+  const obs::Counter* batches =
+      r.FindOrCreateCounter("stream.batches_applied");
+  const obs::Histogram* sizes = r.FindOrCreateHistogram("stream.batch_size");
+  const obs::Gauge* through = r.FindOrCreateGauge("stream.applied_through_ts");
+  auto gate = r.ReadGate();
+  EXPECT_EQ(ingested->Value(),
+            applied->Value() + coalesced->Value() + dropped->Value());
+  uint64_t size_records = 0;
+  for (size_t b = 0; b < obs::kHistogramBuckets; ++b) {
+    size_records += sizes->BucketCount(b);
+  }
+  EXPECT_EQ(size_records, batches->Value());
+  EXPECT_LE(through->Value(), static_cast<double>(total_ops));
+}
+
 void RegisterCoveringViews(QueryEngine* engine, const StressFixture& f) {
   for (size_t i = 0; i < f.patterns.size(); i += 2) {
     CoveringViewOptions co;
@@ -269,10 +297,10 @@ TEST(EngineConcurrencyTest, StreamingIngestionRacesQueries) {
     QueryEngine engine(f.graph, opts);
     RegisterCoveringViews(&engine, f);
 
-    UpdateStream stream;
-    StreamApplierOptions ao;
-    ao.max_batch = 16;
-    StreamApplier applier(&engine, &stream, ao);
+    ApplierPoolOptions po;
+    po.num_appliers = 1;
+    po.max_batch = 16;
+    ApplierPool pool(&engine, po);
 
     constexpr size_t kProducers = 2;
     constexpr size_t kOpsPerProducer = 61;  // odd toggle count: ends inserted
@@ -291,8 +319,8 @@ TEST(EngineConcurrencyTest, StreamingIngestionRacesQueries) {
         const NodeId v = static_cast<NodeId>(n - 4 + 2 * p + 1);
         barrier.Arrive();
         for (size_t i = 0; i < kOpsPerProducer; ++i) {
-          EXPECT_NE(stream.Push(i % 2 == 0 ? EdgeUpdate::Insert(u, v)
-                                           : EdgeUpdate::Delete(u, v)),
+          EXPECT_NE(pool.Push(i % 2 == 0 ? EdgeUpdate::Insert(u, v)
+                                         : EdgeUpdate::Delete(u, v)),
                     0u);
         }
       });
@@ -322,19 +350,11 @@ TEST(EngineConcurrencyTest, StreamingIngestionRacesQueries) {
     threads.emplace_back([&] {
       barrier.Arrive();
       while (!producers_done.load(std::memory_order_acquire)) {
+        // Each batch lands as one registry group: these invariants must
+        // hold in *every* observed snapshot, torn reads would break them.
+        ExpectStreamCutConsistent(engine.metrics(),
+                                  kProducers * kOpsPerProducer);
         EngineStats s = engine.stats();
-        // Per-batch deltas merge atomically: these invariants must hold in
-        // *every* observed snapshot, torn reads would break them.
-        EXPECT_EQ(s.stream.ops_ingested, s.stream.ops_applied +
-                                             s.stream.ops_coalesced +
-                                             s.stream.ops_dropped);
-        size_t hist = 0;
-        for (size_t b = 0; b < kStreamBatchBuckets; ++b) {
-          hist += s.stream.batch_size_hist[b];
-        }
-        EXPECT_EQ(hist, s.stream.batches_applied);
-        EXPECT_LE(s.stream.applied_through_ts,
-                  kProducers * kOpsPerProducer);
         EXPECT_GE(s.pool.submitted, s.pool.executed);
         std::this_thread::yield();
       }
@@ -344,20 +364,22 @@ TEST(EngineConcurrencyTest, StreamingIngestionRacesQueries) {
     // Producers run to completion, then the stream quiesces before the
     // racing readers stop (so they observe the tail of ingestion too).
     for (size_t p = 0; p < kProducers; ++p) threads[p].join();
-    ASSERT_TRUE(applier.FlushAndWait().ok());
+    ASSERT_TRUE(pool.FlushAndWait().ok());
     producers_done.store(true, std::memory_order_release);
     for (size_t t = kProducers; t < threads.size(); ++t) threads[t].join();
 
-    ASSERT_TRUE(applier.Stop().ok());
+    ASSERT_TRUE(pool.Stop().ok());
     // Both producer edges end inserted (odd toggle counts): deterministic
     // final graph, exact stream totals, watermark == total ops.
     EXPECT_EQ(engine.num_graph_edges(), f.graph.num_edges() + 2);
-    EngineStats s = engine.stats();
-    EXPECT_EQ(s.stream.ops_ingested, kProducers * kOpsPerProducer);
-    EXPECT_EQ(s.stream.ops_dropped, 0u);
-    EXPECT_EQ(s.stream.applied_through_ts, kProducers * kOpsPerProducer);
+    const obs::MetricsSnapshot m = engine.metrics()->TakeSnapshot();
+    EXPECT_EQ(m.CounterValue("stream.ops_ingested"),
+              kProducers * kOpsPerProducer);
+    EXPECT_EQ(m.CounterValue("stream.ops_dropped"), 0u);
+    EXPECT_EQ(m.GaugeValue("stream.applied_through_ts"),
+              static_cast<double>(kProducers * kOpsPerProducer));
     EXPECT_EQ(engine.applied_through_ts(), kProducers * kOpsPerProducer);
-    CheckAccounting(s.cache);
+    CheckAccounting(engine.stats().cache);
     EXPECT_TRUE(engine.CheckCacheConsistency(/*expect_unpinned=*/true));
   }
 }
@@ -386,7 +408,7 @@ TEST(EngineConcurrencyTest, MultiApplierStreamingRacesQueries) {
     constexpr size_t kAppliers = 3;
     ApplierPoolOptions po;
     po.num_appliers = kAppliers;
-    po.applier.max_batch = 16;
+    po.max_batch = 16;
     ApplierPool pool(&engine, po);
 
     constexpr size_t kProducers = 2;
@@ -450,18 +472,9 @@ TEST(EngineConcurrencyTest, MultiApplierStreamingRacesQueries) {
     threads.emplace_back([&] {
       barrier.Arrive();
       while (!producers_done.load(std::memory_order_acquire)) {
-        EngineStats s = engine.stats();
-        EXPECT_EQ(s.stream_appliers, kAppliers);
-        EXPECT_EQ(s.stream.ops_ingested, s.stream.ops_applied +
-                                             s.stream.ops_coalesced +
-                                             s.stream.ops_dropped);
-        size_t hist = 0;
-        for (size_t b = 0; b < kStreamBatchBuckets; ++b) {
-          hist += s.stream.batch_size_hist[b];
-        }
-        EXPECT_EQ(hist, s.stream.batches_applied);
-        EXPECT_LE(s.stream.applied_through_ts,
-                  kProducers * kOpsPerProducer);
+        EXPECT_EQ(engine.stats().stream_appliers, kAppliers);
+        ExpectStreamCutConsistent(engine.metrics(),
+                                  kProducers * kOpsPerProducer);
         std::this_thread::yield();
       }
     });
@@ -477,16 +490,17 @@ TEST(EngineConcurrencyTest, MultiApplierStreamingRacesQueries) {
     // total even though at least one of the three slices carried few or no
     // ops (heartbeats, not luck).
     EXPECT_EQ(engine.num_graph_edges(), f.graph.num_edges() + 2);
-    EngineStats s = engine.stats();
-    EXPECT_EQ(s.stream.ops_ingested, kProducers * kOpsPerProducer);
-    EXPECT_EQ(s.stream.ops_dropped, 0u);
+    const obs::MetricsSnapshot m = engine.metrics()->TakeSnapshot();
+    EXPECT_EQ(m.CounterValue("stream.ops_ingested"),
+              kProducers * kOpsPerProducer);
+    EXPECT_EQ(m.CounterValue("stream.ops_dropped"), 0u);
     EXPECT_EQ(engine.applied_through_ts(), kProducers * kOpsPerProducer);
     uint64_t routed = 0;
     for (size_t i = 0; i < pool.num_appliers(); ++i) {
       routed += pool.ops_routed(i);
     }
     EXPECT_EQ(routed, kProducers * kOpsPerProducer);
-    CheckAccounting(s.cache);
+    CheckAccounting(engine.stats().cache);
     EXPECT_TRUE(engine.CheckCacheConsistency(/*expect_unpinned=*/true));
   }
 }

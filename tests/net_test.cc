@@ -741,9 +741,9 @@ TEST_F(NetServerTest, BackpressureDeadlineSurfacesAsErrorFrame) {
   ApplierPoolOptions po;
   po.num_appliers = 1;
   po.stream.queue_capacity = 1;
-  po.applier.retry.max_attempts = 100000;
-  po.applier.retry.backoff_base_ms = 50.0;
-  po.applier.retry.backoff_max_ms = 100.0;
+  po.retry.max_attempts = 100000;
+  po.retry.backoff_base_ms = 50.0;
+  po.retry.backoff_max_ms = 100.0;
 
   ServerOptions so;
   so.push_retry_ms = 2.0;
@@ -790,7 +790,7 @@ TEST_F(NetServerTest, QuarantinedSliceFailsFastWithResourceExhausted) {
 
   ApplierPoolOptions po;
   po.num_appliers = 1;
-  po.applier.retry.max_attempts = 1;
+  po.retry.max_attempts = 1;
 
   Start(ServerOptions{}, /*with_pool=*/true, po, &fault_);
 

@@ -37,8 +37,7 @@ using obs::MetricsSnapshot;
 // ---------------------------------------------------------------- metrics --
 
 TEST(HistogramTest, BucketBoundariesArePowersOfTwo) {
-  // Bucket 0 holds v <= 1; bucket b >= 1 holds [2^b, 2^(b+1)) — identical
-  // to stream_stats.h's BatchBucket, which the stream round-trip relies on.
+  // Bucket 0 holds v <= 1; bucket b >= 1 holds [2^b, 2^(b+1)).
   EXPECT_EQ(Histogram::BucketFor(0), 0u);
   EXPECT_EQ(Histogram::BucketFor(1), 0u);
   EXPECT_EQ(Histogram::BucketFor(2), 1u);

@@ -1,7 +1,7 @@
 /// \file stream_equivalence_test.cc
 /// \brief The streaming-vs-batch equivalence oracle: randomized op streams
 /// (inserts/deletes/mixed, with duplicate and contradicting ops on the same
-/// edge) fed through UpdateStream + StreamApplier must leave the engine —
+/// edge) fed through a single-applier ApplierPool must leave the engine —
 /// final Q(G) for every probe pattern AND the cached-view extensions the
 /// plans read — bit-identical to the same ops applied through two oracles:
 ///
@@ -18,7 +18,7 @@
 /// configuration the engine has. FlushAndWait quiesces the applier before
 /// each comparison, which is what makes the checks deterministic.
 ///
-/// The multi-applier suite extends the oracle to the ApplierPool: the same
+/// The multi-applier suite extends the oracle to wider pools: the same
 /// equivalence must hold when K ∈ {2, 3, 4} appliers drain edge-disjoint
 /// slices concurrently, across >= 200 seeded producer interleavings
 /// explored with testutil::ScheduleDriver. The producers partition the op
@@ -41,7 +41,6 @@
 #include "common/random.h"
 #include "engine/query_engine.h"
 #include "stream/applier_pool.h"
-#include "stream/stream_applier.h"
 #include "stream/update_stream.h"
 #include "test_util.h"
 #include "workload/graph_gen.h"
@@ -162,13 +161,13 @@ TEST_P(StreamEquivalenceTest, StreamedMatchesBatchAndPerOpOracles) {
     std::unique_ptr<QueryEngine> streamed =
         MakeEngine(f, enable_delta(), shards());
     {
-      UpdateStream stream;
-      StreamApplierOptions ao;
-      ao.max_batch = 16;  // several micro-batches per stream
-      StreamApplier applier(streamed.get(), &stream, ao);
-      for (const EdgeUpdate& op : ops) ASSERT_NE(stream.Push(op), 0u);
-      ASSERT_TRUE(applier.FlushAndWait().ok());
-      ASSERT_TRUE(applier.Stop().ok());
+      ApplierPoolOptions po;
+      po.num_appliers = 1;
+      po.max_batch = 16;  // several micro-batches per stream
+      ApplierPool pool(streamed.get(), po);
+      for (const EdgeUpdate& op : ops) ASSERT_NE(pool.Push(op), 0u);
+      ASSERT_TRUE(pool.FlushAndWait().ok());
+      ASSERT_TRUE(pool.Stop().ok());
     }
 
     // Oracle 1: canonical last-op-wins batch, applied in one call.
@@ -200,12 +199,14 @@ TEST_P(StreamEquivalenceTest, StreamedMatchesBatchAndPerOpOracles) {
     EXPECT_TRUE(streamed->CheckCacheConsistency(/*expect_unpinned=*/true));
 
     // The stream saw every op exactly once, and nothing was dropped.
-    EngineStats s = streamed->stats();
-    EXPECT_EQ(s.stream.ops_ingested, ops.size());
-    EXPECT_EQ(s.stream.ops_dropped, 0u);
-    EXPECT_EQ(s.stream.ops_ingested,
-              s.stream.ops_applied + s.stream.ops_coalesced);
-    EXPECT_EQ(s.stream.applied_through_ts, ops.size());
+    const obs::MetricsSnapshot m = streamed->metrics()->TakeSnapshot();
+    EXPECT_EQ(m.CounterValue("stream.ops_ingested"), ops.size());
+    EXPECT_EQ(m.CounterValue("stream.ops_dropped"), 0u);
+    EXPECT_EQ(m.CounterValue("stream.ops_ingested"),
+              m.CounterValue("stream.ops_applied") +
+                  m.CounterValue("stream.ops_coalesced"));
+    EXPECT_EQ(m.GaugeValue("stream.applied_through_ts"),
+              static_cast<double>(ops.size()));
   }
 }
 
@@ -227,15 +228,16 @@ TEST(StreamQuiesceTest, FlushBoundariesGiveDeterministicIntermediateStates) {
   // point is a real consistent cut, not just an eventual state.
   std::unique_ptr<QueryEngine> streamed = MakeEngine(f, true, 1);
   std::unique_ptr<QueryEngine> oracle = MakeEngine(f, true, 1);
-  UpdateStream stream;
-  StreamApplier applier(streamed.get(), &stream, {});
+  ApplierPoolOptions po;
+  po.num_appliers = 1;
+  ApplierPool pool(streamed.get(), po);
 
   const size_t half = ops.size() / 2;
   std::vector<EdgeUpdate> first(ops.begin(), ops.begin() + half);
   std::vector<EdgeUpdate> second(ops.begin() + half, ops.end());
 
-  for (const EdgeUpdate& op : first) ASSERT_NE(stream.Push(op), 0u);
-  ASSERT_TRUE(applier.FlushAndWait().ok());
+  for (const EdgeUpdate& op : first) ASSERT_NE(pool.Push(op), 0u);
+  ASSERT_TRUE(pool.FlushAndWait().ok());
   ASSERT_TRUE(oracle->ApplyUpdates(UpdateStream::Coalesce(first)).ok());
   EXPECT_EQ(Answers(streamed.get(), f).size(), Answers(oracle.get(), f).size());
   {
@@ -246,8 +248,8 @@ TEST(StreamQuiesceTest, FlushBoundariesGiveDeterministicIntermediateStates) {
     }
   }
 
-  for (const EdgeUpdate& op : second) ASSERT_NE(stream.Push(op), 0u);
-  ASSERT_TRUE(applier.FlushAndWait().ok());
+  for (const EdgeUpdate& op : second) ASSERT_NE(pool.Push(op), 0u);
+  ASSERT_TRUE(pool.FlushAndWait().ok());
   ASSERT_TRUE(oracle->ApplyUpdates(UpdateStream::Coalesce(second)).ok());
   {
     const std::vector<MatchResult> sa = Answers(streamed.get(), f);
@@ -256,7 +258,7 @@ TEST(StreamQuiesceTest, FlushBoundariesGiveDeterministicIntermediateStates) {
       EXPECT_TRUE(sa[i] == oa[i]) << "final state diverged at " << i;
     }
   }
-  ASSERT_TRUE(applier.Stop().ok());
+  ASSERT_TRUE(pool.Stop().ok());
 }
 
 // ---------------------------------------------------------------------------
@@ -339,7 +341,7 @@ TEST(MultiApplierEquivalenceTest, ScheduleExplorationMatchesOracles) {
         std::unique_ptr<QueryEngine> engine = MakeEngine(f, true, 1);
         ApplierPoolOptions po;
         po.num_appliers = k;
-        po.applier.max_batch = 8;  // several micro-batches per slice
+        po.max_batch = 8;  // several micro-batches per slice
         ApplierPool pool(engine.get(), po);
 
         // Each producer pushes its lane in order; the driver releases one
@@ -370,12 +372,13 @@ TEST(MultiApplierEquivalenceTest, ScheduleExplorationMatchesOracles) {
               << "pooled run diverged from per-op oracle on answer " << i;
         }
 
-        EngineStats s = engine->stats();
-        EXPECT_EQ(s.stream_appliers, k);
-        EXPECT_EQ(s.stream.ops_ingested, ops.size());
-        EXPECT_EQ(s.stream.ops_dropped, 0u);
-        EXPECT_EQ(s.stream.ops_ingested,
-                  s.stream.ops_applied + s.stream.ops_coalesced);
+        EXPECT_EQ(engine->stats().stream_appliers, k);
+        const obs::MetricsSnapshot m = engine->metrics()->TakeSnapshot();
+        EXPECT_EQ(m.CounterValue("stream.ops_ingested"), ops.size());
+        EXPECT_EQ(m.CounterValue("stream.ops_dropped"), 0u);
+        EXPECT_EQ(m.CounterValue("stream.ops_ingested"),
+                  m.CounterValue("stream.ops_applied") +
+                      m.CounterValue("stream.ops_coalesced"));
         uint64_t routed = 0;
         for (size_t i = 0; i < pool.num_appliers(); ++i) {
           routed += pool.ops_routed(i);

@@ -1,12 +1,12 @@
 /// \file stream_test.cc
 /// \brief Unit tests for the streaming-update subsystem: UpdateStream queue
-/// semantics (timestamps, backpressure, close, last-op-wins coalescing) and
-/// StreamApplier behavior against a live engine (micro-batching, the
+/// semantics (tickets, backpressure, close, last-op-wins coalescing), the
+/// single-applier pool against a live engine (micro-batching, the
 /// FlushAndWait quiesce contract, applied-through watermarks on query
-/// responses, sticky failure handling, stream stats plumbing), plus
-/// ApplierPool routing/watermark regressions (backpressure vs. the
-/// watermark-refresh lock, failed-slice watermark pinning, ticket
-/// resumption on an engine with prior streamed history).
+/// responses, retry / quarantine handling, stream.* metrics plumbing), and
+/// ApplierPool routing/admission/watermark regressions (backpressure vs.
+/// the watermark-refresh lock, failed-slice watermark pinning, TryPush
+/// admission, ticket resumption on an engine with prior streamed history).
 
 #include <gtest/gtest.h>
 
@@ -17,7 +17,6 @@
 
 #include "engine/query_engine.h"
 #include "stream/applier_pool.h"
-#include "stream/stream_applier.h"
 #include "stream/update_stream.h"
 #include "test_util.h"
 
@@ -27,23 +26,12 @@ namespace {
 using testutil::ChainGraph;
 using testutil::ChainPattern;
 
-TEST(UpdateStreamTest, PushAssignsDenseMonotoneTimestamps) {
-  UpdateStream stream;
-  EXPECT_EQ(stream.last_assigned_ts(), 0u);
-  EXPECT_EQ(stream.Push(EdgeUpdate::Insert(0, 1)), 1u);
-  EXPECT_EQ(stream.Push(EdgeUpdate::Delete(0, 1)), 2u);
-  EXPECT_EQ(stream.Push(EdgeUpdate::Insert(1, 2)), 3u);
-  EXPECT_EQ(stream.last_assigned_ts(), 3u);
-  EXPECT_EQ(stream.depth(), 3u);
-  EXPECT_EQ(stream.ops_accepted(), 3u);
-}
-
 TEST(UpdateStreamTest, DrainCoalescesLastOpWinsPerEdge) {
   UpdateStream stream;
-  stream.Push(EdgeUpdate::Insert(0, 1));
-  stream.Push(EdgeUpdate::Delete(0, 1));
-  stream.Push(EdgeUpdate::Insert(0, 1));  // contradicting trio: insert wins
-  stream.Push(EdgeUpdate::Delete(2, 3));  // distinct edge survives alongside
+  stream.Push(EdgeUpdate::Insert(0, 1), 1);
+  stream.Push(EdgeUpdate::Delete(0, 1), 2);
+  stream.Push(EdgeUpdate::Insert(0, 1), 3);  // contradicting trio: insert wins
+  stream.Push(EdgeUpdate::Delete(2, 3), 4);  // distinct edge survives alongside
 
   StreamDrainResult d;
   ASSERT_TRUE(stream.Drain(16, &d));
@@ -73,7 +61,9 @@ TEST(UpdateStreamTest, CoalesceHelperKeepsLastOpAndFirstOrder) {
 
 TEST(UpdateStreamTest, DrainRespectsMaxOpsAndLeavesRemainder) {
   UpdateStream stream;
-  for (NodeId i = 0; i < 5; ++i) stream.Push(EdgeUpdate::Insert(i, i + 1));
+  for (NodeId i = 0; i < 5; ++i) {
+    stream.Push(EdgeUpdate::Insert(i, i + 1), i + 1);
+  }
   StreamDrainResult d;
   ASSERT_TRUE(stream.Drain(2, &d));
   EXPECT_EQ(d.ops_popped, 2u);
@@ -88,16 +78,16 @@ TEST(UpdateStreamTest, BoundedQueueBlocksProducerUntilDrained) {
   UpdateStreamOptions opts;
   opts.queue_capacity = 2;
   UpdateStream stream(opts);
-  stream.Push(EdgeUpdate::Insert(0, 1));
-  stream.Push(EdgeUpdate::Insert(1, 2));
+  stream.Push(EdgeUpdate::Insert(0, 1), 1);
+  stream.Push(EdgeUpdate::Insert(1, 2), 2);
 
-  bool full = false;
-  EXPECT_EQ(stream.TryPush(EdgeUpdate::Insert(2, 3), &full), 0u);
-  EXPECT_TRUE(full);
+  EXPECT_EQ(stream.TryPush(EdgeUpdate::Insert(2, 3), 3),
+            PushError::kWouldBlock);
 
   std::atomic<bool> third_pushed{false};
   std::thread producer([&] {
-    stream.Push(EdgeUpdate::Insert(2, 3));  // blocks until the drain below
+    // Blocks until the drain below.
+    EXPECT_EQ(stream.Push(EdgeUpdate::Insert(2, 3), 3), PushError::kNone);
     third_pushed = true;
   });
   std::this_thread::sleep_for(std::chrono::milliseconds(20));
@@ -109,16 +99,15 @@ TEST(UpdateStreamTest, BoundedQueueBlocksProducerUntilDrained) {
   producer.join();
   EXPECT_TRUE(third_pushed.load());
   EXPECT_EQ(stream.max_depth(), 2u);
-  EXPECT_EQ(stream.ops_accepted(), 3u);
+  EXPECT_EQ(stream.last_ts(), 3u);
 }
 
 TEST(UpdateStreamTest, CloseFailsPushAndDrainsRemainder) {
   UpdateStream stream;
-  stream.Push(EdgeUpdate::Insert(0, 1));
+  stream.Push(EdgeUpdate::Insert(0, 1), 1);
   stream.Close();
-  EXPECT_TRUE(stream.closed());
-  EXPECT_EQ(stream.Push(EdgeUpdate::Insert(1, 2)), 0u);
-  EXPECT_EQ(stream.TryPush(EdgeUpdate::Insert(1, 2)), 0u);
+  EXPECT_EQ(stream.Push(EdgeUpdate::Insert(1, 2), 2), PushError::kClosed);
+  EXPECT_EQ(stream.TryPush(EdgeUpdate::Insert(1, 2), 2), PushError::kClosed);
 
   StreamDrainResult d;
   ASSERT_TRUE(stream.Drain(16, &d));  // the pre-close op still drains
@@ -138,67 +127,56 @@ TEST(UpdateStreamTest, DrainBlocksUntilPushArrives) {
   });
   std::this_thread::sleep_for(std::chrono::milliseconds(20));
   EXPECT_FALSE(drained.load());
-  stream.Push(EdgeUpdate::Insert(0, 1));
+  stream.Push(EdgeUpdate::Insert(0, 1), 1);
   consumer.join();
   EXPECT_TRUE(drained.load());
 }
 
 TEST(UpdateStreamTest, StaleTicketRejectedWithoutBlockingOnFullQueue) {
-  // Regression: PushWithTs used to wait for queue space BEFORE validating
-  // ticket order, so a stale ticket against a full queue blocked forever
-  // (nobody draining -> deadlock; the suite timeout caught nothing because
-  // the process just hung). Order is validated first now: a stale ticket
-  // on a full queue returns immediately.
+  // Regression: the ticketed push used to wait for queue space BEFORE
+  // validating ticket order, so a stale ticket against a full queue blocked
+  // forever (nobody draining -> deadlock; the suite timeout caught nothing
+  // because the process just hung). Order is validated first now: a stale
+  // ticket on a full queue returns immediately.
   UpdateStreamOptions opts;
   opts.queue_capacity = 1;
   UpdateStream stream(opts);
   EXPECT_EQ(stream.capacity(), 1u);
-  ASSERT_EQ(stream.PushWithTs(EdgeUpdate::Insert(0, 1), 10), 10u);
+  ASSERT_EQ(stream.Push(EdgeUpdate::Insert(0, 1), 10), PushError::kNone);
   ASSERT_EQ(stream.depth(), 1u);  // full
 
-  PushError err = PushError::kNone;
-  EXPECT_EQ(stream.PushWithTs(EdgeUpdate::Insert(1, 2), 10, &err), 0u);
-  EXPECT_EQ(err, PushError::kStaleTicket);
-  EXPECT_EQ(stream.PushWithTs(EdgeUpdate::Insert(1, 2), 5, &err), 0u);
-  EXPECT_EQ(err, PushError::kStaleTicket);
+  EXPECT_EQ(stream.Push(EdgeUpdate::Insert(1, 2), 10),
+            PushError::kStaleTicket);
+  EXPECT_EQ(stream.Push(EdgeUpdate::Insert(1, 2), 5), PushError::kStaleTicket);
   // The queued op and the stream's ts high-water mark are untouched.
   EXPECT_EQ(stream.depth(), 1u);
-  EXPECT_EQ(stream.last_assigned_ts(), 10u);
+  EXPECT_EQ(stream.last_ts(), 10u);
 }
 
-TEST(UpdateStreamTest, DeadlinePushWithTsDistinguishesFailureReasons) {
-  // Regression: the deadline overload returned 0 with *timed_out == false
-  // for both kClosed and kStaleTicket, so callers could not tell a dead
-  // stream from a retryable ordering race. PushError now names the reason.
+TEST(UpdateStreamTest, PushDistinguishesFailureReasons) {
+  // The blocking push names why it refused: a stale ticket (a permanent
+  // ordering error) versus a closed stream — including for a producer that
+  // was already parked on a full queue when the stream closed.
   UpdateStreamOptions opts;
   opts.queue_capacity = 1;
   UpdateStream stream(opts);
-  ASSERT_EQ(stream.PushWithTs(EdgeUpdate::Insert(0, 1), 7), 7u);
+  ASSERT_EQ(stream.Push(EdgeUpdate::Insert(0, 1), 7), PushError::kNone);
 
-  bool timed_out = false;
-  PushError err = PushError::kNone;
-  // Full queue, fresh ticket: genuine timeout.
-  EXPECT_EQ(stream.PushWithTs(EdgeUpdate::Insert(1, 2), 8, 20.0, &timed_out,
-                              &err),
-            0u);
-  EXPECT_TRUE(timed_out);
-  EXPECT_EQ(err, PushError::kTimeout);
+  EXPECT_EQ(stream.Push(EdgeUpdate::Insert(1, 2), 7), PushError::kStaleTicket);
 
-  // Stale ticket: rejected before any wait, *timed_out stays false.
-  timed_out = false;
-  EXPECT_EQ(stream.PushWithTs(EdgeUpdate::Insert(1, 2), 7, 1000.0,
-                              &timed_out, &err),
-            0u);
-  EXPECT_FALSE(timed_out);
-  EXPECT_EQ(err, PushError::kStaleTicket);
-
+  std::atomic<bool> returned{false};
+  PushError parked_err = PushError::kNone;
+  std::thread producer([&] {
+    parked_err = stream.Push(EdgeUpdate::Insert(1, 2), 8);  // queue full
+    returned = true;
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EXPECT_FALSE(returned.load());
   stream.Close();
-  timed_out = false;
-  EXPECT_EQ(stream.PushWithTs(EdgeUpdate::Insert(1, 2), 8, 1000.0,
-                              &timed_out, &err),
-            0u);
-  EXPECT_FALSE(timed_out);
-  EXPECT_EQ(err, PushError::kClosed);
+  producer.join();
+  EXPECT_EQ(parked_err, PushError::kClosed);
+  EXPECT_EQ(stream.last_ts(), 7u);  // the refused ticket left no trace
+  EXPECT_EQ(stream.Push(EdgeUpdate::Insert(1, 2), 9), PushError::kClosed);
 }
 
 TEST(UpdateStreamTest, TryPushWithTsReportsEveryReason) {
@@ -206,76 +184,87 @@ TEST(UpdateStreamTest, TryPushWithTsReportsEveryReason) {
   opts.queue_capacity = 1;
   UpdateStream stream(opts);
 
-  PushError err = PushError::kNone;
-  EXPECT_EQ(stream.TryPushWithTs(EdgeUpdate::Insert(0, 1), 3, &err), 3u);
-  EXPECT_EQ(err, PushError::kNone);
+  EXPECT_EQ(stream.TryPush(EdgeUpdate::Insert(0, 1), 3), PushError::kNone);
 
   // Queue full, fresh ticket: kWouldBlock — the net server's parked-op
   // path keys off this to pause reads instead of blocking the loop.
-  EXPECT_EQ(stream.TryPushWithTs(EdgeUpdate::Insert(1, 2), 4, &err), 0u);
-  EXPECT_EQ(err, PushError::kWouldBlock);
+  EXPECT_EQ(stream.TryPush(EdgeUpdate::Insert(1, 2), 4),
+            PushError::kWouldBlock);
 
   // Stale beats full: order violations are permanent, report them first.
-  EXPECT_EQ(stream.TryPushWithTs(EdgeUpdate::Insert(1, 2), 3, &err), 0u);
-  EXPECT_EQ(err, PushError::kStaleTicket);
+  EXPECT_EQ(stream.TryPush(EdgeUpdate::Insert(1, 2), 3),
+            PushError::kStaleTicket);
 
   stream.Close();
-  EXPECT_EQ(stream.TryPushWithTs(EdgeUpdate::Insert(1, 2), 9, &err), 0u);
-  EXPECT_EQ(err, PushError::kClosed);
+  EXPECT_EQ(stream.TryPush(EdgeUpdate::Insert(1, 2), 9), PushError::kClosed);
 }
 
 // ---------------------------------------------------------------------------
-// StreamApplier against a live engine
+// The single applier (a K=1 pool) against a live engine
 // ---------------------------------------------------------------------------
 
 struct ApplierFixture {
   Graph graph = ChainGraph({"A", "B", "C", "D"});
   EngineOptions opts;
+  ApplierPoolOptions po;
 
-  ApplierFixture() { opts.pool.num_threads = 2; }
+  ApplierFixture() {
+    opts.pool.num_threads = 2;
+    po.num_appliers = 1;
+  }
 };
+
+obs::MetricsSnapshot Metrics(const QueryEngine& engine) {
+  return engine.metrics()->TakeSnapshot();
+}
+
+/// The zero-silent-drops identity: every ingested op was applied,
+/// coalesced away, or explicitly dropped.
+void ExpectOpsBalanced(const obs::MetricsSnapshot& m) {
+  EXPECT_EQ(m.CounterValue("stream.ops_ingested"),
+            m.CounterValue("stream.ops_applied") +
+                m.CounterValue("stream.ops_coalesced") +
+                m.CounterValue("stream.ops_dropped"));
+}
 
 TEST(StreamApplierTest, AppliesStreamedOpsAndStampsWatermark) {
   ApplierFixture f;
   QueryEngine engine(f.graph, f.opts);
-  UpdateStream stream;
-  StreamApplier applier(&engine, &stream);
+  ApplierPool pool(&engine, f.po);
 
   // 0->2 and 1->3 are absent in the chain; stream them in.
-  stream.Push(EdgeUpdate::Insert(0, 2));
-  stream.Push(EdgeUpdate::Insert(1, 3));
-  ASSERT_TRUE(applier.FlushAndWait().ok());
+  pool.Push(EdgeUpdate::Insert(0, 2));
+  pool.Push(EdgeUpdate::Insert(1, 3));
+  ASSERT_TRUE(pool.FlushAndWait().ok());
 
   EXPECT_EQ(engine.num_graph_edges(), 5u);
   EXPECT_EQ(engine.applied_through_ts(), 2u);
-  EXPECT_GE(applier.consumed_through_ts(), 2u);
 
-  EngineStats s = engine.stats();
-  EXPECT_EQ(s.stream.ops_ingested, 2u);
-  EXPECT_EQ(s.stream.ops_applied, 2u);
-  EXPECT_EQ(s.stream.ops_coalesced, 0u);
-  EXPECT_EQ(s.stream.ops_dropped, 0u);
-  EXPECT_GE(s.stream.batches_applied, 1u);
-  EXPECT_EQ(s.stream.applied_through_ts, 2u);
-  EXPECT_EQ(s.stream.flushes, 1u);
-  EXPECT_GE(s.update_batches, 1u);
-  EXPECT_EQ(s.edges_inserted, 2u);
-  ASSERT_TRUE(applier.Stop().ok());
+  const obs::MetricsSnapshot m = Metrics(engine);
+  EXPECT_EQ(m.CounterValue("stream.ops_ingested"), 2u);
+  EXPECT_EQ(m.CounterValue("stream.ops_applied"), 2u);
+  EXPECT_EQ(m.CounterValue("stream.ops_coalesced"), 0u);
+  EXPECT_EQ(m.CounterValue("stream.ops_dropped"), 0u);
+  EXPECT_GE(m.CounterValue("stream.batches_applied"), 1u);
+  EXPECT_EQ(m.GaugeValue("stream.applied_through_ts"), 2.0);
+  EXPECT_EQ(m.CounterValue("stream.flushes"), 1u);
+  EXPECT_GE(m.CounterValue("engine.update_batches"), 1u);
+  EXPECT_EQ(m.CounterValue("engine.edges_inserted"), 2u);
+  ASSERT_TRUE(pool.Stop().ok());
 }
 
 TEST(StreamApplierTest, QueryResponsesCarryVersionAndWatermark) {
   ApplierFixture f;
   QueryEngine engine(f.graph, f.opts);
-  UpdateStream stream;
-  StreamApplier applier(&engine, &stream);
+  ApplierPool pool(&engine, f.po);
 
   Pattern q = ChainPattern({"A", "B"});
   QueryResponse before = engine.Query(q);
   ASSERT_TRUE(before.status.ok());
   EXPECT_EQ(before.applied_through_ts, 0u);
 
-  const uint64_t ts = stream.Push(EdgeUpdate::Insert(0, 2));
-  ASSERT_TRUE(applier.FlushAndWait().ok());
+  const uint64_t ts = pool.Push(EdgeUpdate::Insert(0, 2));
+  ASSERT_TRUE(pool.FlushAndWait().ok());
 
   QueryResponse after = engine.Query(q);
   ASSERT_TRUE(after.status.ok());
@@ -283,84 +272,80 @@ TEST(StreamApplierTest, QueryResponsesCarryVersionAndWatermark) {
   // has applied through our push's timestamp, and versions are monotone.
   EXPECT_GE(after.applied_through_ts, ts);
   EXPECT_GT(after.snapshot_version, before.snapshot_version);
-  ASSERT_TRUE(applier.Stop().ok());
+  ASSERT_TRUE(pool.Stop().ok());
 }
 
 TEST(StreamApplierTest, FlushOnEmptyStreamReturnsImmediately) {
   ApplierFixture f;
   QueryEngine engine(f.graph, f.opts);
-  UpdateStream stream;
-  StreamApplier applier(&engine, &stream);
-  EXPECT_TRUE(applier.FlushAndWait().ok());
+  ApplierPool pool(&engine, f.po);
+  EXPECT_TRUE(pool.FlushAndWait().ok());
   EXPECT_EQ(engine.applied_through_ts(), 0u);
-  EXPECT_TRUE(applier.Stop().ok());
+  EXPECT_TRUE(pool.Stop().ok());
   // Stop is idempotent and keeps returning the final status.
-  EXPECT_TRUE(applier.Stop().ok());
+  EXPECT_TRUE(pool.Stop().ok());
 }
 
 TEST(StreamApplierTest, ContradictingOpsFollowStreamOrderNotSetSemantics) {
   ApplierFixture f;
   QueryEngine engine(f.graph, f.opts);
-  UpdateStream stream;
-  StreamApplier applier(&engine, &stream);
+  ApplierPool pool(&engine, f.po);
 
   // insert then delete of the same (absent) edge: sequential semantics end
   // with the edge absent. (A raw one-batch set-semantics apply would end
   // with it present — the coalescing discipline is what keeps the stream
   // faithful to enqueue order; see update_stream.h.)
-  stream.Push(EdgeUpdate::Insert(0, 3));
-  stream.Push(EdgeUpdate::Delete(0, 3));
-  ASSERT_TRUE(applier.FlushAndWait().ok());
+  pool.Push(EdgeUpdate::Insert(0, 3));
+  pool.Push(EdgeUpdate::Delete(0, 3));
+  ASSERT_TRUE(pool.FlushAndWait().ok());
   EXPECT_EQ(engine.num_graph_edges(), 3u);
 
   // And the reverse pair on an existing edge: delete then re-insert keeps it.
-  stream.Push(EdgeUpdate::Delete(0, 1));
-  stream.Push(EdgeUpdate::Insert(0, 1));
-  ASSERT_TRUE(applier.FlushAndWait().ok());
+  pool.Push(EdgeUpdate::Delete(0, 1));
+  pool.Push(EdgeUpdate::Insert(0, 1));
+  ASSERT_TRUE(pool.FlushAndWait().ok());
   EXPECT_EQ(engine.num_graph_edges(), 3u);
-  ASSERT_TRUE(applier.Stop().ok());
+  ASSERT_TRUE(pool.Stop().ok());
 }
 
 TEST(StreamApplierTest, QuarantineRetainsOpsUntilStopSettlesThemAsDrops) {
   ApplierFixture f;
   QueryEngine engine(f.graph, f.opts);
-  UpdateStream stream;
-  StreamApplier applier(&engine, &stream);
+  ApplierPool pool(&engine, f.po);
 
   // Node 99 does not exist: the micro-batch fails validation up front —
   // a deterministic failure, so the applier quarantines without burning
   // backoff retries, and producers see kResourceExhausted backpressure.
-  stream.Push(EdgeUpdate::Insert(0, 99));
-  Status st = applier.FlushAndWait();
+  pool.Push(EdgeUpdate::Insert(0, 99));
+  Status st = pool.FlushAndWait();
   EXPECT_FALSE(st.ok());
   EXPECT_EQ(st.code(), Status::Code::kResourceExhausted);
-  EXPECT_TRUE(applier.quarantined());
-  EXPECT_EQ(applier.redo_depth(), 1u);
+  EXPECT_TRUE(pool.slice_quarantined(0));
+  EXPECT_EQ(Metrics(engine).GaugeValue("stream.redo_depth"), 1.0);
 
   // Later (valid) ops are *retained* behind the quarantine — not applied,
   // but not silently dropped either — and flush still returns.
-  stream.Push(EdgeUpdate::Insert(0, 2));
-  EXPECT_EQ(applier.FlushAndWait().code(), Status::Code::kResourceExhausted);
+  pool.Push(EdgeUpdate::Insert(0, 2));
+  EXPECT_EQ(pool.FlushAndWait().code(), Status::Code::kResourceExhausted);
   EXPECT_EQ(engine.num_graph_edges(), 3u);  // chain untouched
 
-  EngineStats s = engine.stats();
+  obs::MetricsSnapshot m = Metrics(engine);
   // Deferred accounting: the quarantined batch's ops count only when the
   // redo entry resolves, so no snapshot ever shows a silent drop.
-  EXPECT_EQ(s.stream.ops_dropped, 0u);
-  EXPECT_EQ(s.stream.ops_applied, 0u);
-  EXPECT_EQ(s.stream.apply_failures, 1u);
-  EXPECT_EQ(s.stream.quarantines, 1u);
-  EXPECT_EQ(s.stream.applied_through_ts, 0u);
+  EXPECT_EQ(m.CounterValue("stream.ops_dropped"), 0u);
+  EXPECT_EQ(m.CounterValue("stream.ops_applied"), 0u);
+  EXPECT_EQ(m.CounterValue("stream.apply_failures"), 1u);
+  EXPECT_EQ(m.CounterValue("stream.quarantines"), 1u);
+  EXPECT_EQ(m.GaugeValue("stream.applied_through_ts"), 0.0);
   EXPECT_EQ(engine.quarantined_slices(), 1u);
 
   // Only Stop() on a quarantined applier gives up the retained ops —
   // settled as *explicit* drops, keeping the accounting identity intact.
-  EXPECT_FALSE(applier.Stop().ok());
-  s = engine.stats();
-  EXPECT_EQ(s.stream.ops_dropped, 2u);
-  EXPECT_EQ(s.stream.ops_ingested,
-            s.stream.ops_applied + s.stream.ops_coalesced +
-                s.stream.ops_dropped);
+  EXPECT_FALSE(pool.Stop().ok());
+  m = Metrics(engine);
+  EXPECT_EQ(m.CounterValue("stream.ops_dropped"), 2u);
+  ExpectOpsBalanced(m);
+  EXPECT_EQ(m.GaugeValue("stream.redo_depth"), 0.0);
   EXPECT_EQ(engine.quarantined_slices(), 0u);  // teardown balances the flag
 }
 
@@ -372,94 +357,139 @@ TEST(StreamApplierTest, TransientFaultRetriesInPlaceAndSucceeds) {
   fault.Arm("stream.apply", spec);
   f.opts.fault = &fault;
   QueryEngine engine(f.graph, f.opts);
-  UpdateStream stream;
-  StreamApplierOptions ao;
-  ao.retry.max_attempts = 3;
-  ao.retry.backoff_base_ms = 0.1;
-  ao.retry.backoff_max_ms = 0.5;
-  StreamApplier applier(&engine, &stream, ao);
+  f.po.retry.max_attempts = 3;
+  f.po.retry.backoff_base_ms = 0.1;
+  f.po.retry.backoff_max_ms = 0.5;
+  ApplierPool pool(&engine, f.po);
 
-  stream.Push(EdgeUpdate::Insert(0, 2));
-  ASSERT_TRUE(applier.FlushAndWait().ok());
-  EXPECT_FALSE(applier.quarantined());
+  pool.Push(EdgeUpdate::Insert(0, 2));
+  ASSERT_TRUE(pool.FlushAndWait().ok());
+  EXPECT_FALSE(pool.slice_quarantined(0));
   EXPECT_EQ(engine.num_graph_edges(), 4u);
   EXPECT_EQ(engine.applied_through_ts(), 1u);
 
-  EngineStats s = engine.stats();
-  EXPECT_EQ(s.stream.apply_failures, 1u);
-  EXPECT_GE(s.stream.retries, 1u);
-  EXPECT_EQ(s.stream.quarantines, 0u);
-  EXPECT_EQ(s.stream.ops_dropped, 0u);
+  const obs::MetricsSnapshot m = Metrics(engine);
+  EXPECT_EQ(m.CounterValue("stream.apply_failures"), 1u);
+  EXPECT_GE(m.CounterValue("stream.retries"), 1u);
+  EXPECT_EQ(m.CounterValue("stream.quarantines"), 0u);
+  EXPECT_EQ(m.CounterValue("stream.ops_dropped"), 0u);
   EXPECT_EQ(fault.fired("stream.apply"), 1u);
-  ASSERT_TRUE(applier.Stop().ok());
+  ASSERT_TRUE(pool.Stop().ok());
 }
 
 TEST(StreamApplierTest, StatsInvariantsHoldAfterBurst) {
   ApplierFixture f;
   QueryEngine engine(f.graph, f.opts);
-  UpdateStreamOptions so;
-  so.queue_capacity = 64;
-  UpdateStream stream(so);
-  StreamApplierOptions ao;
-  ao.max_batch = 8;
-  StreamApplier applier(&engine, &stream, ao);
+  f.po.stream.queue_capacity = 64;
+  f.po.max_batch = 8;
+  ApplierPool pool(&engine, f.po);
 
-  // Toggle the same edge many times: heavy coalescing, final state = last
-  // op (insert with even count of toggles after it... keep it simple: end
-  // on insert).
-  constexpr size_t kToggles = 101;  // odd: ends inserted
+  // Toggle the same edge many times: heavy coalescing; an odd toggle count
+  // ends on an insert.
+  constexpr size_t kToggles = 101;
   for (size_t i = 0; i < kToggles; ++i) {
-    stream.Push(i % 2 == 0 ? EdgeUpdate::Insert(0, 2)
-                           : EdgeUpdate::Delete(0, 2));
+    pool.Push(i % 2 == 0 ? EdgeUpdate::Insert(0, 2)
+                         : EdgeUpdate::Delete(0, 2));
   }
-  ASSERT_TRUE(applier.FlushAndWait().ok());
+  ASSERT_TRUE(pool.FlushAndWait().ok());
   EXPECT_EQ(engine.num_graph_edges(), 4u);  // 3 chain edges + 0->2
 
-  EngineStats s = engine.stats();
-  EXPECT_EQ(s.stream.ops_ingested, kToggles);
-  EXPECT_EQ(s.stream.ops_ingested,
-            s.stream.ops_applied + s.stream.ops_coalesced +
-                s.stream.ops_dropped);
-  EXPECT_EQ(s.stream.applied_through_ts, kToggles);
-  EXPECT_LE(s.stream.max_batch_size, ao.max_batch);
-  size_t hist_total = 0;
-  for (size_t b = 0; b < kStreamBatchBuckets; ++b) {
-    hist_total += s.stream.batch_size_hist[b];
-  }
-  EXPECT_EQ(hist_total, s.stream.batches_applied);
-  EXPECT_GE(s.stream.publish_lag_ms_max, 0.0);
-  ASSERT_TRUE(applier.Stop().ok());
+  const obs::MetricsSnapshot m = Metrics(engine);
+  EXPECT_EQ(m.CounterValue("stream.ops_ingested"), kToggles);
+  ExpectOpsBalanced(m);
+  EXPECT_EQ(m.GaugeValue("stream.applied_through_ts"),
+            static_cast<double>(kToggles));
+  EXPECT_LE(m.GaugeValue("stream.max_batch_size"),
+            static_cast<double>(f.po.max_batch));
+  // One histogram record per applied batch, of its true (post-coalesce)
+  // size, so the sizes sum to the applied ops.
+  const obs::HistogramSnapshot* sizes = m.FindHistogram("stream.batch_size");
+  ASSERT_NE(sizes, nullptr);
+  EXPECT_EQ(sizes->count, m.CounterValue("stream.batches_applied"));
+  EXPECT_EQ(sizes->sum, m.CounterValue("stream.ops_applied"));
+  EXPECT_GE(m.GaugeValue("stream.publish_lag_ms_max"), 0.0);
+  ASSERT_TRUE(pool.Stop().ok());
 }
 
 TEST(StreamApplierTest, DestructorStopsCleanlyWithPendingOps) {
   ApplierFixture f;
   QueryEngine engine(f.graph, f.opts);
-  UpdateStream stream;
   {
-    StreamApplier applier(&engine, &stream);
+    ApplierPool pool(&engine, f.po);
     for (int i = 0; i < 16; ++i) {
-      stream.Push(i % 2 == 0 ? EdgeUpdate::Insert(0, 2)
-                             : EdgeUpdate::Delete(0, 2));
+      pool.Push(i % 2 == 0 ? EdgeUpdate::Insert(0, 2)
+                           : EdgeUpdate::Delete(0, 2));
     }
     // No flush: the destructor closes the stream and drains the remainder.
   }
-  EXPECT_TRUE(stream.closed());
-  EXPECT_EQ(engine.stats().stream.ops_ingested, 16u);
+  EXPECT_EQ(Metrics(engine).CounterValue("stream.ops_ingested"), 16u);
   EXPECT_EQ(engine.num_graph_edges(), 3u);  // 16 toggles end on delete
 }
 
+TEST(StreamApplierTest, BatchBucketPartitionsPowersOfTwo) {
+  // stream.batch_size records each applied batch's true size into the
+  // registry's power-of-two buckets (bucket 0 holds sizes <= 1, bucket b
+  // holds [2^b, 2^(b+1))). Batch sizes are made deterministic by parking
+  // the applier: the first batch (one op) quarantines, five more ops queue
+  // up behind it, and after revival the replayed batch (size 1) is
+  // followed by one drain of all five (size 5 -> bucket 2).
+  ApplierFixture f;
+  FaultInjector fault(74);
+  FaultPointSpec spec;
+  spec.fire_on = {1};
+  fault.Arm("stream.apply", spec);
+  f.opts.fault = &fault;
+  QueryEngine engine(f.graph, f.opts);
+  f.po.retry.max_attempts = 1;
+  ApplierPool pool(&engine, f.po);
+
+  ASSERT_NE(pool.Push(EdgeUpdate::Insert(0, 2)), 0u);
+  ASSERT_EQ(pool.FlushAndWait().code(), Status::Code::kResourceExhausted);
+  for (const auto& [u, v] : std::vector<std::pair<NodeId, NodeId>>{
+           {0, 3}, {1, 3}, {2, 0}, {3, 0}, {3, 1}}) {
+    ASSERT_NE(pool.Push(EdgeUpdate::Insert(u, v)), 0u);
+  }
+  ASSERT_TRUE(pool.ReviveSlice(0).ok());
+  ASSERT_TRUE(pool.FlushAndWait().ok());
+
+  const obs::MetricsSnapshot m = Metrics(engine);
+  const obs::HistogramSnapshot* sizes = m.FindHistogram("stream.batch_size");
+  ASSERT_NE(sizes, nullptr);
+  EXPECT_EQ(sizes->count, 2u);
+  EXPECT_EQ(sizes->sum, 6u);  // true sizes, not bucket representatives
+  ASSERT_GE(sizes->buckets.size(), 3u);
+  EXPECT_EQ(sizes->buckets[0], 1u);
+  EXPECT_EQ(sizes->buckets[1], 0u);
+  EXPECT_EQ(sizes->buckets[2], 1u);
+  EXPECT_EQ(m.GaugeValue("stream.max_batch_size"), 5.0);
+  ASSERT_TRUE(pool.Stop().ok());
+}
+
 // ---------------------------------------------------------------------------
-// ApplierPool routing/watermark regressions
+// ApplierPool routing, admission and watermark regressions
 // ---------------------------------------------------------------------------
+
+TEST(ApplierPoolTest, PushAssignsDenseMonotoneTimestamps) {
+  ApplierFixture f;
+  QueryEngine engine(f.graph, f.opts);
+  f.po.num_appliers = 2;
+  ApplierPool pool(&engine, f.po);
+  EXPECT_EQ(pool.last_assigned_ts(), 0u);
+  EXPECT_EQ(pool.Push(EdgeUpdate::Insert(0, 2)), 1u);
+  EXPECT_EQ(pool.Push(EdgeUpdate::Delete(0, 2)), 2u);
+  EXPECT_EQ(pool.Push(EdgeUpdate::Insert(1, 3)), 3u);
+  EXPECT_EQ(pool.last_assigned_ts(), 3u);
+  EXPECT_EQ(pool.ops_routed(0) + pool.ops_routed(1), 3u);
+  ASSERT_TRUE(pool.Stop().ok());
+}
 
 TEST(ApplierPoolTest, BackpressureNeverWedgesWatermarkRefresh) {
   ApplierFixture f;
   QueryEngine engine(f.graph, f.opts);
-  ApplierPoolOptions po;
-  po.num_appliers = 2;
-  po.stream.queue_capacity = 1;  // every second push hits backpressure
-  po.applier.max_batch = 1;      // a watermark refresh after every op
-  ApplierPool pool(&engine, po);
+  f.po.num_appliers = 2;
+  f.po.stream.queue_capacity = 1;  // every second push hits backpressure
+  f.po.max_batch = 1;              // a watermark refresh after every op
+  ApplierPool pool(&engine, f.po);
 
   // Two producers, each toggling its own edge, against single-op queues.
   // Regression: Push used to hold the pool mutex across the blocking
@@ -483,16 +513,16 @@ TEST(ApplierPoolTest, BackpressureNeverWedgesWatermarkRefresh) {
   EXPECT_EQ(pool.last_assigned_ts(), 2 * kOpsPerProducer);
   EXPECT_EQ(engine.applied_through_ts(), 2 * kOpsPerProducer);
   EXPECT_EQ(engine.num_graph_edges(), 3u);  // both edges toggled away
-  EXPECT_EQ(engine.stats().stream.ops_ingested, 2 * kOpsPerProducer);
+  EXPECT_EQ(Metrics(engine).CounterValue("stream.ops_ingested"),
+            2 * kOpsPerProducer);
   ASSERT_TRUE(pool.Stop().ok());
 }
 
 TEST(ApplierPoolTest, QuarantinedApplierPinsWatermark) {
   ApplierFixture f;
   QueryEngine engine(f.graph, f.opts);
-  ApplierPoolOptions po;
-  po.num_appliers = 2;
-  ApplierPool pool(&engine, po);
+  f.po.num_appliers = 2;
+  ApplierPool pool(&engine, f.po);
 
   // Node 99 does not exist: the op's micro-batch fails validation up
   // front and leaves its slice's applier quarantined.
@@ -544,10 +574,8 @@ TEST(ApplierPoolTest, ReviveReplaysRedoLogAndUnpinsWatermark) {
   fault.Arm("stream.apply", spec);
   f.opts.fault = &fault;
   QueryEngine engine(f.graph, f.opts);
-  ApplierPoolOptions po;
-  po.num_appliers = 1;
-  po.applier.retry.max_attempts = 1;  // no in-place retry: straight to redo
-  ApplierPool pool(&engine, po);
+  f.po.retry.max_attempts = 1;  // no in-place retry: straight to redo
+  ApplierPool pool(&engine, f.po);
 
   ASSERT_EQ(pool.Push(EdgeUpdate::Insert(0, 2)), 1u);
   EXPECT_EQ(pool.FlushAndWait().code(), Status::Code::kResourceExhausted);
@@ -578,35 +606,55 @@ TEST(ApplierPoolTest, ReviveReplaysRedoLogAndUnpinsWatermark) {
   EXPECT_FALSE(after.degraded);
   EXPECT_GE(after.applied_through_ts, 1u);
 
-  EngineStats s = engine.stats();
-  EXPECT_EQ(s.stream.quarantines, 1u);
-  EXPECT_EQ(s.stream.revives, 1u);
-  EXPECT_EQ(s.stream.ops_dropped, 0u);
-  EXPECT_EQ(s.stream.ops_ingested,
-            s.stream.ops_applied + s.stream.ops_coalesced);
+  const obs::MetricsSnapshot m = Metrics(engine);
+  EXPECT_EQ(m.CounterValue("stream.quarantines"), 1u);
+  EXPECT_EQ(m.CounterValue("stream.revives"), 1u);
+  EXPECT_EQ(m.CounterValue("stream.ops_dropped"), 0u);
+  ExpectOpsBalanced(m);
   ASSERT_TRUE(pool.Stop().ok());  // healthy again: clean stop
 }
 
-TEST(ApplierPoolTest, PushWithDeadlineFastFailsOnQuarantinedSlice) {
+TEST(ApplierPoolTest, StopKeepsReturningTheQuarantineFailure) {
+  // Regression: a second Stop() returned OK even after the first returned
+  // the quarantine failure, although Stop promises the first sticky
+  // failure on every call.
+  ApplierFixture f;
+  FaultInjector fault(75);
+  FaultPointSpec spec;
+  spec.probability = 1.0;  // every streamed commit fails
+  fault.Arm("stream.apply", spec);
+  f.opts.fault = &fault;
+  QueryEngine engine(f.graph, f.opts);
+  f.po.retry.max_attempts = 1;
+  ApplierPool pool(&engine, f.po);
+
+  ASSERT_NE(pool.Push(EdgeUpdate::Insert(0, 2)), 0u);
+  EXPECT_EQ(pool.FlushAndWait().code(), Status::Code::kResourceExhausted);
+  EXPECT_EQ(pool.Stop().code(), Status::Code::kResourceExhausted);
+  EXPECT_EQ(pool.Stop().code(), Status::Code::kResourceExhausted);
+}
+
+TEST(ApplierPoolTest, TryPushFastFailsOnQuarantinedSlice) {
   ApplierFixture f;
   QueryEngine engine(f.graph, f.opts);
-  ApplierPoolOptions po;
-  po.num_appliers = 1;
-  ApplierPool pool(&engine, po);
+  ApplierPool pool(&engine, f.po);
 
   ASSERT_EQ(pool.Push(EdgeUpdate::Insert(0, 99)), 1u);  // validation fails
   EXPECT_FALSE(pool.FlushAndWait().ok());
   ASSERT_TRUE(pool.slice_quarantined(0));
 
-  // Producers get explicit backpressure instead of feeding a parked slice.
+  // Producers get explicit backpressure instead of feeding a parked slice,
+  // and the refusal burns no ticket.
   uint64_t ts = 0;
-  Status st = pool.PushWithDeadline(EdgeUpdate::Insert(0, 2), 50.0, &ts);
-  EXPECT_EQ(st.code(), Status::Code::kResourceExhausted);
+  EXPECT_EQ(pool.TryPush(EdgeUpdate::Insert(0, 2), &ts),
+            ApplierPool::TryPushResult::kQuarantined);
   EXPECT_EQ(ts, 0u);
+  EXPECT_EQ(pool.last_assigned_ts(), 1u);
+  EXPECT_EQ(pool.ops_routed(0), 1u);
   EXPECT_FALSE(pool.Stop().ok());
 }
 
-TEST(ApplierPoolTest, PushWithDeadlineTimesOutUnderBackpressure) {
+TEST(ApplierPoolTest, TryPushWouldBlockOnFullSliceBurnsNoTicket) {
   ApplierFixture f;
   FaultInjector fault(73);
   FaultPointSpec spec;
@@ -614,32 +662,47 @@ TEST(ApplierPoolTest, PushWithDeadlineTimesOutUnderBackpressure) {
   fault.Arm("stream.apply", spec);
   f.opts.fault = &fault;
   QueryEngine engine(f.graph, f.opts);
-  ApplierPoolOptions po;
-  po.num_appliers = 1;
-  po.stream.queue_capacity = 1;
-  po.applier.retry.max_attempts = 1000;  // keeps retrying for the whole test
-  po.applier.retry.backoff_base_ms = 20.0;
-  po.applier.retry.backoff_max_ms = 50.0;
-  ApplierPool pool(&engine, po);
+  f.po.stream.queue_capacity = 1;
+  f.po.retry.max_attempts = 1000;  // keeps retrying for the whole test
+  f.po.retry.backoff_base_ms = 20.0;
+  f.po.retry.backoff_max_ms = 50.0;
+  ApplierPool pool(&engine, f.po);
 
   // First op drains immediately and wedges the applier in its retry loop;
   // the second fills the single-slot queue.
   ASSERT_NE(pool.Push(EdgeUpdate::Insert(0, 2)), 0u);
   ASSERT_NE(pool.Push(EdgeUpdate::Insert(1, 3)), 0u);
 
-  // The third would block indefinitely in Push; with a deadline it fails
-  // cleanly instead, and its ticket is returned (no watermark hole).
+  // The third would block in Push; TryPush refuses it at once, before a
+  // ticket is assigned, so retrying later leaves no watermark hole.
   uint64_t ts = 0;
-  Status st = pool.PushWithDeadline(EdgeUpdate::Insert(2, 0), 30.0, &ts);
-  EXPECT_EQ(st.code(), Status::Code::kDeadlineExceeded);
+  EXPECT_EQ(pool.TryPush(EdgeUpdate::Insert(2, 0), &ts),
+            ApplierPool::TryPushResult::kWouldBlock);
   EXPECT_EQ(ts, 0u);
+  EXPECT_EQ(pool.last_assigned_ts(), 2u);
+  EXPECT_EQ(pool.ops_routed(0), 2u);
 
   EXPECT_FALSE(pool.Stop().ok());  // retries exhausted by shutdown
   // Whatever was accepted is accounted — nothing silently vanishes.
-  EngineStats s = engine.stats();
-  EXPECT_EQ(s.stream.ops_ingested,
-            s.stream.ops_applied + s.stream.ops_coalesced +
-                s.stream.ops_dropped);
+  ExpectOpsBalanced(Metrics(engine));
+}
+
+TEST(ApplierPoolTest, TryPushAfterStopReturnsStopped) {
+  ApplierFixture f;
+  QueryEngine engine(f.graph, f.opts);
+  ApplierPool pool(&engine, f.po);
+  uint64_t ts = 0;
+  ASSERT_EQ(pool.TryPush(EdgeUpdate::Insert(0, 2), &ts),
+            ApplierPool::TryPushResult::kOk);
+  EXPECT_EQ(ts, 1u);
+  ASSERT_TRUE(pool.Stop().ok());
+
+  ts = 0;
+  EXPECT_EQ(pool.TryPush(EdgeUpdate::Insert(1, 3), &ts),
+            ApplierPool::TryPushResult::kStopped);
+  EXPECT_EQ(ts, 0u);
+  EXPECT_EQ(pool.last_assigned_ts(), 1u);
+  EXPECT_EQ(pool.ops_routed(0), 1u);
 }
 
 TEST(ApplierPoolTest, PoolOnEngineWithHistoryResumesTickets) {
@@ -677,17 +740,6 @@ TEST(ApplierPoolTest, PoolOnEngineWithHistoryResumesTickets) {
   EXPECT_EQ(engine.applied_through_ts(), history_ts + 1);
   EXPECT_EQ(engine.num_graph_edges(), 5u);  // chain + 0->2 + 0->3
   ASSERT_TRUE(pool2.Stop().ok());
-}
-
-TEST(StreamApplierTest, BatchBucketPartitionsPowersOfTwo) {
-  EXPECT_EQ(StreamStats::BatchBucket(1), 0u);
-  EXPECT_EQ(StreamStats::BatchBucket(2), 1u);
-  EXPECT_EQ(StreamStats::BatchBucket(3), 1u);
-  EXPECT_EQ(StreamStats::BatchBucket(4), 2u);
-  EXPECT_EQ(StreamStats::BatchBucket(255), 7u);
-  EXPECT_EQ(StreamStats::BatchBucket(256), 8u);
-  EXPECT_EQ(StreamStats::BatchBucket(1u << 20),
-            kStreamBatchBuckets - 1);  // open-ended last bucket
 }
 
 }  // namespace

@@ -35,18 +35,18 @@
 ///
 /// `--stream <file>` ingests the same update-file format *concurrently*
 /// with the queries instead of as one stop-the-world batch: a producer
-/// thread pushes the ops through the bounded UpdateStream and the
-/// background StreamApplier drains them into adaptive micro-batches
-/// (stream/stream_applier.h), so queries keep executing while edges land.
+/// thread pushes the ops through an ApplierPool (stream/applier_pool.h),
+/// whose background applier drains them into adaptive micro-batches, so
+/// queries keep executing while edges land.
 /// `--stream-rate N` paces the producer at N ops/sec (0 = full speed);
 /// `--max-lag-ms M` bounds the applier's adaptive batching (an apply
 /// slower than M halves the next micro-batch). The run quiesces with
 /// FlushAndWait before the final report and prints the stream counters
 /// (ingested/coalesced ops, micro-batches, queue depth, publish lag,
-/// applied-through watermark). `--appliers N` (with `--stream`) ingests
-/// through an ApplierPool instead: N concurrent appliers over N disjoint
-/// edge-hash slices (stream/applier_pool.h), commits serializing only at
-/// the MVCC chain head; the quiesce line then reports per-slice routing.
+/// applied-through watermark). `--appliers N` (default 1) widens the pool
+/// to N concurrent appliers over N disjoint edge-hash slices, commits
+/// serializing only at the MVCC chain head; with N > 1 the quiesce line is
+/// followed by per-slice routing.
 ///
 /// Time travel: `--as-of T` runs every query `AS OF` stream timestamp T —
 /// each pins the newest retained prefix-consistent cut with watermark <= T
@@ -107,7 +107,6 @@
 #include "engine/query_engine.h"
 #include "obs/exporter.h"
 #include "stream/applier_pool.h"
-#include "stream/stream_applier.h"
 #include "stream/update_stream.h"
 #include "core/containment.h"
 #include "core/match_join.h"
@@ -737,11 +736,9 @@ int CmdServe(const std::vector<std::string>& args) {
     // Socket serving: the epoll server multiplexes client connections onto
     // the engine (queries) and an ApplierPool (updates, admission-
     // controlled per connection).
-    StreamApplierOptions ao;
-    ao.max_lag_ms = static_cast<double>(max_lag_ms);
     ApplierPoolOptions po;
-    po.num_appliers = appliers == 0 ? 1 : appliers;
-    po.applier = ao;
+    po.num_appliers = appliers;
+    po.max_lag_ms = static_cast<double>(max_lag_ms);
     ApplierPool net_pool(&engine, po);
 
     net::ServerOptions so;
@@ -820,25 +817,16 @@ int CmdServe(const std::vector<std::string>& args) {
   // Concurrent streamed ingestion: producer thread pushes the op file
   // through the bounded queue (optionally paced) while the query loop
   // below submits; the applier drains micro-batches in the background.
-  std::unique_ptr<UpdateStream> stream;
-  std::unique_ptr<StreamApplier> applier;
   std::unique_ptr<ApplierPool> pool;
   std::thread producer;
   if (!stream_ops.empty()) {
-    StreamApplierOptions ao;
-    ao.max_lag_ms = static_cast<double>(max_lag_ms);
-    if (appliers > 1) {
-      // Multi-applier ingestion: N appliers over N edge-hash slices, all
-      // fed through the pool's global ticket source.
-      ApplierPoolOptions po;
-      po.num_appliers = appliers;
-      po.applier = ao;
-      pool = std::make_unique<ApplierPool>(&engine, po);
-    } else {
-      stream = std::make_unique<UpdateStream>();
-      applier = std::make_unique<StreamApplier>(&engine, stream.get(), ao);
-    }
-    producer = std::thread([&stream, &pool, &stream_ops, stream_rate] {
+    // N appliers over N edge-hash slices (N = 1 by default), all fed
+    // through the pool's global ticket source.
+    ApplierPoolOptions po;
+    po.num_appliers = appliers;
+    po.max_lag_ms = static_cast<double>(max_lag_ms);
+    pool = std::make_unique<ApplierPool>(&engine, po);
+    producer = std::thread([&pool, &stream_ops, stream_rate] {
       using clock = std::chrono::steady_clock;
       const clock::time_point start = clock::now();
       for (size_t i = 0; i < stream_ops.size(); ++i) {
@@ -849,9 +837,7 @@ int CmdServe(const std::vector<std::string>& args) {
               start + std::chrono::microseconds(1000000 * i / stream_rate);
           std::this_thread::sleep_until(due);
         }
-        const uint64_t ts = pool ? pool->Push(stream_ops[i])
-                                 : stream->Push(stream_ops[i]);
-        if (ts == 0) return;  // stream closed / pool stopped
+        if (pool->Push(stream_ops[i]) == 0) return;  // pool stopped
       }
     });
   }
@@ -861,11 +847,7 @@ int CmdServe(const std::vector<std::string>& args) {
   auto abandon_stream = [&] {
     if (producer.joinable()) {
       // Wakes a Push blocked on backpressure.
-      if (pool) {
-        (void)pool->Stop();
-      } else {
-        stream->Close();
-      }
+      (void)pool->Stop();
       producer.join();
     }
   };
@@ -913,12 +895,12 @@ int CmdServe(const std::vector<std::string>& args) {
     // the bounded-staleness contract; the watermark line below says how
     // far reads could lag).
     producer.join();
-    Status st = pool ? pool->FlushAndWait() : applier->FlushAndWait();
+    Status st = pool->FlushAndWait();
     std::printf("-- stream quiesced: %zu ops through ts %llu: %s\n",
                 stream_ops.size(),
                 static_cast<unsigned long long>(engine.applied_through_ts()),
                 st.ok() ? "ok" : st.ToString().c_str());
-    if (pool) {
+    if (pool->num_appliers() > 1) {
       std::printf("-- appliers: %zu slices, routed", pool->num_appliers());
       for (size_t i = 0; i < pool->num_appliers(); ++i) {
         std::printf(" %llu",
@@ -1003,23 +985,28 @@ int CmdServe(const std::vector<std::string>& args) {
       s.mvcc_asof_queries, s.mvcc_asof_misses, s.mvcc_ryw_waits,
       s.mvcc_ryw_timeouts, s.stream_appliers);
   if (!stream_ops.empty()) {
+    const obs::MetricsSnapshot m = engine.metrics()->TakeSnapshot();
+    auto count = [&m](const char* name) {
+      return static_cast<unsigned long long>(m.CounterValue(name));
+    };
+    const unsigned long long batches = count("stream.batches_applied");
     std::printf(
-        "stream: ingested=%zu applied=%zu coalesced=%zu dropped=%zu "
-        "batches=%zu max_batch=%zu queue_max=%zu publish_lag avg %.2fms "
-        "max %.2fms applied_through=%llu\n"
-        "stream faults: failures=%zu retries=%zu quarantines=%zu "
-        "revives=%zu\n",
-        s.stream.ops_ingested, s.stream.ops_applied, s.stream.ops_coalesced,
-        s.stream.ops_dropped, s.stream.batches_applied,
-        s.stream.max_batch_size, s.stream.max_queue_depth,
-        s.stream.batches_applied == 0
-            ? 0.0
-            : s.stream.publish_lag_ms_total /
-                  static_cast<double>(s.stream.batches_applied),
-        s.stream.publish_lag_ms_max,
-        static_cast<unsigned long long>(s.stream.applied_through_ts),
-        s.stream.apply_failures, s.stream.retries, s.stream.quarantines,
-        s.stream.revives);
+        "stream: ingested=%llu applied=%llu coalesced=%llu dropped=%llu "
+        "batches=%llu max_batch=%.0f queue_max=%.0f publish_lag avg %.2fms "
+        "max %.2fms applied_through=%.0f\n"
+        "stream faults: failures=%llu retries=%llu quarantines=%llu "
+        "revives=%llu\n",
+        count("stream.ops_ingested"), count("stream.ops_applied"),
+        count("stream.ops_coalesced"), count("stream.ops_dropped"), batches,
+        m.GaugeValue("stream.max_batch_size"),
+        m.GaugeValue("stream.queue_depth_max"),
+        batches == 0 ? 0.0
+                     : m.GaugeValue("stream.publish_lag_ms_total") /
+                           static_cast<double>(batches),
+        m.GaugeValue("stream.publish_lag_ms_max"),
+        m.GaugeValue("stream.applied_through_ts"),
+        count("stream.apply_failures"), count("stream.retries"),
+        count("stream.quarantines"), count("stream.revives"));
   }
   if (!fault_spec.empty()) {
     std::printf("-- fault injection: %llu fire(s) from spec '%s'; "

@@ -54,7 +54,7 @@ struct PassResult {
   double seconds = 0.0;
   size_t matched = 0;
   size_t total_pairs = 0;
-  EngineStats stats;
+  obs::MetricsSnapshot metrics;  ///< the engine's registry after the pass
 };
 
 PassResult RunPass(QueryEngine& engine, const std::vector<Pattern>& patterns,
@@ -86,7 +86,7 @@ PassResult RunPass(QueryEngine& engine, const std::vector<Pattern>& patterns,
     }
   }
   out.seconds = wall.ElapsedSeconds();
-  out.stats = engine.stats();
+  out.metrics = engine.metrics()->TakeSnapshot();
   return out;
 }
 
@@ -206,43 +206,57 @@ int main(int argc, char** argv) {
   const double warm_qps =
       static_cast<double>(num_queries) / std::max(warm.seconds, 1e-9);
   const double speedup = warm_qps / std::max(cold_qps, 1e-9);
-  const size_t lookups = warm.stats.cache.hits + warm.stats.cache.misses;
+  const obs::MetricsSnapshot& wm = warm.metrics;
+  const obs::MetricsSnapshot& mm = memo.metrics;
+  const double cache_hits = wm.GaugeValue("cache.hits");
+  const double lookups = cache_hits + wm.GaugeValue("cache.misses");
 
-  std::printf("cold (direct on G):   %8.2fs  %9.0f q/s  plans: direct=%zu\n",
-              cold.seconds, cold_qps, cold.stats.plans_direct);
+  std::printf("cold (direct on G):   %8.2fs  %9.0f q/s  plans: direct=%llu\n",
+              cold.seconds, cold_qps,
+              static_cast<unsigned long long>(
+                  cold.metrics.CounterValue("engine.plans.direct")));
   std::printf("warm (view cache):    %8.2fs  %9.0f q/s  plans: "
-              "match_join=%zu partial=%zu direct=%zu\n",
-              warm.seconds, warm_qps, warm.stats.plans_match_join,
-              warm.stats.plans_partial, warm.stats.plans_direct);
+              "match_join=%llu partial=%llu direct=%llu\n",
+              warm.seconds, warm_qps,
+              static_cast<unsigned long long>(
+                  wm.CounterValue("engine.plans.match_join")),
+              static_cast<unsigned long long>(
+                  wm.CounterValue("engine.plans.partial")),
+              static_cast<unsigned long long>(
+                  wm.CounterValue("engine.plans.direct")));
   const double memo_qps =
       static_cast<double>(num_queries) / std::max(memo.seconds, 1e-9);
   std::printf("memo (+result cache): %8.2fs  %9.0f q/s  result_cache: "
-              "hits=%zu stale_drops=%zu bytes=%zu\n",
-              memo.seconds, memo_qps, memo.stats.result_cache.hits,
-              memo.stats.result_cache.stale_drops,
-              memo.stats.result_cache.bytes_cached);
+              "hits=%.0f stale_drops=%.0f bytes=%.0f\n",
+              memo.seconds, memo_qps, mm.GaugeValue("result_cache.hits"),
+              mm.GaugeValue("result_cache.stale_drops"),
+              mm.GaugeValue("result_cache.bytes_cached"));
   std::printf("speedup (warm/cold):  %8.2fx   (memo/warm: %.2fx)\n", speedup,
               memo_qps / std::max(warm_qps, 1e-9));
   std::printf("matched queries: %zu/%zu, result pairs: %zu (passes agree)\n",
               warm.matched, num_queries, warm.total_pairs);
-  std::printf("cache: hit_rate=%.1f%% (%zu/%zu)  evictions=%zu  "
-              "installs=%zu  bytes=%zu  warm_queries=%zu\n",
-              lookups == 0 ? 0.0
-                           : 100.0 * static_cast<double>(warm.stats.cache.hits) /
-                                 static_cast<double>(lookups),
-              warm.stats.cache.hits, lookups, warm.stats.cache.evictions,
-              warm.stats.cache.installs, warm.stats.cache.bytes_cached,
-              warm.stats.warm_queries);
+  const double cache_hit_rate = lookups == 0.0 ? 0.0 : cache_hits / lookups;
+  std::printf("cache: hit_rate=%.1f%% (%.0f/%.0f)  evictions=%.0f  "
+              "installs=%.0f  bytes=%.0f  warm_queries=%llu\n",
+              100.0 * cache_hit_rate, cache_hits, lookups,
+              wm.GaugeValue("cache.evictions"), wm.GaugeValue("cache.installs"),
+              wm.GaugeValue("cache.bytes_cached"),
+              static_cast<unsigned long long>(
+                  wm.CounterValue("engine.queries_warm")));
   // MatchJoin fixpoint telemetry (warm pass): iteration and saturation
   // counters make "the fixpoint got slower" diagnosable from CI logs even
   // when wall-clock numbers are noisy.
-  const MatchJoinStats& js = warm.stats.join;
-  std::printf("fixpoint: initial_pairs=%zu removed=%zu set_visits=%zu "
-              "iterations=%zu counters_zeroed=%zu candidate_ranks=%zu "
-              "dist_filtered=%zu cond_filtered=%zu\n",
-              js.initial_pairs, js.removed_pairs, js.match_set_visits,
-              js.fixpoint_iterations, js.counters_zeroed, js.candidate_ranks,
-              js.filtered_by_distance, js.filtered_by_condition);
+  auto join = [&wm](const char* name) {
+    return static_cast<unsigned long long>(
+        wm.CounterValue(std::string("join.") + name));
+  };
+  std::printf("fixpoint: initial_pairs=%llu removed=%llu set_visits=%llu "
+              "iterations=%llu counters_zeroed=%llu candidate_ranks=%llu "
+              "dist_filtered=%llu cond_filtered=%llu\n",
+              join("initial_pairs"), join("removed_pairs"),
+              join("match_set_visits"), join("fixpoint_iterations"),
+              join("counters_zeroed"), join("candidate_ranks"),
+              join("filtered_by_distance"), join("filtered_by_condition"));
 
   // Observability tax: the warm pass with the metrics registry on vs off.
   // Each rep runs the two configurations back to back and takes their
@@ -277,16 +291,12 @@ int main(int argc, char** argv) {
          {{"seconds", warm.seconds},
           {"queries_per_sec", warm_qps},
           {"speedup", speedup},
-          {"cache_hit_rate",
-           lookups == 0 ? 0.0
-                        : static_cast<double>(warm.stats.cache.hits) /
-                              static_cast<double>(lookups)}});
+          {"cache_hit_rate", cache_hit_rate}});
   jr.Add("memo",
          {{"seconds", memo.seconds},
           {"queries_per_sec", memo_qps},
           {"speedup_vs_warm", memo_qps / std::max(warm_qps, 1e-9)},
-          {"result_cache_hits",
-           static_cast<double>(memo.stats.result_cache.hits)}});
+          {"result_cache_hits", mm.GaugeValue("result_cache.hits")}});
   jr.Add("observability", {{"instrumented_seconds", obs_on_s},
                            {"no_metrics_seconds", obs_off_s},
                            {"overhead_fraction", obs_overhead}});

@@ -44,7 +44,7 @@ struct PassResult {
   size_t matched = 0;
   size_t total_pairs = 0;
   size_t sharded = 0;
-  EngineStats stats;
+  obs::MetricsSnapshot metrics;  ///< the engine's registry after the pass
   size_t slice_bytes = 0;
   size_t replicas = 0;
 };
@@ -78,7 +78,7 @@ PassResult RunConfig(const Graph& graph, const std::vector<Pattern>& patterns,
     if (resp.sharded) ++out.sharded;
   }
   out.seconds = wall.ElapsedSeconds();
-  out.stats = engine.stats();
+  out.metrics = engine.metrics()->TakeSnapshot();
   return out;
 }
 
@@ -164,18 +164,22 @@ int main(int argc, char** argv) {
         static_cast<double>(num_queries) / std::max(r.seconds, 1e-9);
     const double speedup = qps / std::max(base_qps, 1e-9);
     if (configs[i] == 4) k4_speedup = speedup;
+    auto count = [&r](const char* name) {
+      return static_cast<unsigned long long>(r.metrics.CounterValue(name));
+    };
     std::printf(
-        "K=%u: %8.2fs  %9.0f q/s  speedup=%5.2fx  sharded=%zu/%zu  "
-        "rounds=%zu  messages=%zu  frontier=%zu  removals=%zu\n",
+        "K=%u: %8.2fs  %9.0f q/s  speedup=%5.2fx  sharded=%zu/%llu  "
+        "rounds=%llu  messages=%llu  frontier=%llu  removals=%llu\n",
         configs[i], r.seconds, qps, speedup, r.sharded,
-        r.stats.queries, r.stats.shard.rounds, r.stats.shard.messages,
-        r.stats.shard.frontier_msgs, r.stats.shard.removals);
+        count("engine.queries"), count("shard.rounds"),
+        count("shard.messages"), count("shard.frontier_msgs"),
+        count("shard.removals"));
     if (configs[i] > 1) {
       std::printf(
           "      slices: %zu bytes, %zu boundary replicas; plans: "
-          "direct=%zu partial=%zu fallbacks=%zu\n",
-          r.slice_bytes, r.replicas, r.stats.plans_direct,
-          r.stats.plans_partial, r.stats.shard_fallbacks);
+          "direct=%llu partial=%llu fallbacks=%llu\n",
+          r.slice_bytes, r.replicas, count("engine.plans.direct"),
+          count("engine.plans.partial"), count("engine.shard_fallbacks"));
     }
     if (r.matched != results[0].matched ||
         r.total_pairs != results[0].total_pairs) {
@@ -198,14 +202,16 @@ int main(int argc, char** argv) {
   for (size_t i = 0; i < results.size(); ++i) {
     const double qps = static_cast<double>(num_queries) /
                        std::max(results[i].seconds, 1e-9);
+    const obs::MetricsSnapshot& m = results[i].metrics;
     jr.Add("K" + std::to_string(configs[i]),
            {{"seconds", results[i].seconds},
             {"queries_per_sec", qps},
             {"speedup", qps / std::max(base_qps, 1e-9)},
-            {"messages", static_cast<double>(results[i].stats.shard.messages)},
+            {"messages",
+             static_cast<double>(m.CounterValue("shard.messages"))},
             {"frontier_msgs",
-             static_cast<double>(results[i].stats.shard.frontier_msgs)},
-            {"rounds", static_cast<double>(results[i].stats.shard.rounds)}});
+             static_cast<double>(m.CounterValue("shard.frontier_msgs"))},
+            {"rounds", static_cast<double>(m.CounterValue("shard.rounds"))}});
   }
   if (!jr.WriteTo(json_path)) return 1;
 

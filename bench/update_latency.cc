@@ -132,7 +132,7 @@ struct PassResult {
   double p99_ms = 0.0;
   size_t edges_applied = 0;
   std::vector<MatchResult> view_answers;  ///< per view pattern: full Q(G)
-  EngineStats stats;
+  obs::MetricsSnapshot metrics;  ///< the engine's registry after the pass
 };
 
 std::vector<Pattern> ViewPatterns() {
@@ -223,7 +223,7 @@ PassResult RunPass(const Graph& base, const std::vector<Pattern>& views,
     }
     out.view_answers.push_back(std::move(resp.result));
   }
-  out.stats = engine.stats();
+  out.metrics = engine.metrics()->TakeSnapshot();
   return out;
 }
 
@@ -280,37 +280,41 @@ bool RunMatrix(const Graph& base, const std::vector<Pattern>& views,
       }
       // The "delta" column counts the refreshes the family's delta path
       // actually served: DeltaBoundedInsert for bounded views.
-      const size_t delta_count =
-          bounded ? delta.stats.delta.bounded_delta_refreshes
-                  : delta.stats.delta.delta_refreshes;
+      const obs::MetricsSnapshot& dm = delta.metrics;
+      const obs::MetricsSnapshot& rm = remat.metrics;
+      const uint64_t delta_count = dm.CounterValue(
+          bounded ? "delta.bounded_refreshes" : "delta.refreshes");
+      const uint64_t delta_fallbacks = dm.CounterValue("delta.fallbacks");
       char label[64];
       std::snprintf(label, sizeof(label), "%s%s_b%zu", family,
                     StreamName(kind), bs);
-      std::printf("%-20s delta %10.3f %10.3f %10.0f %10zu %10zu %7.2fx\n",
-                  label, delta.p50_ms, delta.p99_ms, delta_ups, delta_count,
-                  delta.stats.delta.rematerialize_fallbacks, speedup);
-      std::printf("%-20s remat %10.3f %10.3f %10.0f %10zu %10zu\n", label,
+      std::printf("%-20s delta %10.3f %10.3f %10.0f %10llu %10llu %7.2fx\n",
+                  label, delta.p50_ms, delta.p99_ms, delta_ups,
+                  static_cast<unsigned long long>(delta_count),
+                  static_cast<unsigned long long>(delta_fallbacks), speedup);
+      std::printf("%-20s remat %10.3f %10.3f %10.0f %10llu %10llu\n", label,
                   remat.p50_ms, remat.p99_ms, remat_ups,
-                  remat.stats.delta.delta_refreshes,
-                  remat.stats.delta.rematerialize_fallbacks);
+                  static_cast<unsigned long long>(
+                      rm.CounterValue("delta.refreshes")),
+                  static_cast<unsigned long long>(
+                      rm.CounterValue("delta.fallbacks")));
       std::vector<std::pair<std::string, double>> row = {
           {"p50_ms", delta.p50_ms},
           {"p99_ms", delta.p99_ms},
           {"updates_per_sec", delta_ups},
           {"delta_refreshes", static_cast<double>(delta_count)},
-          {"fallbacks",
-           static_cast<double>(delta.stats.delta.rematerialize_fallbacks)},
+          {"fallbacks", static_cast<double>(delta_fallbacks)},
           {"affected_nodes",
-           static_cast<double>(delta.stats.delta.affected_nodes)},
+           static_cast<double>(dm.CounterValue("delta.affected_nodes"))},
           {"speedup", speedup}};
       if (bounded) {
         row.push_back({"bounded_matches_added",
                        static_cast<double>(
-                           delta.stats.delta.bounded_matches_added)});
+                           dm.CounterValue("delta.bounded_matches_added"))});
         row.push_back({"distance_entries",
-                       static_cast<double>(delta.stats.cache.distance_entries)});
+                       dm.GaugeValue("distance_index.entries")});
         row.push_back({"distance_repairs",
-                       static_cast<double>(delta.stats.cache.distance_repairs)});
+                       dm.GaugeValue("distance_index.repairs")});
       }
       report->Add(std::string(label) + "_delta", row);
       report->Add(std::string(label) + "_rematerialize",

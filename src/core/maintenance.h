@@ -71,7 +71,7 @@ struct InsertMaintenanceOptions {
 };
 
 /// Counters of the insert maintenance path, aggregated per update batch by
-/// the engine (EngineStats::delta) and per view by MaintainedView.
+/// the engine (the `delta.*` metrics) and per view by MaintainedView.
 struct InsertMaintenanceStats {
   size_t delta_refreshes = 0;          ///< views maintained via the delta
   size_t rematerialize_fallbacks = 0;  ///< views re-materialized instead

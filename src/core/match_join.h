@@ -73,7 +73,8 @@ struct MatchJoinOptions {
 };
 
 /// Observability counters for tests, the Fig. 8(f) ablation, and the
-/// engine's perf telemetry (engine_throughput prints the aggregate).
+/// engine's perf telemetry (summed into the `join.*` metrics, which
+/// engine_throughput prints).
 struct MatchJoinStats {
   size_t initial_pairs = 0;       ///< pairs after merge + filters
   size_t removed_pairs = 0;       ///< deletions during the fixpoint
@@ -91,18 +92,6 @@ struct MatchJoinStats {
   /// Dense ranks allocated across pattern nodes (0 on the hash-map path);
   /// the footprint of the rank-indexed fixpoint state.
   size_t candidate_ranks = 0;
-
-  /// Field-wise sum, for aggregating per-query stats into engine totals.
-  void Merge(const MatchJoinStats& other) {
-    initial_pairs += other.initial_pairs;
-    removed_pairs += other.removed_pairs;
-    match_set_visits += other.match_set_visits;
-    filtered_by_condition += other.filtered_by_condition;
-    filtered_by_distance += other.filtered_by_distance;
-    fixpoint_iterations += other.fixpoint_iterations;
-    counters_zeroed += other.counters_zeroed;
-    candidate_ranks += other.candidate_ranks;
-  }
 };
 
 /// Computes Q(G) from view extensions only.

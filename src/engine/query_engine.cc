@@ -599,7 +599,7 @@ QueryResponse QueryEngine::Execute(const Pattern& q, const QueryOptions& qopts,
   if (opts_.obs.enabled) {
     // The counter tail updates as one group under the snapshot gate
     // (shared mode — concurrent queries never block each other here), so a
-    // racing stats() snapshot sees a query's counters all-or-nothing.
+    // racing TakeSnapshot() sees a query's counters all-or-nothing.
     auto group = metrics_.Group();
     h_.queries->Add(1);
     if (!resp.status.ok()) h_.queries_failed->Add(1);
@@ -1180,73 +1180,6 @@ void QueryEngine::RecordWorkload(const Pattern& q) {
 bool QueryEngine::CheckCacheConsistency(bool expect_unpinned) const {
   std::unique_lock<std::shared_mutex> lk(mu_);
   return cache_.CheckConsistency(expect_unpinned);
-}
-
-EngineStats QueryEngine::stats() const {
-  EngineStats out;
-  if (opts_.obs.enabled) {
-    // Exclusive on the snapshot gate: every grouped writer (query counter
-    // tails, stream batches, update tails) is either fully before or
-    // fully after this read, so the reconstructed struct preserves the
-    // same cross-counter invariants the old single-mutex aggregate did.
-    auto gate = metrics_.ReadGate();
-    out.queries = h_.queries->Value();
-    out.failed_queries = h_.queries_failed->Value();
-    out.warm_queries = h_.queries_warm->Value();
-    out.sharded_queries = h_.queries_sharded->Value();
-    out.shard_fallbacks = h_.shard_fallbacks->Value();
-    out.plans_match_join = h_.plans_match_join->Value();
-    out.plans_partial = h_.plans_partial->Value();
-    out.plans_direct = h_.plans_direct->Value();
-    out.update_batches = h_.update_batches->Value();
-    out.edges_inserted = h_.edges_inserted->Value();
-    out.edges_deleted = h_.edges_deleted->Value();
-    out.slices_rebuilt = h_.slices_rebuilt->Value();
-    out.slices_reused = h_.slices_reused->Value();
-    out.join.initial_pairs = h_.join_initial_pairs->Value();
-    out.join.removed_pairs = h_.join_removed_pairs->Value();
-    out.join.match_set_visits = h_.join_match_set_visits->Value();
-    out.join.filtered_by_condition = h_.join_filtered_by_condition->Value();
-    out.join.filtered_by_distance = h_.join_filtered_by_distance->Value();
-    out.join.fixpoint_iterations = h_.join_fixpoint_iterations->Value();
-    out.join.counters_zeroed = h_.join_counters_zeroed->Value();
-    out.join.candidate_ranks = h_.join_candidate_ranks->Value();
-    out.shard.shards =
-        static_cast<size_t>(h_.shard_fanout_width->Value());
-    out.shard.rounds = h_.shard_rounds->Value();
-    out.shard.removals = h_.shard_removals->Value();
-    out.shard.messages = h_.shard_messages->Value();
-    out.shard.frontier_msgs = h_.shard_frontier_msgs->Value();
-    out.delta.delta_refreshes = h_.delta_refreshes->Value();
-    out.delta.rematerialize_fallbacks = h_.delta_fallbacks->Value();
-    out.delta.affected_nodes = h_.delta_affected_nodes->Value();
-    out.delta.delta_relation_added = h_.delta_relation_added->Value();
-    out.delta.delta_matches_added = h_.delta_matches_added->Value();
-    out.delta.bounded_delta_refreshes = h_.delta_bounded_refreshes->Value();
-    out.delta.bounded_matches_added =
-        h_.delta_bounded_matches_added->Value();
-    out.delta.fallback_not_simulation =
-        h_.delta_fallback_not_simulation->Value();
-    out.delta.fallback_unmatched = h_.delta_fallback_unmatched->Value();
-    out.delta.fallback_area_too_large =
-        h_.delta_fallback_area_too_large->Value();
-    out.delta.fallback_disabled = h_.delta_fallback_disabled->Value();
-    out.mvcc_asof_queries = h_.mvcc_asof_queries->Value();
-    out.mvcc_asof_misses = h_.mvcc_asof_misses->Value();
-    out.mvcc_ryw_waits = h_.mvcc_ryw_waits->Value();
-    out.mvcc_ryw_timeouts = h_.mvcc_ryw_timeouts->Value();
-    out.deadline_exceeded = h_.deadline_exceeded->Value();
-    out.shed_queries = h_.shed_queries->Value();
-    out.degraded_queries = h_.degraded_queries->Value();
-    out.stream_appliers = static_cast<size_t>(h_.stream_appliers->Value());
-  }
-  out.cache = cache_.stats();
-  out.pool = pool_.stats();
-  out.result_cache = result_cache_.stats();
-  out.mvcc_chain_depth = chain_.depth();
-  out.mvcc_pinned_cuts = chain_.pinned_cuts();
-  out.mvcc_gc_collected = chain_.gc_collected();
-  return out;
 }
 
 GraphStatistics QueryEngine::graph_statistics() const {

@@ -127,7 +127,8 @@ struct EdgeUpdate {
 /// Observability knobs (src/obs/). The engine always owns a
 /// MetricsRegistry; `enabled` only controls whether the hot paths record
 /// into it (the `--no-metrics` overhead baseline of bench/engine_throughput
-/// — with it false, stats() returns only component-owned stats).
+/// — with it false the engine's counters and histograms stay at zero, and
+/// only the collector gauges of component-owned stats move).
 struct ObsOptions {
   bool enabled = true;
   /// Attach the finished span tree to every QueryResponse (`--trace`).
@@ -235,59 +236,6 @@ struct QueryResponse {
   uint64_t trace_id = 0;
   /// The finished span tree (ObsOptions::trace only; nullptr otherwise).
   std::shared_ptr<const obs::TraceSpan> trace;
-};
-
-/// Aggregate engine counters. Since the unified metrics registry landed
-/// (src/obs/metrics.h) this struct is a *view*: stats() reconstructs it
-/// from the engine's registry under the snapshot gate (plus the component
-/// stats the subsystems own), so existing consumers keep working while the
-/// exporters read the same numbers by metric name.
-struct EngineStats {
-  ViewCacheStats cache;
-  ThreadPoolStats pool;
-  /// MatchJoin fixpoint counters summed over every view-served query —
-  /// iteration counts and counter saturation make warm-path perf
-  /// regressions diagnosable from CI logs (engine_throughput prints them).
-  MatchJoinStats join;
-  /// Sharded fan-out counters summed over every sharded query (rounds,
-  /// removals, cross-shard broadcasts); `shards` is the fan-out width.
-  ShardSimStats shard;
-  /// Insert-path maintenance counters summed over every update batch:
-  /// delta refreshes vs. re-materialization fallbacks, affected-area sizes,
-  /// relation members and match pairs added by the delta.
-  InsertMaintenanceStats delta;
-  /// Full-result cache counters (hits skip planning's downstream cost:
-  /// no pinning, no materialization, no fixpoint).
-  ResultCacheStats result_cache;
-  size_t queries = 0;
-  size_t plans_match_join = 0;
-  size_t plans_partial = 0;
-  size_t plans_direct = 0;
-  size_t warm_queries = 0;
-  size_t failed_queries = 0;
-  size_t sharded_queries = 0;  ///< queries executed as per-shard fan-outs
-  /// Plans marked for fan-out that ran on the global snapshot because the
-  /// sharded snapshot was mid-rebuild (version mismatch).
-  size_t shard_fallbacks = 0;
-  size_t update_batches = 0;
-  size_t edges_inserted = 0;
-  size_t edges_deleted = 0;
-  size_t slices_rebuilt = 0;  ///< shard slices re-frozen by update batches
-  size_t slices_reused = 0;   ///< slices shared across an update unchanged
-  /// MVCC snapshot chain (graph/mvcc.h): retained depth / live pins are
-  /// instantaneous, the rest are lifetime counters.
-  size_t mvcc_chain_depth = 0;
-  size_t mvcc_pinned_cuts = 0;
-  size_t mvcc_gc_collected = 0;
-  size_t mvcc_asof_queries = 0;   ///< AS OF queries answered from a pinned cut
-  size_t mvcc_asof_misses = 0;    ///< AS OF targets outside the retained window
-  size_t mvcc_ryw_waits = 0;      ///< queries that blocked on min_applied_ts
-  size_t mvcc_ryw_timeouts = 0;   ///< read-your-writes waits that timed out
-  size_t stream_appliers = 0;     ///< configured stream slices (applier pool width)
-  /// Failure-domain counters (docs/ROBUSTNESS.md).
-  size_t deadline_exceeded = 0;  ///< queries failed by their deadline_ms
-  size_t shed_queries = 0;       ///< Submits fast-failed by admission control
-  size_t degraded_queries = 0;   ///< RYW floors served degraded past a quarantine
 };
 
 /// See file comment.
@@ -402,11 +350,6 @@ class QueryEngine {
     return chain_.PinAsOf(ts);
   }
 
-  /// Retained chain depth / live pin count / lifetime GC total.
-  size_t mvcc_chain_depth() const { return chain_.depth(); }
-  size_t mvcc_pinned_cuts() const { return chain_.pinned_cuts(); }
-  uint64_t mvcc_gc_collected() const { return chain_.gc_collected(); }
-
   /// Quarantine signal from a stream applier (stream/applier_pool.h):
   /// while any slice is flagged, queries report `degraded` and — with
   /// EngineOptions::degraded_serving — unreachable read-your-writes floors
@@ -437,11 +380,10 @@ class QueryEngine {
   /// `expect_unpinned`, also verifies every query released its pins.
   bool CheckCacheConsistency(bool expect_unpinned = true) const;
 
-  EngineStats stats() const;
-
-  /// The engine's metrics registry — exporters (obs/exporter.h), the CLI
-  /// summary table and tests snapshot it directly. Valid for the engine's
-  /// lifetime.
+  /// The engine's metrics registry — its only stats read path. Exporters
+  /// (obs/exporter.h), the CLI, the benches and tests take a snapshot and
+  /// read metrics by their tools/metrics_schema.json names. Valid for the
+  /// engine's lifetime.
   obs::MetricsRegistry* metrics() { return &metrics_; }
   const obs::MetricsRegistry* metrics() const { return &metrics_; }
 
@@ -538,7 +480,9 @@ class QueryEngine {
     obs::Counter* queries;
     obs::Counter* queries_failed;
     obs::Counter* queries_warm;
-    obs::Counter* queries_sharded;
+    obs::Counter* queries_sharded;  // executed as per-shard fan-outs
+    // Fan-out plans run on the global snapshot because the sharded one was
+    // mid-rebuild (version mismatch) or a merge round failed over.
     obs::Counter* shard_fallbacks;
     obs::Counter* plans_match_join;
     obs::Counter* plans_partial;
@@ -546,10 +490,10 @@ class QueryEngine {
     obs::Counter* update_batches;
     obs::Counter* edges_inserted;
     obs::Counter* edges_deleted;
-    obs::Counter* slices_rebuilt;
-    obs::Counter* slices_reused;
+    obs::Counter* slices_rebuilt;  // shard slices re-frozen by update batches
+    obs::Counter* slices_reused;   // slices shared across an update unchanged
     obs::Counter* slow_queries;
-    // MatchJoin fixpoint (EngineStats::join)
+    // MatchJoin fixpoint (join.*)
     obs::Counter* join_initial_pairs;
     obs::Counter* join_removed_pairs;
     obs::Counter* join_match_set_visits;
@@ -558,13 +502,13 @@ class QueryEngine {
     obs::Counter* join_fixpoint_iterations;
     obs::Counter* join_counters_zeroed;
     obs::Counter* join_candidate_ranks;
-    // sharded fan-out (EngineStats::shard)
+    // sharded fan-out (shard.*)
     obs::Counter* shard_rounds;
     obs::Counter* shard_removals;
     obs::Counter* shard_messages;
     obs::Counter* shard_frontier_msgs;
     obs::Gauge* shard_fanout_width;  // SetMax
-    // insert maintenance (EngineStats::delta)
+    // insert maintenance (delta.*)
     obs::Counter* delta_refreshes;
     obs::Counter* delta_fallbacks;
     obs::Counter* delta_affected_nodes;

@@ -65,7 +65,6 @@ bool ViewCache::Install(uint32_t v, ViewExtension ext,
   ++stats_.materialized;
   ++stats_.installs;
   EnforceBudgetLocked();
-  if (stats_.bytes_cached > opts_.budget_bytes) ++stats_.over_budget;
   return true;
 }
 

@@ -58,7 +58,6 @@ struct ViewCacheStats {
   size_t bytes_cached = 0;        ///< current footprint
   size_t materialized = 0;        ///< currently live extensions
   size_t registered = 0;          ///< view definitions in the registry
-  size_t over_budget = 0;         ///< installs that left pinned bytes > budget
 
   /// Distance-index I(V) health (see distance_index()):
   size_t distance_entries = 0;    ///< tracked (v, v') pairs

@@ -2,8 +2,8 @@
 /// \brief The unified metrics registry: named counters, gauges and
 /// log-bucketed latency histograms shared by every runtime layer (engine,
 /// executor, stream, shard, maintenance) and read by the exporters
-/// (obs/exporter.h), the CLI summary table, and the `EngineStats` view the
-/// benches and tests consume.
+/// (obs/exporter.h), the CLI summary table, the benches and the tests —
+/// each by metric name, off one MetricsSnapshot.
 ///
 /// Design:
 ///  * Handles are stable pointers. Callers resolve `Counter*`/`Gauge*`/
@@ -17,8 +17,8 @@
 ///    invariants observable in every snapshot (e.g. stream.ops_ingested ==
 ///    ops_applied + ops_coalesced + ops_dropped, maintained per applied
 ///    micro-batch) wrap their update group in `GroupGuard` — a *shared*
-///    lock on the snapshot gate — while TakeSnapshot (and the EngineStats
-///    view) holds the gate exclusively. Grouped writers therefore never
+///    lock on the snapshot gate — while TakeSnapshot (and any ReadGate
+///    holder) holds the gate exclusively. Grouped writers therefore never
 ///    block each other; a snapshot briefly excludes them and sees every
 ///    group entirely or not at all. Ungrouped updates (per-task executor
 ///    histograms) skip the gate: they carry no cross-metric invariant, and
@@ -210,8 +210,9 @@ class MetricsRegistry {
   std::shared_lock<std::shared_mutex> Group() const {
     return std::shared_lock<std::shared_mutex>(gate_);
   }
-  /// Exclusive lock on the gate, for callers assembling their own
-  /// consistent multi-metric view (the EngineStats reconstruction).
+  /// Exclusive lock on the gate, for callers reading a few handles as one
+  /// consistent cut without paying for a full TakeSnapshot (the racing
+  /// readers of the concurrency suite).
   std::unique_lock<std::shared_mutex> ReadGate() const {
     return std::unique_lock<std::shared_mutex>(gate_);
   }

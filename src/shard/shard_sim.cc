@@ -1,5 +1,6 @@
 #include "shard/shard_sim.h"
 
+#include <algorithm>
 #include <deque>
 #include <functional>
 #include <utility>

@@ -42,7 +42,6 @@
 #ifndef GPMV_SHARD_SHARD_SIM_H_
 #define GPMV_SHARD_SHARD_SIM_H_
 
-#include <algorithm>
 #include <cstddef>
 #include <vector>
 
@@ -56,8 +55,8 @@ namespace gpmv {
 
 class ThreadPool;
 
-/// Observability counters for one sharded evaluation (aggregated into
-/// EngineStats.shard by the query engine). Deterministic for a given
+/// Observability counters for one sharded evaluation (summed into the
+/// `shard.*` metrics by the query engine). Deterministic for a given
 /// (pattern, sharded snapshot, seed) triple.
 struct ShardSimStats {
   size_t shards = 0;    ///< fan-out width K
@@ -73,23 +72,12 @@ struct ShardSimStats {
   /// whose head was expanded) — the bounded analogue of `messages`.
   size_t frontier_msgs = 0;
 
-  /// Per-call detail for trace spans (obs/trace.h), NOT aggregated by
-  /// Merge: wall time of each parallel phase (index 0 is the local-fixpoint
-  /// fan-out, the rest are merge rounds) and of each shard's local fixpoint
-  /// within that first phase.
+  /// Per-call detail for trace spans (obs/trace.h), not summed into the
+  /// metrics: wall time of each parallel phase (index 0 is the
+  /// local-fixpoint fan-out, the rest are merge rounds) and of each
+  /// shard's local fixpoint within that first phase.
   std::vector<double> round_ms;
   std::vector<double> shard_ms;
-
-  /// Field-wise aggregate (max for `shards`), mirroring MatchJoinStats.
-  /// Per-call timing vectors are left untouched — they only describe a
-  /// single evaluation.
-  void Merge(const ShardSimStats& other) {
-    shards = std::max(shards, other.shards);
-    rounds += other.rounds;
-    removals += other.removals;
-    messages += other.messages;
-    frontier_msgs += other.frontier_msgs;
-  }
 };
 
 /// Refines `space` to the maximum (dual-)simulation relation of `q` over

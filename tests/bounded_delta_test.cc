@@ -504,11 +504,11 @@ TEST(BoundedDeltaTest, EngineBoundedViewStaysExactUnderUpdates) {
     ASSERT_TRUE(direct.ApplyUpdates(batch).ok());
   }
 
-  EngineStats stats = with_views.stats();
+  const obs::MetricsSnapshot m = with_views.metrics()->TakeSnapshot();
   // The bounded view refreshed through the delta path at least once, and
   // the distance index is live.
-  EXPECT_GT(stats.delta.bounded_delta_refreshes, 0u);
-  EXPECT_GT(stats.cache.distance_entries, 0u);
+  EXPECT_GT(m.CounterValue("delta.bounded_refreshes"), 0u);
+  EXPECT_GT(m.GaugeValue("distance_index.entries"), 0.0);
   EXPECT_TRUE(with_views.CheckCacheConsistency());
 }
 

@@ -1,0 +1,102 @@
+#!/usr/bin/env python3
+"""End-to-end checks of `gpmv_cli serve`'s closing report and flag bounds.
+
+    python3 tests/cli_serve_test.py <path/to/gpmv_cli>
+
+Generates a small random graph and two views in a temporary directory, then
+checks that:
+  * the `N queries in Xs` headline counts the served queries under
+    --no-metrics, where the engine records none of its own counters, and
+    the summary table is still printed;
+  * --cache-mb / --result-cache-mb values whose MiB-to-byte shift would
+    wrap are rejected with exit status 2 and an error on stderr, while the
+    largest budget that fits is accepted;
+  * a normal run ends with the registry summary table, `engine.queries`
+    included.
+
+Registered with ctest (label `fast`) by the top-level CMakeLists.txt.
+"""
+
+import os
+import re
+import subprocess
+import sys
+import tempfile
+import unittest
+
+CLI = None  # set from argv in main
+
+# The two views of the CI schema smoke; each also serves as a query.
+VIEWS = ("view v1\nnode a label=L4\nnode b label=L8\nedge a b bound=2\n"
+         "view v2\nnode a label=L4\nnode b label=L4\nedge a b\n")
+NUM_QUERIES = 2
+# Budgets are MiB shifted left by 20 into a 64-bit byte count: 2^44 MiB is
+# the first value that wraps.
+LARGEST_BUDGET_MB = str((1 << 44) - 1)
+WRAPPING_BUDGET_MB = str(1 << 44)
+
+
+class ServeReportTest(unittest.TestCase):
+
+    @classmethod
+    def setUpClass(cls):
+        cls.tmp = tempfile.TemporaryDirectory()
+        cls.graph = os.path.join(cls.tmp.name, "g.graph")
+        cls.views = os.path.join(cls.tmp.name, "v.views")
+        subprocess.run([CLI, "gen", "random", "2000", "7", cls.graph],
+                       check=True, stdout=subprocess.DEVNULL)
+        with open(cls.views, "w") as f:
+            f.write(VIEWS)
+
+    @classmethod
+    def tearDownClass(cls):
+        cls.tmp.cleanup()
+
+    def serve(self, *flags):
+        return subprocess.run(
+            [CLI, "serve", self.graph, self.views, "--views", self.views,
+             "--warm", *flags],
+            capture_output=True, text=True, timeout=60)
+
+    def test_no_metrics_headline_counts_served_queries(self):
+        r = self.serve("--no-metrics")
+        self.assertEqual(r.returncode, 0, r.stderr)
+        m = re.search(r"^(\d+) queries in \S+ \(\d+ q/s\), (\d+) failed$",
+                      r.stdout, re.M)
+        self.assertIsNotNone(m, r.stdout)
+        self.assertEqual(int(m.group(1)), NUM_QUERIES, r.stdout)
+        self.assertEqual(int(m.group(2)), 0, r.stdout)
+        self.assertIn("--- metrics summary ---", r.stdout)
+
+    def test_wrapping_budgets_are_rejected(self):
+        for flag in ("--cache-mb", "--result-cache-mb"):
+            with self.subTest(flag=flag):
+                r = self.serve(flag, WRAPPING_BUDGET_MB)
+                self.assertEqual(r.returncode, 2, r.stdout)
+                self.assertIn("error: " + flag, r.stderr)
+                # The largest budget that fits is a valid (huge) budget: the
+                # warmed views stay cached and every query runs warm.
+                r = self.serve(flag, LARGEST_BUDGET_MB)
+                self.assertEqual(r.returncode, 0, r.stderr)
+                self.assertEqual(
+                    len(re.findall(r"^v\d .* warm ", r.stdout, re.M)),
+                    NUM_QUERIES, r.stdout)
+
+    def test_summary_table_lists_engine_queries(self):
+        r = self.serve()
+        self.assertEqual(r.returncode, 0, r.stderr)
+        self.assertIn("--- metrics summary ---", r.stdout)
+        self.assertRegex(r.stdout,
+                         r"(?m)^\s+engine\.queries\s+%d$" % NUM_QUERIES)
+
+
+def main():
+    global CLI
+    if len(sys.argv) != 2:
+        sys.exit("usage: cli_serve_test.py <path/to/gpmv_cli>")
+    CLI = sys.argv[1]
+    unittest.main(argv=sys.argv[:1], verbosity=2)
+
+
+if __name__ == "__main__":
+    main()

@@ -317,11 +317,11 @@ TEST(DeltaInsertTest, EngineUpdateBatchesMatchScratchAcrossPlans) {
     ASSERT_TRUE(oracle.ok());
     ASSERT_TRUE(dr.result == *oracle) << "step " << step;
   }
-  EngineStats ds = delta_engine->stats();
-  EXPECT_GT(ds.delta.delta_refreshes, 0u);
-  EngineStats ss = scratch_engine->stats();
-  EXPECT_EQ(ss.delta.delta_refreshes, 0u);
-  EXPECT_GT(ss.delta.rematerialize_fallbacks, 0u);
+  const obs::MetricsSnapshot dm = delta_engine->metrics()->TakeSnapshot();
+  EXPECT_GT(dm.CounterValue("delta.refreshes"), 0u);
+  const obs::MetricsSnapshot sm = scratch_engine->metrics()->TakeSnapshot();
+  EXPECT_EQ(sm.CounterValue("delta.refreshes"), 0u);
+  EXPECT_GT(sm.CounterValue("delta.fallbacks"), 0u);
   EXPECT_TRUE(delta_engine->CheckCacheConsistency());
   EXPECT_TRUE(scratch_engine->CheckCacheConsistency());
 }

@@ -69,10 +69,13 @@ StressFixture MakeStressFixture() {
   return f;
 }
 
-void CheckAccounting(const ViewCacheStats& cache) {
-  EXPECT_EQ(cache.installs - cache.evictions, cache.materialized);
-  if (cache.materialized == 0) {
-    EXPECT_EQ(cache.bytes_cached, 0u);
+/// The view cache's byte/eviction accounting, read off the registry's
+/// cache.* collector gauges.
+void CheckAccounting(const obs::MetricsSnapshot& m) {
+  EXPECT_EQ(m.GaugeValue("cache.installs") - m.GaugeValue("cache.evictions"),
+            m.GaugeValue("cache.materialized"));
+  if (m.GaugeValue("cache.materialized") == 0.0) {
+    EXPECT_EQ(m.GaugeValue("cache.bytes_cached"), 0.0);
   }
 }
 
@@ -117,12 +120,12 @@ TEST(EngineConcurrencyTest, ParallelSubmitNoLostResults) {
 
   // The pool counts a task as executed before its body runs, so once every
   // future has resolved the counter is deterministically settled.
-  EngineStats stats = engine.stats();
-  EXPECT_EQ(stats.queries, static_cast<size_t>(kQueries));
-  EXPECT_EQ(stats.pool.submitted, static_cast<size_t>(kQueries));
-  EXPECT_EQ(stats.pool.executed, static_cast<size_t>(kQueries));
-  EXPECT_GT(stats.plans_match_join, 0u);
-  CheckAccounting(stats.cache);
+  const obs::MetricsSnapshot m = engine.metrics()->TakeSnapshot();
+  EXPECT_EQ(m.CounterValue("engine.queries"), static_cast<size_t>(kQueries));
+  EXPECT_EQ(m.GaugeValue("pool.submitted"), kQueries);
+  EXPECT_EQ(m.GaugeValue("pool.executed"), kQueries);
+  EXPECT_GT(m.CounterValue("engine.plans.match_join"), 0u);
+  CheckAccounting(m);
   EXPECT_TRUE(engine.CheckCacheConsistency(/*expect_unpinned=*/true));
 }
 
@@ -161,9 +164,9 @@ TEST(EngineConcurrencyTest, TinyBudgetEvictionChurnStaysConsistent) {
     EXPECT_TRUE(resp.result == f.expected[i % f.patterns.size()]);
   }
 
-  ViewCacheStats cache = engine.stats().cache;
-  EXPECT_GT(cache.evictions, 0u);
-  CheckAccounting(cache);
+  const obs::MetricsSnapshot m = engine.metrics()->TakeSnapshot();
+  EXPECT_GT(m.GaugeValue("cache.evictions"), 0.0);
+  CheckAccounting(m);
   EXPECT_TRUE(engine.CheckCacheConsistency(/*expect_unpinned=*/true));
 }
 
@@ -273,10 +276,11 @@ TEST(EngineConcurrencyTest, QueriesRaceUpdateBatchesSafely) {
             << " diverged after racing update batches";
       }
     }
-    EngineStats stats = engine.stats();
-    EXPECT_EQ(stats.update_batches, 2 * kBatchesPerToggle);
-    EXPECT_EQ(stats.queries, kSubmitters * kQueriesPerSubmitter);
-    CheckAccounting(stats.cache);
+    const obs::MetricsSnapshot m = engine.metrics()->TakeSnapshot();
+    EXPECT_EQ(m.CounterValue("engine.update_batches"), 2 * kBatchesPerToggle);
+    EXPECT_EQ(m.CounterValue("engine.queries"),
+              kSubmitters * kQueriesPerSubmitter);
+    CheckAccounting(m);
     EXPECT_TRUE(engine.CheckCacheConsistency(/*expect_unpinned=*/true));
   }
 }
@@ -354,8 +358,6 @@ TEST(EngineConcurrencyTest, StreamingIngestionRacesQueries) {
         // hold in *every* observed snapshot, torn reads would break them.
         ExpectStreamCutConsistent(engine.metrics(),
                                   kProducers * kOpsPerProducer);
-        EngineStats s = engine.stats();
-        EXPECT_GE(s.pool.submitted, s.pool.executed);
         std::this_thread::yield();
       }
     });
@@ -379,7 +381,8 @@ TEST(EngineConcurrencyTest, StreamingIngestionRacesQueries) {
     EXPECT_EQ(m.GaugeValue("stream.applied_through_ts"),
               static_cast<double>(kProducers * kOpsPerProducer));
     EXPECT_EQ(engine.applied_through_ts(), kProducers * kOpsPerProducer);
-    CheckAccounting(engine.stats().cache);
+    EXPECT_GE(m.GaugeValue("pool.submitted"), m.GaugeValue("pool.executed"));
+    CheckAccounting(m);
     EXPECT_TRUE(engine.CheckCacheConsistency(/*expect_unpinned=*/true));
   }
 }
@@ -469,10 +472,14 @@ TEST(EngineConcurrencyTest, MultiApplierStreamingRacesQueries) {
         }
       });
     }
+    // Resolved once: the racing reader loads the gauge lock-free instead of
+    // taking a full snapshot per spin.
+    const obs::Gauge* appliers_gauge =
+        engine.metrics()->FindOrCreateGauge("stream.appliers");
     threads.emplace_back([&] {
       barrier.Arrive();
       while (!producers_done.load(std::memory_order_acquire)) {
-        EXPECT_EQ(engine.stats().stream_appliers, kAppliers);
+        EXPECT_EQ(appliers_gauge->Value(), static_cast<double>(kAppliers));
         ExpectStreamCutConsistent(engine.metrics(),
                                   kProducers * kOpsPerProducer);
         std::this_thread::yield();
@@ -500,7 +507,7 @@ TEST(EngineConcurrencyTest, MultiApplierStreamingRacesQueries) {
       routed += pool.ops_routed(i);
     }
     EXPECT_EQ(routed, kProducers * kOpsPerProducer);
-    CheckAccounting(engine.stats().cache);
+    CheckAccounting(m);
     EXPECT_TRUE(engine.CheckCacheConsistency(/*expect_unpinned=*/true));
   }
 }

@@ -37,9 +37,9 @@ TEST(QueryEngineTest, DirectPlanMatchesOracleWithoutViews) {
 
   MatchResult oracle = testutil::OracleMatch(q, SmallChainGraph());
   EXPECT_TRUE(resp.result == oracle);
-  EngineStats stats = engine.stats();
-  EXPECT_EQ(stats.queries, 1u);
-  EXPECT_EQ(stats.plans_direct, 1u);
+  const obs::MetricsSnapshot m = engine.metrics()->TakeSnapshot();
+  EXPECT_EQ(m.CounterValue("engine.queries"), 1u);
+  EXPECT_EQ(m.CounterValue("engine.plans.direct"), 1u);
 }
 
 TEST(QueryEngineTest, MatchJoinPlanMatchesOracleAndTurnsWarm) {
@@ -76,12 +76,12 @@ TEST(QueryEngineTest, MatchJoinPlanMatchesOracleAndTurnsWarm) {
   EXPECT_TRUE(cold.result == oracle);
   EXPECT_TRUE(warmr.result == oracle);
 
-  EngineStats stats = engine.stats();
-  EXPECT_EQ(stats.plans_match_join, 2u);
-  EXPECT_EQ(stats.warm_queries, 1u);
-  EXPECT_GE(stats.cache.hits, 2u);
-  EXPECT_GE(stats.cache.misses, 2u);
-  EXPECT_EQ(stats.cache.materialized, 2u);
+  const obs::MetricsSnapshot m = engine.metrics()->TakeSnapshot();
+  EXPECT_EQ(m.CounterValue("engine.plans.match_join"), 2u);
+  EXPECT_EQ(m.CounterValue("engine.queries_warm"), 1u);
+  EXPECT_GE(m.GaugeValue("cache.hits"), 2.0);
+  EXPECT_GE(m.GaugeValue("cache.misses"), 2.0);
+  EXPECT_EQ(m.GaugeValue("cache.materialized"), 2.0);
 }
 
 TEST(QueryEngineTest, PartialViewsPlanStaysExact) {
@@ -183,15 +183,17 @@ TEST(QueryEngineTest, UpdateBatchesKeepCachedViewsFresh) {
   EXPECT_TRUE(resp2.warm);
   EXPECT_TRUE(resp2.result == testutil::OracleMatch(q, SmallChainGraph()));
 
-  EngineStats stats = engine.stats();
-  EXPECT_EQ(stats.update_batches, 2u);
-  EXPECT_EQ(stats.edges_deleted, 1u);
-  EXPECT_EQ(stats.edges_inserted, 1u);
-  EXPECT_GE(stats.cache.refreshes, 1u);
+  const obs::MetricsSnapshot m = engine.metrics()->TakeSnapshot();
+  EXPECT_EQ(m.CounterValue("engine.update_batches"), 2u);
+  EXPECT_EQ(m.CounterValue("engine.edges_deleted"), 1u);
+  EXPECT_EQ(m.CounterValue("engine.edges_inserted"), 1u);
+  EXPECT_GE(m.GaugeValue("cache.refreshes"), 1.0);
 
   // Deleting an edge no plain view cares about is prescreened away.
   ASSERT_TRUE(engine.ApplyUpdates({EdgeUpdate::Delete(1, 2)}).ok());
-  EXPECT_GE(engine.stats().cache.refreshes_skipped, 1u);
+  EXPECT_GE(
+      engine.metrics()->TakeSnapshot().GaugeValue("cache.refreshes_skipped"),
+      1.0);
 }
 
 TEST(QueryEngineTest, UpdateValidationRejectsUnknownNodes) {
@@ -230,12 +232,14 @@ TEST(QueryEngineTest, LruEvictionKeepsByteAccountingConsistent) {
     }
   }
   ASSERT_TRUE(engine.WarmViews().ok());
-  ViewCacheStats cache = engine.stats().cache;
+  obs::MetricsSnapshot m = engine.metrics()->TakeSnapshot();
   // With a 1-byte budget at most one (over-budget, pinned-at-install)
   // extension can be live, and installs - evictions must equal live count.
-  EXPECT_EQ(cache.installs - cache.evictions, cache.materialized);
-  EXPECT_LE(cache.materialized, 1u);
-  EXPECT_GE(cache.evictions, cache.registered - 1);
+  EXPECT_EQ(m.GaugeValue("cache.installs") - m.GaugeValue("cache.evictions"),
+            m.GaugeValue("cache.materialized"));
+  EXPECT_LE(m.GaugeValue("cache.materialized"), 1.0);
+  EXPECT_GE(m.GaugeValue("cache.evictions"),
+            m.GaugeValue("cache.registered") - 1.0);
 
   // Queries still answer correctly while thrashing the cache.
   Pattern q = PatternBuilder()
@@ -247,8 +251,9 @@ TEST(QueryEngineTest, LruEvictionKeepsByteAccountingConsistent) {
   ASSERT_TRUE(resp.status.ok());
   EXPECT_TRUE(resp.result == testutil::OracleMatch(q, g));
 
-  cache = engine.stats().cache;
-  EXPECT_EQ(cache.installs - cache.evictions, cache.materialized);
+  m = engine.metrics()->TakeSnapshot();
+  EXPECT_EQ(m.GaugeValue("cache.installs") - m.GaugeValue("cache.evictions"),
+            m.GaugeValue("cache.materialized"));
   EXPECT_TRUE(engine.CheckCacheConsistency(/*expect_unpinned=*/true));
 }
 
@@ -288,7 +293,8 @@ TEST(QueryEngineTest, SubmitRunsOnWorkerPool) {
   QueryResponse resp = std::move(*fut).get();
   ASSERT_TRUE(resp.status.ok());
   EXPECT_TRUE(resp.result == testutil::OracleMatch(q, SmallChainGraph()));
-  EXPECT_EQ(engine.stats().pool.executed, 1u);
+  EXPECT_EQ(engine.metrics()->TakeSnapshot().GaugeValue("pool.executed"),
+            1.0);
 }
 
 }  // namespace

@@ -247,7 +247,9 @@ TEST(DeadlineTest, ExpiredDeadlineFailsCleanlyWithoutCacheDrift) {
 
   // Clean failure: pins unwound, nothing partial cached, metrics counted.
   EXPECT_TRUE(engine.CheckCacheConsistency(/*expect_unpinned=*/true));
-  EXPECT_GE(engine.stats().deadline_exceeded, 1u);
+  EXPECT_GE(engine.metrics()->TakeSnapshot().CounterValue(
+                "engine.deadline_exceeded"),
+            1u);
 
   // The same query without a deadline is untouched by the aborted run.
   QueryResponse ok = engine.Query(q);
@@ -274,7 +276,9 @@ TEST(DeadlineTest, DeadlineBoundsReadYourWritesWait) {
           .count();
   EXPECT_EQ(resp.status.code(), Status::Code::kDeadlineExceeded);
   EXPECT_LT(waited_ms, 1000.0);
-  EXPECT_GE(engine.stats().deadline_exceeded, 1u);
+  EXPECT_GE(engine.metrics()->TakeSnapshot().CounterValue(
+                "engine.deadline_exceeded"),
+            1u);
 }
 
 // ---------------------------------------------------------------------------
@@ -325,8 +329,9 @@ TEST(ShardFaultTest, MergeRoundFaultFailsOverToUnshardedEvaluation) {
   // The suite is vacuous unless the fault-free plans actually fan out.
   ASSERT_GT(sharded_used, 0u);
 
-  EngineStats s = engine.stats();
-  EXPECT_GE(s.shard_fallbacks, sharded_used);
+  EXPECT_GE(engine.metrics()->TakeSnapshot().CounterValue(
+                "engine.shard_fallbacks"),
+            sharded_used);
   EXPECT_GE(fault.fired("shard.merge_round"), sharded_used);
   EXPECT_TRUE(engine.CheckCacheConsistency(/*expect_unpinned=*/true));
 }

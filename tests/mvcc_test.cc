@@ -276,8 +276,9 @@ TEST(EngineReadYourWritesTest, QueryWaitsForTheWatermarkThenReads) {
   committer.join();
   ASSERT_TRUE(resp.status.ok()) << resp.status.ToString();
   EXPECT_GE(resp.applied_through_ts, 1u);
-  EXPECT_GE(engine.stats().mvcc_ryw_waits, 1u);
-  EXPECT_EQ(engine.stats().mvcc_ryw_timeouts, 0u);
+  const obs::MetricsSnapshot m = engine.metrics()->TakeSnapshot();
+  EXPECT_GE(m.CounterValue("mvcc.ryw_waits"), 1u);
+  EXPECT_EQ(m.CounterValue("mvcc.ryw_timeouts"), 0u);
 }
 
 TEST(EngineReadYourWritesTest, StalledStreamTimesOutWithDeadlineExceeded) {
@@ -290,8 +291,8 @@ TEST(EngineReadYourWritesTest, StalledStreamTimesOutWithDeadlineExceeded) {
   EXPECT_EQ(resp.status.code(), Status::Code::kDeadlineExceeded);
   // The wait fails before evaluation starts, so it counts as a RYW
   // timeout, not a failed evaluation.
-  EngineStats s = engine.stats();
-  EXPECT_EQ(s.mvcc_ryw_timeouts, 1u);
+  EXPECT_EQ(engine.metrics()->TakeSnapshot().CounterValue("mvcc.ryw_timeouts"),
+            1u);
 }
 
 // ---------------------------------------------------------------------------
@@ -390,9 +391,9 @@ TEST_P(AsOfReplayTest, HistoricalCutsMatchPrefixReplayGroundTruth) {
     EXPECT_FALSE(head.as_of);
     EXPECT_EQ(head.applied_through_ts, ops.size());
   }
-  EXPECT_EQ(streamed->mvcc_pinned_cuts(), 0u);  // every AS OF pin released
-  EXPECT_GE(streamed->stats().mvcc_asof_queries,
-            ops.size() * probes.size());
+  const obs::MetricsSnapshot m = streamed->metrics()->TakeSnapshot();
+  EXPECT_EQ(m.GaugeValue("mvcc.pinned_cuts"), 0.0);  // every AS OF pin released
+  EXPECT_GE(m.CounterValue("mvcc.asof_queries"), ops.size() * probes.size());
   EXPECT_TRUE(streamed->CheckCacheConsistency(/*expect_unpinned=*/true));
 }
 
@@ -419,9 +420,9 @@ TEST(AsOfTest, TargetOutsideRetainedWindowFailsNotFound) {
   QueryResponse resp = engine.Query(testutil::ChainPattern({"L0", "L1"}), qo);
   EXPECT_FALSE(resp.status.ok());
   EXPECT_EQ(resp.status.code(), Status::Code::kNotFound);
-  EngineStats s = engine.stats();
-  EXPECT_EQ(s.mvcc_asof_misses, 1u);
-  EXPECT_GT(s.mvcc_gc_collected, 0u);
+  const obs::MetricsSnapshot m = engine.metrics()->TakeSnapshot();
+  EXPECT_EQ(m.CounterValue("mvcc.asof_misses"), 1u);
+  EXPECT_GT(m.GaugeValue("mvcc.gc_collected"), 0.0);
 
   // The newest retained historical cut still works.
   qo.as_of_ts = ops.size() - 1;

@@ -99,9 +99,9 @@ TEST(ResultCacheEngineTest, RepeatQueryServedFromResultCache) {
   EXPECT_TRUE(second.result_cached);
   EXPECT_TRUE(first.result == second.result);
 
-  EngineStats stats = engine.stats();
-  EXPECT_EQ(stats.result_cache.hits, 1u);
-  EXPECT_GE(stats.result_cache.inserts, 1u);
+  const obs::MetricsSnapshot m = engine.metrics()->TakeSnapshot();
+  EXPECT_EQ(m.GaugeValue("result_cache.hits"), 1.0);
+  EXPECT_GE(m.GaugeValue("result_cache.inserts"), 1.0);
 }
 
 TEST(ResultCacheEngineTest, UpdateBatchInvalidatesByVersion) {
@@ -152,7 +152,9 @@ TEST(ResultCacheEngineTest, SharedMinimizedFormSharesOneEntry) {
   QueryResponse r2 = engine.Query(q2);
   ASSERT_TRUE(r2.status.ok());
   if (r2.result_cached) {  // same quotient — the expected case
-    EXPECT_EQ(engine.stats().result_cache.hits, 1u);
+    EXPECT_EQ(
+        engine.metrics()->TakeSnapshot().GaugeValue("result_cache.hits"),
+        1.0);
     EXPECT_EQ(r2.result.edge_matches(0), r2.result.edge_matches(1));
   }
   MatchResult oracle = testutil::OracleMatch(q2, g);

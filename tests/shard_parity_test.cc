@@ -302,12 +302,12 @@ TEST(ShardParityTest, EnginesAgreeAcrossPlansAndUpdates) {
     }
     // Fan-out actually engaged for the graph-walking plans.
     EXPECT_GT(sharded_used, 0u);
-    EngineStats stats = sharded.stats();
-    EXPECT_EQ(stats.sharded_queries, sharded_used);
-    EXPECT_GT(stats.shard.rounds, 0u);
+    const obs::MetricsSnapshot m = sharded.metrics()->TakeSnapshot();
+    EXPECT_EQ(m.CounterValue("engine.queries_sharded"), sharded_used);
+    EXPECT_GT(m.CounterValue("shard.rounds"), 0u);
     // Update batches rebuilt only affected slices and reused the rest.
-    EXPECT_GT(stats.slices_rebuilt, 0u);
-    EXPECT_GT(stats.slices_reused, 0u);
+    EXPECT_GT(m.CounterValue("engine.slices_rebuilt"), 0u);
+    EXPECT_GT(m.CounterValue("engine.slices_reused"), 0u);
     EXPECT_TRUE(sharded.CheckCacheConsistency());
     EXPECT_TRUE(unsharded.CheckCacheConsistency());
   }
@@ -337,7 +337,9 @@ TEST(ShardParityTest, ShardedSnapshotIsFreshAfterUpdateReturns) {
   if (resp.plan != PlanKind::kMatchJoin) {
     EXPECT_TRUE(resp.sharded);
   }
-  EXPECT_EQ(engine.stats().shard_fallbacks, 0u);
+  EXPECT_EQ(engine.metrics()->TakeSnapshot().CounterValue(
+                "engine.shard_fallbacks"),
+            0u);
 }
 
 }  // namespace

@@ -372,8 +372,8 @@ TEST(MultiApplierEquivalenceTest, ScheduleExplorationMatchesOracles) {
               << "pooled run diverged from per-op oracle on answer " << i;
         }
 
-        EXPECT_EQ(engine->stats().stream_appliers, k);
         const obs::MetricsSnapshot m = engine->metrics()->TakeSnapshot();
+        EXPECT_EQ(m.GaugeValue("stream.appliers"), static_cast<double>(k));
         EXPECT_EQ(m.CounterValue("stream.ops_ingested"), ops.size());
         EXPECT_EQ(m.CounterValue("stream.ops_dropped"), 0u);
         EXPECT_EQ(m.CounterValue("stream.ops_ingested"),

@@ -41,12 +41,12 @@
 /// `--stream-rate N` paces the producer at N ops/sec (0 = full speed);
 /// `--max-lag-ms M` bounds the applier's adaptive batching (an apply
 /// slower than M halves the next micro-batch). The run quiesces with
-/// FlushAndWait before the final report and prints the stream counters
-/// (ingested/coalesced ops, micro-batches, queue depth, publish lag,
-/// applied-through watermark). `--appliers N` (default 1) widens the pool
-/// to N concurrent appliers over N disjoint edge-hash slices, commits
-/// serializing only at the MVCC chain head; with N > 1 the quiesce line is
-/// followed by per-slice routing.
+/// FlushAndWait before the final report; the stream counters (ingested/
+/// coalesced ops, micro-batches, queue depth, publish lag, applied-through
+/// watermark) are the `stream.*` rows of the summary table.
+/// `--appliers N` (default 1) widens the pool to N concurrent appliers over
+/// N disjoint edge-hash slices, commits serializing only at the MVCC chain
+/// head; with N > 1 the quiesce line is followed by per-slice routing.
 ///
 /// Time travel: `--as-of T` runs every query `AS OF` stream timestamp T —
 /// each pins the newest retained prefix-consistent cut with watermark <= T
@@ -67,7 +67,10 @@
 /// its full span tree — to `--slow-query-log <file>`, or stderr when no
 /// file is given. `--no-metrics` disables the registry entirely (the
 /// bench overhead-gate baseline) and conflicts with the flags above.
-/// When metrics are on, serve ends with the registry summary table.
+/// serve ends with a `N queries in Xs` headline counted from the responses
+/// and the registry summary table — printed always: under `--no-metrics`
+/// the engine's counters stay at zero, but the collector gauges (cache.*,
+/// result_cache.*, pool.*, mvcc.*) are read live.
 ///
 /// Network serving: `serve <graph> --port N` binds a TCP socket instead of
 /// running a query file — the `<queries>` positional is dropped and clients
@@ -170,20 +173,22 @@ std::string FlagValue(const std::vector<std::string>& args, const char* flag,
   return def;
 }
 
-/// Numeric `--flag <value>`; false (with a message) on a malformed or
-/// overflowing value (common/parse_num.h — strtoull would silently wrap a
+/// Numeric `--flag <value>`; false (with a message) on a malformed value
+/// or one above `max` (common/parse_num.h — strtoull would silently wrap a
 /// leading minus and saturate overflow).
 bool NumericFlag(const std::vector<std::string>& args, const char* flag,
-                 size_t def, size_t* out) {
+                 size_t def, size_t* out,
+                 size_t max = std::numeric_limits<size_t>::max()) {
   std::string v = FlagValue(args, flag);
   if (v.empty()) {
     *out = def;
     return true;
   }
   uint64_t parsed = 0;
-  if (!ParseUnsigned(v, &parsed, std::numeric_limits<size_t>::max())) {
-    std::fprintf(stderr, "error: %s expects a non-negative number, got '%s'\n",
-                 flag, v.c_str());
+  if (!ParseUnsigned(v, &parsed, max)) {
+    std::fprintf(stderr,
+                 "error: %s expects a non-negative number <= %zu, got '%s'\n",
+                 flag, max, v.c_str());
     return false;
   }
   *out = static_cast<size_t>(parsed);
@@ -564,6 +569,35 @@ void HandleServeSignal(int /*signum*/) {
   if (s != nullptr) s->RequestStop();
 }
 
+/// serve's closing lines, shared by the file-driven and the socket run:
+/// the fault-injection fire count, where the metrics artifacts went, and
+/// the registry summary table. The table prints under --no-metrics too —
+/// the engine's own counters stay at zero there, but the collector gauges
+/// (cache.*, result_cache.*, pool.*, mvcc.*) are read live. False when the
+/// Prometheus file cannot be written.
+bool ReportServeEnd(const obs::MetricsSnapshot& m, const FaultInjector& fault,
+                    const std::string& fault_spec,
+                    const obs::MetricsExporter* exporter,
+                    const std::string& metrics_out,
+                    const std::string& prom_out) {
+  if (!fault_spec.empty()) {
+    std::printf("-- fault injection: %llu fire(s) from spec '%s'\n",
+                static_cast<unsigned long long>(fault.total_fired()),
+                fault_spec.c_str());
+  }
+  if (exporter != nullptr) {
+    std::printf("-- metrics: %zu snapshot(s) written to %s\n",
+                exporter->snapshots_written(), metrics_out.c_str());
+  }
+  if (!prom_out.empty()) {
+    if (!obs::WritePrometheusText(m, prom_out)) return false;
+    std::printf("-- prometheus snapshot written to %s\n", prom_out.c_str());
+  }
+  std::printf("\n");
+  obs::PrintSummaryTable(stdout, m);
+  return true;
+}
+
 int CmdServe(const std::vector<std::string>& args) {
   // In `--port` mode there is no <queries> positional (clients send queries
   // over the socket), so the flag tail starts right after <graph>.
@@ -593,11 +627,15 @@ int CmdServe(const std::vector<std::string>& args) {
   }
 
   EngineOptions opts;
+  // Budgets are given in MiB and shifted into bytes: anything larger would
+  // wrap the shift (2^44 MiB << 20 is 0 with a 64-bit size_t).
+  constexpr size_t kMaxBudgetMb = std::numeric_limits<size_t>::max() >> 20;
   size_t threads = 0, cache_mb = 0, result_cache_mb = 0, advise = 0,
          shards = 0;
   if (!NumericFlag(args, "--threads", 0, &threads) ||
-      !NumericFlag(args, "--cache-mb", 64, &cache_mb) ||
-      !NumericFlag(args, "--result-cache-mb", 8, &result_cache_mb) ||
+      !NumericFlag(args, "--cache-mb", 64, &cache_mb, kMaxBudgetMb) ||
+      !NumericFlag(args, "--result-cache-mb", 8, &result_cache_mb,
+                   kMaxBudgetMb) ||
       !NumericFlag(args, "--advise", 0, &advise) ||
       !NumericFlag(args, "--shards", 1, &shards)) {
     return Usage();
@@ -767,34 +805,23 @@ int CmdServe(const std::vector<std::string>& args) {
     Status flush_st = net_pool.FlushAndWait();
     (void)net_pool.Stop();
 
-    EngineStats s = engine.stats();
-    std::printf("-- net serve done: conns=%llu queries=%zu shed=%zu "
+    // The exporter's final snapshot lands first, so its artifact, the
+    // Prometheus file and the summary table all agree.
+    if (exporter) exporter->Stop();
+    const obs::MetricsSnapshot m = engine.metrics()->TakeSnapshot();
+    std::printf("-- net serve done: conns=%llu queries=%llu shed=%llu "
                 "applied_through=%llu flush=%s\n",
                 static_cast<unsigned long long>(
                     server.connections_accepted()),
-                s.queries, s.shed_queries,
+                static_cast<unsigned long long>(
+                    m.CounterValue("engine.queries")),
+                static_cast<unsigned long long>(
+                    m.CounterValue("engine.shed_queries")),
                 static_cast<unsigned long long>(engine.applied_through_ts()),
                 flush_st.ok() ? "ok" : flush_st.ToString().c_str());
-    if (!fault_spec.empty()) {
-      std::printf("-- fault injection: %llu fire(s) from spec '%s'\n",
-                  static_cast<unsigned long long>(fault.total_fired()),
-                  fault_spec.c_str());
-    }
-    if (exporter) {
-      exporter->Stop();
-      std::printf("-- metrics: %zu snapshot(s) written to %s\n",
-                  exporter->snapshots_written(), metrics_out.c_str());
-    }
-    if (!prom_out.empty()) {
-      if (!obs::WritePrometheusText(engine.metrics()->TakeSnapshot(),
-                                    prom_out)) {
-        return 1;
-      }
-      std::printf("-- prometheus snapshot written to %s\n", prom_out.c_str());
-    }
-    if (opts.obs.enabled) {
-      std::printf("\n");
-      obs::PrintSummaryTable(stdout, engine.metrics()->TakeSnapshot());
+    if (!ReportServeEnd(m, fault, fault_spec, exporter.get(), metrics_out,
+                        prom_out)) {
+      return 1;
     }
     return flush_st.ok() ? 0 : 1;
   }
@@ -932,7 +959,13 @@ int CmdServe(const std::vector<std::string>& args) {
     }
     std::printf("\n");
   }
-  double secs = wall.ElapsedSeconds();
+  // The headline counts the futures, not the registry: it stays right
+  // under --no-metrics, where the engine's counters are never recorded.
+  const double secs = wall.ElapsedSeconds();
+  std::printf("\n%zu queries in %.2fs (%.0f q/s), %zu failed\n",
+              futures.size(), secs,
+              secs > 0 ? static_cast<double>(futures.size()) / secs : 0.0,
+              failed);
 
   if (advise > 0) {
     Result<size_t> added = engine.AdmitFromWorkload(advise);
@@ -945,79 +978,6 @@ int CmdServe(const std::vector<std::string>& args) {
     }
   }
 
-  EngineStats s = engine.stats();
-  const size_t lookups = s.cache.hits + s.cache.misses;
-  std::printf(
-      "\n%zu queries in %.2fs (%.0f q/s), %zu failed\n"
-      "plans: match_join=%zu partial=%zu direct=%zu (warm=%zu)\n"
-      "cache: hit_rate=%.1f%% (%zu/%zu) evictions=%zu installs=%zu "
-      "bytes=%zu/%zu\n"
-      "results: hits=%zu misses=%zu stale=%zu bytes=%zu/%zu\n"
-      "updates: batches=%zu +%zu -%zu refreshes=%zu skipped=%zu\n"
-      "delta: refreshes=%zu fallbacks=%zu affected_nodes=%zu "
-      "relation_added=%zu matches_added=%zu bounded_refreshes=%zu "
-      "bounded_matches=%zu\n"
-      "distance index: entries=%zu repairs=%zu shortened=%zu\n"
-      "shards: queries=%zu fallbacks=%zu rounds=%zu messages=%zu "
-      "frontier=%zu slices_rebuilt=%zu reused=%zu\n"
-      "mvcc: chain_depth=%zu pinned=%zu gc=%zu asof=%zu asof_miss=%zu "
-      "ryw_waits=%zu ryw_timeouts=%zu appliers=%zu\n",
-      s.queries, secs, secs > 0 ? static_cast<double>(s.queries) / secs : 0.0,
-      failed, s.plans_match_join, s.plans_partial, s.plans_direct,
-      s.warm_queries,
-      lookups == 0 ? 0.0 : 100.0 * static_cast<double>(s.cache.hits) /
-                               static_cast<double>(lookups),
-      s.cache.hits, lookups, s.cache.evictions, s.cache.installs,
-      s.cache.bytes_cached, opts.cache.budget_bytes,
-      s.result_cache.hits, s.result_cache.misses, s.result_cache.stale_drops,
-      s.result_cache.bytes_cached, opts.result_cache.budget_bytes,
-      s.update_batches, s.edges_inserted, s.edges_deleted, s.cache.refreshes,
-      s.cache.refreshes_skipped, s.delta.delta_refreshes,
-      s.delta.rematerialize_fallbacks, s.delta.affected_nodes,
-      s.delta.delta_relation_added, s.delta.delta_matches_added,
-      s.delta.bounded_delta_refreshes, s.delta.bounded_matches_added,
-      s.cache.distance_entries, s.cache.distance_repairs,
-      s.cache.distance_shortened,
-      s.sharded_queries, s.shard_fallbacks,
-      s.shard.rounds, s.shard.messages, s.shard.frontier_msgs,
-      s.slices_rebuilt, s.slices_reused,
-      s.mvcc_chain_depth, s.mvcc_pinned_cuts, s.mvcc_gc_collected,
-      s.mvcc_asof_queries, s.mvcc_asof_misses, s.mvcc_ryw_waits,
-      s.mvcc_ryw_timeouts, s.stream_appliers);
-  if (!stream_ops.empty()) {
-    const obs::MetricsSnapshot m = engine.metrics()->TakeSnapshot();
-    auto count = [&m](const char* name) {
-      return static_cast<unsigned long long>(m.CounterValue(name));
-    };
-    const unsigned long long batches = count("stream.batches_applied");
-    std::printf(
-        "stream: ingested=%llu applied=%llu coalesced=%llu dropped=%llu "
-        "batches=%llu max_batch=%.0f queue_max=%.0f publish_lag avg %.2fms "
-        "max %.2fms applied_through=%.0f\n"
-        "stream faults: failures=%llu retries=%llu quarantines=%llu "
-        "revives=%llu\n",
-        count("stream.ops_ingested"), count("stream.ops_applied"),
-        count("stream.ops_coalesced"), count("stream.ops_dropped"), batches,
-        m.GaugeValue("stream.max_batch_size"),
-        m.GaugeValue("stream.queue_depth_max"),
-        batches == 0 ? 0.0
-                     : m.GaugeValue("stream.publish_lag_ms_total") /
-                           static_cast<double>(batches),
-        m.GaugeValue("stream.publish_lag_ms_max"),
-        m.GaugeValue("stream.applied_through_ts"),
-        count("stream.apply_failures"), count("stream.retries"),
-        count("stream.quarantines"), count("stream.revives"));
-  }
-  if (!fault_spec.empty()) {
-    std::printf("-- fault injection: %llu fire(s) from spec '%s'; "
-                "deadline_exceeded=%zu shed=%zu degraded=%zu "
-                "export_failures=%zu\n",
-                static_cast<unsigned long long>(fault.total_fired()),
-                fault_spec.c_str(), s.deadline_exceeded, s.shed_queries,
-                s.degraded_queries,
-                exporter ? exporter->export_failures() : 0);
-  }
-
   if (slow_query_ms > 0) {
     std::printf("slow queries (>= %zu ms): %zu logged to %s\n", slow_query_ms,
                 engine.slow_query_lines(),
@@ -1025,23 +985,11 @@ int CmdServe(const std::vector<std::string>& args) {
                     ? "stderr"
                     : opts.obs.slow_query_path.c_str());
   }
-  if (exporter) {
-    // Final snapshot (seq N+1) lands before the summary reads, so the
-    // artifact's last line agrees with the table below.
-    exporter->Stop();
-    std::printf("-- metrics: %zu snapshot(s) written to %s\n",
-                exporter->snapshots_written(), metrics_out.c_str());
-  }
-  if (!prom_out.empty()) {
-    if (!obs::WritePrometheusText(engine.metrics()->TakeSnapshot(),
-                                  prom_out)) {
-      return 1;
-    }
-    std::printf("-- prometheus snapshot written to %s\n", prom_out.c_str());
-  }
-  if (opts.obs.enabled) {
-    std::printf("\n");
-    obs::PrintSummaryTable(stdout, engine.metrics()->TakeSnapshot());
+  // The exporter's final snapshot lands before the table's, so they agree.
+  if (exporter) exporter->Stop();
+  if (!ReportServeEnd(engine.metrics()->TakeSnapshot(), fault, fault_spec,
+                      exporter.get(), metrics_out, prom_out)) {
+    return 1;
   }
   return failed == 0 ? 0 : 1;
 }

@@ -21,9 +21,10 @@ void ReportFootprint(benchmark::State& state, const Graph& g,
 void BM_MaterializeAmazon(benchmark::State& state) {
   Graph g = GenerateAmazonLike(Scaled(30000), 5);
   ViewSet views = AmazonViews(static_cast<uint32_t>(state.range(0)));
+  std::shared_ptr<const GraphSnapshot> snap = g.Freeze();
   std::vector<ViewExtension> exts;
   for (auto _ : state) {
-    exts = std::move(MaterializeAll(views, g)).value();
+    exts = std::move(MaterializeAll(views, *snap)).value();
     benchmark::DoNotOptimize(exts);
   }
   ReportFootprint(state, g, exts);
@@ -32,9 +33,10 @@ void BM_MaterializeAmazon(benchmark::State& state) {
 void BM_MaterializeCitation(benchmark::State& state) {
   Graph g = GenerateCitationLike(Scaled(30000), 6);
   ViewSet views = CitationViews(static_cast<uint32_t>(state.range(0)));
+  std::shared_ptr<const GraphSnapshot> snap = g.Freeze();
   std::vector<ViewExtension> exts;
   for (auto _ : state) {
-    exts = std::move(MaterializeAll(views, g)).value();
+    exts = std::move(MaterializeAll(views, *snap)).value();
     benchmark::DoNotOptimize(exts);
   }
   ReportFootprint(state, g, exts);
@@ -43,9 +45,10 @@ void BM_MaterializeCitation(benchmark::State& state) {
 void BM_MaterializeYoutube(benchmark::State& state) {
   Graph g = GenerateYoutubeLike(Scaled(30000), 7);
   ViewSet views = YoutubeViews(static_cast<uint32_t>(state.range(0)));
+  std::shared_ptr<const GraphSnapshot> snap = g.Freeze();
   std::vector<ViewExtension> exts;
   for (auto _ : state) {
-    exts = std::move(MaterializeAll(views, g)).value();
+    exts = std::move(MaterializeAll(views, *snap)).value();
     benchmark::DoNotOptimize(exts);
   }
   ReportFootprint(state, g, exts);

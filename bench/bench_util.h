@@ -206,9 +206,11 @@ inline size_t Scaled(size_t base) {
   return static_cast<size_t>(static_cast<double>(base) * Scale());
 }
 
-/// A dataset fixture: graph plus materialized views.
+/// A dataset fixture: graph, its snapshot frozen once, and materialized
+/// views.
 struct Fixture {
   Graph g;
+  std::shared_ptr<const GraphSnapshot> snap;
   ViewSet views;
   std::vector<ViewExtension> exts;
 
@@ -221,8 +223,9 @@ struct Fixture {
 inline Fixture MakeFixture(Graph graph, ViewSet views) {
   Fixture f;
   f.g = std::move(graph);
+  f.snap = f.g.Freeze();
   f.views = std::move(views);
-  f.exts = std::move(MaterializeAll(f.views, f.g)).value();
+  f.exts = std::move(MaterializeAll(f.views, *f.snap)).value();
   return f;
 }
 
@@ -269,18 +272,20 @@ inline void RunMatchJoinLoop(benchmark::State& state, const Pattern& q,
   state.counters["views_used"] = static_cast<double>(mapping.selected.size());
 }
 
-/// Runs the direct (no views) baseline inside a benchmark loop. For bounded
-/// patterns, `naive` selects the paper's cubic BMatch baseline [16]
-/// (per-candidate BFS) instead of this library's improved implementation.
+/// Runs the direct (no views) baseline inside a benchmark loop, on the
+/// fixture's snapshot frozen once outside the loop. For bounded patterns,
+/// `naive` selects the paper's cubic BMatch baseline [16] (per-candidate
+/// BFS on the mutable graph) instead of this library's improved
+/// implementation.
 inline void RunDirectLoop(benchmark::State& state, const Pattern& q,
-                          const Graph& g, bool naive = false) {
+                          const Fixture& f, bool naive = false) {
   size_t result_pairs = 0;
   for (auto _ : state) {
     Result<MatchResult> r =
         q.IsSimulationPattern()
-            ? MatchSimulation(q, g)
-            : (naive ? MatchBoundedSimulationNaive(q, g)
-                     : MatchBoundedSimulation(q, g));
+            ? MatchSimulation(q, *f.snap)
+            : (naive ? MatchBoundedSimulationNaive(q, f.g)
+                     : MatchBoundedSimulation(q, *f.snap));
     if (!r.ok()) state.SkipWithError(r.status().ToString().c_str());
     result_pairs = r->TotalMatches();
     benchmark::DoNotOptimize(r);

@@ -24,7 +24,7 @@ Pattern QueryFor(int64_t vp, int64_t ep) {
 void BM_Match(benchmark::State& state) {
   Fixture& f = CitationFixture();
   Pattern q = QueryFor(state.range(0), state.range(1));
-  RunDirectLoop(state, q, f.g);
+  RunDirectLoop(state, q, f);
 }
 
 void BM_MatchJoinMnl(benchmark::State& state) {

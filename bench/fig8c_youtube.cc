@@ -25,7 +25,7 @@ Pattern QueryFor(int64_t ep) {
 void BM_Match(benchmark::State& state) {
   Fixture& f = YoutubeFixture();
   Pattern q = QueryFor(state.range(0));
-  RunDirectLoop(state, q, f.g);
+  RunDirectLoop(state, q, f);
 }
 
 void BM_MatchJoinMnl(benchmark::State& state) {

@@ -43,7 +43,7 @@ Fixture& SyntheticFixture(int64_t num_nodes) {
 void BM_Match(benchmark::State& state) {
   Fixture& f = SyntheticFixture(state.range(0));
   Pattern q = Query();
-  RunDirectLoop(state, q, f.g);
+  RunDirectLoop(state, q, f);
 }
 
 void BM_MatchJoinMnl(benchmark::State& state) {

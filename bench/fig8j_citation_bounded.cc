@@ -29,7 +29,7 @@ Pattern QueryFor(int64_t vp, int64_t ep) {
 void BM_BMatch(benchmark::State& state) {
   Fixture& f = CitationFixture();
   Pattern q = QueryFor(state.range(0), state.range(1));
-  RunDirectLoop(state, q, f.g, /*naive=*/true);
+  RunDirectLoop(state, q, f, /*naive=*/true);
 }
 
 // This library's improved bounded matcher (multi-source reverse-BFS
@@ -37,7 +37,7 @@ void BM_BMatch(benchmark::State& state) {
 void BM_BMatchFast(benchmark::State& state) {
   Fixture& f = CitationFixture();
   Pattern q = QueryFor(state.range(0), state.range(1));
-  RunDirectLoop(state, q, f.g, /*naive=*/false);
+  RunDirectLoop(state, q, f, /*naive=*/false);
 }
 
 void BM_BMatchJoinMnl(benchmark::State& state) {

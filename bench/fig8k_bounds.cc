@@ -30,7 +30,7 @@ Pattern QueryFor(int64_t bound) {
 void BM_BMatch(benchmark::State& state) {
   Fixture& f = YoutubeFixture(state.range(0));
   Pattern q = QueryFor(state.range(0));
-  RunDirectLoop(state, q, f.g, /*naive=*/true);
+  RunDirectLoop(state, q, f, /*naive=*/true);
 }
 
 // This library's improved bounded matcher (multi-source reverse-BFS
@@ -38,7 +38,7 @@ void BM_BMatch(benchmark::State& state) {
 void BM_BMatchFast(benchmark::State& state) {
   Fixture& f = YoutubeFixture(state.range(0));
   Pattern q = QueryFor(state.range(0));
-  RunDirectLoop(state, q, f.g, /*naive=*/false);
+  RunDirectLoop(state, q, f, /*naive=*/false);
 }
 
 void BM_BMatchJoinMnl(benchmark::State& state) {

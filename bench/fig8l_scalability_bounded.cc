@@ -52,7 +52,7 @@ Fixture& SyntheticFixture(int64_t num_nodes) {
 void BM_BMatch(benchmark::State& state) {
   Fixture& f = SyntheticFixture(state.range(0));
   Pattern q = Query();
-  RunDirectLoop(state, q, f.g, /*naive=*/true);
+  RunDirectLoop(state, q, f, /*naive=*/true);
 }
 
 // This library's improved bounded matcher (multi-source reverse-BFS
@@ -60,7 +60,7 @@ void BM_BMatch(benchmark::State& state) {
 void BM_BMatchFast(benchmark::State& state) {
   Fixture& f = SyntheticFixture(state.range(0));
   Pattern q = Query();
-  RunDirectLoop(state, q, f.g, /*naive=*/false);
+  RunDirectLoop(state, q, f, /*naive=*/false);
 }
 
 void BM_BMatchJoinMnl(benchmark::State& state) {

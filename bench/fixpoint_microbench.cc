@@ -118,7 +118,8 @@ int main(int argc, char** argv) {
     co.num_distractors = 0;
     co.seed = 1000 + seed;
     pq.views = GenerateCoveringViews(pq.pattern, co);
-    Result<std::vector<ViewExtension>> exts = MaterializeAll(pq.views, graph);
+    Result<std::vector<ViewExtension>> exts =
+        MaterializeAll(pq.views, *graph.Freeze());
     if (!exts.ok()) {
       std::fprintf(stderr, "materialize failed: %s\n",
                    exts.status().ToString().c_str());

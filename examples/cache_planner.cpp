@@ -64,9 +64,10 @@ int main(int argc, char** argv) {
   ViewSet cache;
   for (uint32_t vi : plan.selected) cache.Add(candidates.view(vi));
 
+  std::shared_ptr<const GraphSnapshot> snap = g.Freeze();
   // 3. Materialize the chosen cache.
   Stopwatch sw;
-  auto exts = std::move(MaterializeAll(cache, g)).value();
+  auto exts = std::move(MaterializeAll(cache, *snap)).value();
   std::printf("materialized cache in %.1f ms (%zu pairs)\n\n",
               sw.ElapsedMillis(), TotalExtensionPairs(exts));
 
@@ -79,7 +80,7 @@ int main(int argc, char** argv) {
       sw.Restart();
       MatchResult r = std::move(MatchJoin(q, cache, exts, mapping)).value();
       double t = sw.ElapsedMillis();
-      MatchResult direct = std::move(MatchSimulation(q, g)).value();
+      MatchResult direct = std::move(MatchSimulation(q, *snap)).value();
       std::printf("query %zu: EXACT via %zu views, %6.1f ms, %zu pairs (%s)\n",
                   i, mapping.selected.size(), t, r.TotalMatches(),
                   r == direct ? "verified" : "MISMATCH");

@@ -48,16 +48,17 @@ int main() {
               g.num_nodes(), g.num_edges());
   std::printf("ring pattern: A -> M -> X -> A\n\n");
 
-  MatchResult sim = std::move(MatchSimulation(ring, g)).value();
+  std::shared_ptr<const GraphSnapshot> snap = g.Freeze();
+  MatchResult sim = std::move(MatchSimulation(ring, *snap)).value();
   std::printf("graph simulation:   %zu candidate transfers (over-reports: "
               "forward evidence only)\n",
               sim.TotalMatches());
 
-  MatchResult dual = std::move(MatchDualSimulation(ring, g)).value();
+  MatchResult dual = std::move(MatchDualSimulation(ring, *snap)).value();
   std::printf("dual simulation:    %zu transfers (parents required)\n",
               dual.TotalMatches());
 
-  auto strong = std::move(MatchStrongSimulation(ring, g)).value();
+  auto strong = std::move(MatchStrongSimulation(ring, *snap)).value();
   std::printf("strong simulation:  %zu matching balls (locality enforced)\n",
               strong.size());
   for (const StrongMatch& m : strong) {
@@ -75,7 +76,7 @@ int main() {
   views.Add("am", PatternBuilder().Node("A").Node("M").Edge("A", "M").Build());
   views.Add("mx", PatternBuilder().Node("M").Node("X").Edge("M", "X").Build());
   views.Add("xa", PatternBuilder().Node("X").Node("A").Edge("X", "A").Build());
-  auto exts = std::move(MaterializeAll(views, g)).value();
+  auto exts = std::move(MaterializeAll(views, *snap)).value();
   auto mapping = std::move(CheckContainment(ring, views)).value();
   if (mapping.contained) {
     MatchResult via_views =

@@ -50,8 +50,11 @@ int main() {
                              .Edge("Dev", "QA")
                              .Build());
 
-  // 4. Materialize the views once (this is the only scan of G).
-  std::vector<ViewExtension> exts = std::move(MaterializeAll(views, g)).value();
+  // 4. Freeze G once, then materialize the views from that snapshot (the
+  // only scan of G).
+  std::shared_ptr<const GraphSnapshot> snap = g.Freeze();
+  std::vector<ViewExtension> exts =
+      std::move(MaterializeAll(views, *snap)).value();
   std::printf("Materialized %zu views, %zu cached pairs total\n\n",
               exts.size(), TotalExtensionPairs(exts));
 
@@ -71,7 +74,7 @@ int main() {
               via_views.ToString(q, g).c_str());
 
   // 7. Sanity: identical to evaluating directly on G.
-  MatchResult direct = std::move(MatchSimulation(q, g)).value();
+  MatchResult direct = std::move(MatchSimulation(q, *snap)).value();
   std::printf("\nDirect evaluation agrees: %s\n",
               via_views == direct ? "yes" : "NO (bug!)");
   return via_views == direct ? 0 : 1;

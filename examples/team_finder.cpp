@@ -34,8 +34,9 @@ int main() {
               f.g.num_nodes(), f.g.num_edges());
   std::printf("Team pattern Qs:\n%s\n", f.qs.ToString().c_str());
 
+  std::shared_ptr<const GraphSnapshot> snap = f.g.Freeze();
   // Cache the two views of Fig. 1(b).
-  auto exts = std::move(MaterializeAll(f.views, f.g)).value();
+  auto exts = std::move(MaterializeAll(f.views, *snap)).value();
   std::printf("Cached views: V1 (PM leads DBA+PRG) with %zu pairs, "
               "V2 (DBA/PRG cycle) with %zu pairs\n\n",
               exts[0].TotalPairs(), exts[1].TotalPairs());
@@ -64,7 +65,7 @@ int main() {
   }
 
   // Cross-check against the direct evaluation.
-  MatchResult direct = std::move(MatchSimulation(f.qs, f.g)).value();
+  MatchResult direct = std::move(MatchSimulation(f.qs, *snap)).value();
   std::printf("\nView-based answer %s the direct evaluation.\n",
               team == direct ? "matches" : "DIFFERS FROM");
   return team == direct ? 0 : 1;

@@ -27,9 +27,10 @@ int main(int argc, char** argv) {
   std::printf("  %zu nodes, %zu related-video edges\n\n", g.num_nodes(),
               g.num_edges());
 
+  std::shared_ptr<const GraphSnapshot> snap = g.Freeze();
   ViewSet views = YoutubeViews(1);
   Stopwatch sw;
-  auto exts = std::move(MaterializeAll(views, g)).value();
+  auto exts = std::move(MaterializeAll(views, *snap)).value();
   std::printf("Materialized the 12 views of Fig. 7 in %.1f ms "
               "(%zu cached pairs, %.1f%% of |E|)\n\n",
               sw.ElapsedMillis(), TotalExtensionPairs(exts),
@@ -49,7 +50,7 @@ int main(int argc, char** argv) {
     }
 
     sw.Restart();
-    MatchResult direct = std::move(MatchBoundedSimulation(q, g)).value();
+    MatchResult direct = std::move(MatchBoundedSimulation(q, *snap)).value();
     double t_direct = sw.ElapsedMillis();
 
     sw.Restart();
@@ -75,7 +76,7 @@ int main(int argc, char** argv) {
   std::printf("\nBounded query (fe = 2) over bounded views:\n");
   ViewSet bviews = YoutubeViews(2);
   sw.Restart();
-  auto bexts = std::move(MaterializeAll(bviews, g)).value();
+  auto bexts = std::move(MaterializeAll(bviews, *snap)).value();
   std::printf("  materialized bounded views in %.1f ms (%zu pairs)\n",
               sw.ElapsedMillis(), TotalExtensionPairs(bexts));
 
@@ -84,7 +85,7 @@ int main(int argc, char** argv) {
       std::move(MinimumContainment(qb, bviews)).value();
   if (bmapping.contained) {
     sw.Restart();
-    MatchResult direct = std::move(MatchBoundedSimulation(qb, g)).value();
+    MatchResult direct = std::move(MatchBoundedSimulation(qb, *snap)).value();
     double t_direct = sw.ElapsedMillis();
     sw.Restart();
     MatchResult cached =

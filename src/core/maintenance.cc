@@ -9,26 +9,6 @@
 
 namespace gpmv {
 
-Status RefreshViewExtension(const ViewDefinition& def, const GraphSnapshot& g,
-                            bool seeded, ViewExtension* ext,
-                            std::vector<std::vector<NodeId>>* relation) {
-  std::vector<std::vector<NodeId>> new_relation;
-  GPMV_RETURN_NOT_OK(ComputeBoundedSimulationRelation(
-      def.pattern, g, &new_relation, seeded ? relation : nullptr));
-  *relation = std::move(new_relation);
-  Result<ViewExtension> fresh = ViewExtension::Materialize(def, g, relation);
-  GPMV_RETURN_NOT_OK(fresh.status());
-  *ext = std::move(fresh).value();
-  return Status::OK();
-}
-
-Status RefreshViewExtension(const ViewDefinition& def, const Graph& g,
-                            bool seeded, ViewExtension* ext,
-                            std::vector<std::vector<NodeId>>* relation) {
-  return RefreshViewExtension(def, *GraphSnapshot::Build(g, g.version()),
-                              seeded, ext, relation);
-}
-
 namespace {
 
 /// Merges the insert delta into a plain-simulation extension in place: new
@@ -279,7 +259,11 @@ Status RefreshViewExtensionInserted(const ViewDefinition& def,
     ++stats->fallback_disabled;
   }
   ++stats->rematerialize_fallbacks;
-  return RefreshViewExtension(def, g, /*seeded=*/false, ext, relation);
+  Result<ViewExtension> fresh =
+      ViewExtension::Materialize(def, g, /*seed=*/nullptr, relation);
+  GPMV_RETURN_NOT_OK(fresh.status());
+  *ext = std::move(fresh).value();
+  return Status::OK();
 }
 
 bool DeletionMayAffectView(const ViewDefinition& def,
@@ -296,39 +280,6 @@ bool DeletionMayAffectView(const ViewDefinition& def,
     }
   }
   return false;
-}
-
-Status MaintainedView::Attach(Graph& g) {
-  attached_ = true;
-  return Refresh(g, /*seeded=*/false);
-}
-
-Status MaintainedView::Refresh(Graph& g, bool seeded) {
-  ++refresh_count_;
-  // Freeze() is cached and re-freezes incrementally after edge updates, so
-  // a notification-driven refresh does not copy the whole graph.
-  return RefreshViewExtension(def_, *g.Freeze(), seeded, &ext_, &relation_);
-}
-
-Status MaintainedView::OnEdgeRemoved(Graph& g, NodeId u, NodeId v) {
-  if (!attached_) return Status::InvalidArgument("view not attached");
-  if (!DeletionMayAffectView(def_, relation_, u, v)) {
-    ++skipped_updates_;
-    return Status::OK();
-  }
-  // Deletions only shrink the maximum relation: re-refine from the cached
-  // relation instead of re-enumerating label candidates.
-  return Refresh(g, /*seeded=*/true);
-}
-
-Status MaintainedView::OnEdgeInserted(Graph& g, NodeId u, NodeId v) {
-  if (!attached_) return Status::InvalidArgument("view not attached");
-  // Localized insert delta; re-materializes internally on fallback. Either
-  // way the extension was maintained, so the refresh counter advances
-  // (insert_stats_ breaks it down into delta vs fallback).
-  ++refresh_count_;
-  return RefreshViewExtensionInserted(def_, *g.Freeze(), {{u, v}}, opts_,
-                                      &ext_, &relation_, &insert_stats_);
 }
 
 }  // namespace gpmv

@@ -32,7 +32,11 @@
 /// against its own frozen snapshot); a view that would re-materialize for
 /// the insert phase anyway skips the deletion refresh entirely.
 ///
-/// Callers mutate the Graph first, then notify the maintained view.
+/// The engine's view cache drives these routines once per update batch
+/// (ViewCache::RefreshForUpdates): callers mutate the Graph, freeze it, and
+/// hand the frozen snapshots in. The deletion refresh and the fallback are
+/// ViewExtension::Materialize — seeded from the cached relation, or from
+/// the label candidates — which runs the fixpoint once.
 
 #ifndef GPMV_CORE_MAINTENANCE_H_
 #define GPMV_CORE_MAINTENANCE_H_
@@ -42,24 +46,9 @@
 #include "common/status.h"
 #include "core/distance_index.h"
 #include "core/view.h"
-#include "graph/graph.h"
 #include "simulation/delta.h"
 
 namespace gpmv {
-
-/// Recomputes `relation` and `ext` for `def` on `g`. When `seeded`, the
-/// current contents of `relation` are used as the candidate seed — sound
-/// only when the relation can have shrunk (i.e. after deletions), because
-/// seeding restricts the search to the seed sets. `relation` must hold the
-/// previous relation when `seeded` is true; it is overwritten either way.
-/// The snapshot overload is the engine's path (one frozen snapshot serves
-/// the whole refresh); the Graph overload freezes internally.
-Status RefreshViewExtension(const ViewDefinition& def, const GraphSnapshot& g,
-                            bool seeded, ViewExtension* ext,
-                            std::vector<std::vector<NodeId>>* relation);
-Status RefreshViewExtension(const ViewDefinition& def, const Graph& g,
-                            bool seeded, ViewExtension* ext,
-                            std::vector<std::vector<NodeId>>* relation);
 
 /// Insert-path knobs; see file comment and simulation/delta.h.
 struct InsertMaintenanceOptions {
@@ -71,7 +60,7 @@ struct InsertMaintenanceOptions {
 };
 
 /// Counters of the insert maintenance path, aggregated per update batch by
-/// the engine (the `delta.*` metrics) and per view by MaintainedView.
+/// the engine (the `delta.*` metrics).
 struct InsertMaintenanceStats {
   size_t delta_refreshes = 0;          ///< views maintained via the delta
   size_t rematerialize_fallbacks = 0;  ///< views re-materialized instead
@@ -109,7 +98,8 @@ struct InsertMaintenanceStats {
 /// *after* the insertions. Tries DeltaBoundedInsert (which handles plain
 /// patterns via DeltaSimulationInsert) and merges the new match pairs into
 /// the extension in place; falls back to a full unseeded
-/// RefreshViewExtension when the delta cannot apply (see file comment).
+/// ViewExtension::Materialize when the delta cannot apply (see file
+/// comment).
 /// `stats` (optional) accumulates — callers zero it per batch. For bounded
 /// views a non-null `dindex` receives every added or shortened
 /// (pair, distance) via AddOrShorten, keeping the engine's distance index
@@ -133,49 +123,6 @@ Status RefreshViewExtensionInserted(const ViewDefinition& def,
 bool DeletionMayAffectView(const ViewDefinition& def,
                            const std::vector<std::vector<NodeId>>& relation,
                            NodeId u, NodeId v);
-
-/// A view definition together with its maintained extension on one graph.
-///
-/// Takes the graph by mutable reference so refreshes run off
-/// `Graph::Freeze()` — the cached snapshot re-freezes *incrementally*
-/// after each notified edge change (only the touched adjacency rows are
-/// rebuilt) instead of copying the whole graph per update.
-class MaintainedView {
- public:
-  explicit MaintainedView(ViewDefinition def,
-                          InsertMaintenanceOptions opts = {})
-      : def_(std::move(def)), opts_(opts) {}
-
-  /// Fully materializes against `g`; must be called before notifications.
-  Status Attach(Graph& g);
-
-  /// Notifies that edge (u, v) was removed from `g` (after the removal).
-  Status OnEdgeRemoved(Graph& g, NodeId u, NodeId v);
-
-  /// Notifies that edge (u, v) was inserted into `g` (after the insertion).
-  /// Runs the localized insert delta; re-materializes only on fallback.
-  Status OnEdgeInserted(Graph& g, NodeId u, NodeId v);
-
-  const ViewDefinition& definition() const { return def_; }
-  const ViewExtension& extension() const { return ext_; }
-
-  /// Maintenance counters (observability / tests).
-  size_t refresh_count() const { return refresh_count_; }
-  size_t skipped_updates() const { return skipped_updates_; }
-  const InsertMaintenanceStats& insert_stats() const { return insert_stats_; }
-
- private:
-  Status Refresh(Graph& g, bool seeded);
-
-  ViewDefinition def_;
-  InsertMaintenanceOptions opts_;
-  ViewExtension ext_;
-  std::vector<std::vector<NodeId>> relation_;  // cached node relation
-  bool attached_ = false;
-  size_t refresh_count_ = 0;
-  size_t skipped_updates_ = 0;
-  InsertMaintenanceStats insert_stats_;
-};
 
 }  // namespace gpmv
 

@@ -1,6 +1,7 @@
 #include "core/view.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "simulation/bounded.h"
 
@@ -18,17 +19,21 @@ bool NodeSnapshot::HasLabel(const std::string& label) const {
 
 Result<ViewExtension> ViewExtension::Materialize(
     const ViewDefinition& def, const GraphSnapshot& g,
-    const std::vector<std::vector<NodeId>>* seed) {
-  ViewExtension ext;
-  ext.edges_.resize(def.pattern.num_edges());
-
+    const std::vector<std::vector<NodeId>>* seed,
+    std::vector<std::vector<NodeId>>* relation) {
+  std::vector<std::vector<NodeId>> sim;
+  GPMV_RETURN_NOT_OK(
+      ComputeBoundedSimulationRelation(def.pattern, g, &sim, seed));
   std::vector<std::vector<uint32_t>> distances;
   Result<MatchResult> match =
-      MatchBoundedSimulation(def.pattern, g, &distances, seed);
+      ExtractBoundedMatches(def.pattern, g, sim, &distances);
   GPMV_RETURN_NOT_OK(match.status());
+  if (relation != nullptr) *relation = std::move(sim);
+
+  ViewExtension ext;
+  ext.edges_.resize(def.pattern.num_edges());
   ext.matched_ = match->matched();
   if (!ext.matched_) return ext;
-
   for (uint32_t e = 0; e < def.pattern.num_edges(); ++e) {
     ext.edges_[e].pairs = match->edge_matches(e);
     ext.edges_[e].distances = std::move(distances[e]);
@@ -48,12 +53,6 @@ void ViewExtension::EnsureSnapshot(const GraphSnapshot& g, NodeId v) {
   for (LabelId l : g.labels(v)) snap.labels.push_back(g.LabelName(l));
   std::sort(snap.labels.begin(), snap.labels.end());
   snap.attrs = g.attrs(v);
-}
-
-Result<ViewExtension> ViewExtension::Materialize(
-    const ViewDefinition& def, const Graph& g,
-    const std::vector<std::vector<NodeId>>* seed) {
-  return Materialize(def, *GraphSnapshot::Build(g, g.version()), seed);
 }
 
 const NodeSnapshot* ViewExtension::snapshot(NodeId v) const {
@@ -85,14 +84,11 @@ size_t ViewExtension::ApproxBytes() const {
 }
 
 Result<std::vector<ViewExtension>> MaterializeAll(const ViewSet& views,
-                                                  const Graph& g) {
-  // One frozen snapshot serves every view's materialization.
-  std::shared_ptr<const GraphSnapshot> snap =
-      GraphSnapshot::Build(g, g.version());
+                                                  const GraphSnapshot& g) {
   std::vector<ViewExtension> exts;
   exts.reserve(views.card());
   for (const ViewDefinition& def : views.views()) {
-    Result<ViewExtension> ext = ViewExtension::Materialize(def, *snap);
+    Result<ViewExtension> ext = ViewExtension::Materialize(def, g);
     GPMV_RETURN_NOT_OK(ext.status());
     exts.push_back(std::move(ext).value());
   }

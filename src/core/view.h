@@ -81,19 +81,23 @@ struct ViewEdgeExtension {
 /// The materialized result V(G) of one view.
 class ViewExtension {
  public:
-  /// Evaluates `def` on `g` (graph simulation when all bounds are 1, bounded
-  /// simulation otherwise) and materializes the result. A view that does not
-  /// match G yields an extension with matched() == false and empty edges —
-  /// still usable (it contributes nothing). `seed` optionally replaces the
-  /// candidate sets (incremental maintenance from a cached relation). The
-  /// snapshot overload is the engine's path — one frozen snapshot serves
-  /// the simulation run and the label/attribute node snapshots alike.
+  /// Evaluates `def` on `g` and materializes the result. Plain and bounded
+  /// views alike run the bounded-simulation fixpoint (a plain edge is the
+  /// case fe(e) = 1) exactly once, then extract match pairs, distances and
+  /// the label/attribute node snapshots from the same frozen snapshot. A
+  /// view that does not match G yields an extension with matched() == false
+  /// and empty edges — still usable (it contributes nothing).
+  ///
+  /// `seed` optionally replaces the label candidates: seeding with the
+  /// view's relation before an edge deletion is the decremental refresh
+  /// (sound only when the relation can have shrunk). A non-null `relation`
+  /// receives the maximum node relation the extension was extracted from —
+  /// what the view cache keeps to seed that refresh and the insert delta.
+  /// `seed` and `relation` may point at the same vector.
   static Result<ViewExtension> Materialize(
       const ViewDefinition& def, const GraphSnapshot& g,
-      const std::vector<std::vector<NodeId>>* seed = nullptr);
-  static Result<ViewExtension> Materialize(
-      const ViewDefinition& def, const Graph& g,
-      const std::vector<std::vector<NodeId>>* seed = nullptr);
+      const std::vector<std::vector<NodeId>>* seed = nullptr,
+      std::vector<std::vector<NodeId>>* relation = nullptr);
 
   bool matched() const { return matched_; }
   size_t num_view_edges() const { return edges_.size(); }
@@ -128,7 +132,7 @@ class ViewExtension {
 
 /// Materializes every view of `views` on `g`.
 Result<std::vector<ViewExtension>> MaterializeAll(const ViewSet& views,
-                                                  const Graph& g);
+                                                  const GraphSnapshot& g);
 
 /// Total number of pairs across a collection of extensions (|V(G)|).
 size_t TotalExtensionPairs(const std::vector<ViewExtension>& exts);

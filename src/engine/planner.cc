@@ -12,14 +12,19 @@ namespace {
 /// Cost charged per merged view pair (merge + fixpoint rescans).
 constexpr double kJoinPairFactor = 2.0;
 
+/// Cap on the BFS depth a bounded edge contributes to a cost estimate
+/// (`*` bounds count as the cap).
+constexpr uint32_t kBoundedCostCap = 8;
+
 /// Edges one candidate's bounded BFS ball may scan: the geometric series
-/// sum_{i=1..d} max(deg, 1)^i at depth d = min(bound, cap) (`*` bounds
-/// count as the cap), clamped to |E| — no walk scans more than the whole
-/// graph. The first layer absorbs the old flat degree term, and on sparse
-/// graphs (deg <= 1) the series degenerates to the depth itself, keeping
-/// the estimate strictly monotone in the bound.
-double BallEdges(uint32_t bound, uint32_t cap, const GraphStatistics& gs) {
-  const uint32_t depth = bound == kUnbounded ? cap : std::min(bound, cap);
+/// sum_{i=1..d} max(deg, 1)^i at depth d = min(bound, kBoundedCostCap),
+/// clamped to |E| — no walk scans more than the whole graph. The first
+/// layer absorbs the old flat degree term, and on sparse graphs (deg <= 1)
+/// the series degenerates to the depth itself, keeping the estimate
+/// strictly monotone in the bound.
+double BallEdges(uint32_t bound, const GraphStatistics& gs) {
+  const uint32_t depth =
+      bound == kUnbounded ? kBoundedCostCap : std::min(bound, kBoundedCostCap);
   const double deg = std::max(1.0, gs.avg_out_degree);
   double sum = 0.0;
   double layer = 1.0;
@@ -63,14 +68,13 @@ std::vector<double> EstimateCandidates(const Pattern& q,
 
 double EstimateDirectCostWithCounts(const Pattern& q,
                                     const GraphStatistics& gs,
-                                    const LabelCounts& label_count,
-                                    uint32_t bounded_cost_cap) {
+                                    const LabelCounts& label_count) {
   std::vector<double> cand = EstimateCandidates(q, gs, label_count);
   double cost = 0.0;
   for (uint32_t u = 0; u < q.num_nodes(); ++u) cost += cand[u];
   for (uint32_t e = 0; e < q.num_edges(); ++e) {
     const PatternEdge& pe = q.edge(e);
-    cost += cand[pe.src] * BallEdges(pe.bound, bounded_cost_cap, gs);
+    cost += cand[pe.src] * BallEdges(pe.bound, gs);
   }
   return cost;
 }
@@ -84,10 +88,10 @@ double EstimateDirectCostWithCounts(const Pattern& q,
 /// never below the one-unit-per-candidate merge floor.
 double EstimateViewEdgePairs(const Pattern& view, uint32_t e,
                              const std::vector<double>& cand,
-                             const GraphStatistics& gs, uint32_t cap,
+                             const GraphStatistics& gs,
                              size_t dindex_entries) {
   const PatternEdge& pe = view.edge(e);
-  double pairs = cand[pe.src] * BallEdges(pe.bound, cap, gs);
+  double pairs = cand[pe.src] * BallEdges(pe.bound, gs);
   if (pe.bound == 1) {
     pairs = std::min(pairs, static_cast<double>(gs.num_edges));
   } else if (dindex_entries > 0) {
@@ -124,10 +128,8 @@ const char* PlanKindName(PlanKind kind) {
   return "unknown";
 }
 
-double EstimateDirectCost(const Pattern& q, const GraphStatistics& gs,
-                          uint32_t bounded_cost_cap) {
-  return EstimateDirectCostWithCounts(q, gs, BuildLabelCounts(gs),
-                                      bounded_cost_cap);
+double EstimateDirectCost(const Pattern& q, const GraphStatistics& gs) {
+  return EstimateDirectCostWithCounts(q, gs, BuildLabelCounts(gs));
 }
 
 namespace {
@@ -169,7 +171,7 @@ Result<QueryPlan> PlanQueryImpl(const Pattern& q, const ViewSet& views,
     return Status::InvalidArgument("one materialized flag per view required");
   }
   QueryPlan plan;
-  if (opts.enable_minimization && q.num_edges() > 0) {
+  if (q.num_edges() > 0) {
     Result<MinimizedPattern> min = MinimizePattern(q);
     GPMV_RETURN_NOT_OK(min.status());
     plan.minimized = std::move(min).value();
@@ -178,8 +180,7 @@ Result<QueryPlan> PlanQueryImpl(const Pattern& q, const ViewSet& views,
   }
   const Pattern& mq = plan.minimized.pattern;
   const LabelCounts label_count = BuildLabelCounts(gs);
-  plan.est_direct_cost = EstimateDirectCostWithCounts(mq, gs, label_count,
-                                                      opts.bounded_cost_cap);
+  plan.est_direct_cost = EstimateDirectCostWithCounts(mq, gs, label_count);
 
   // Degenerate queries (no edges, isolated nodes) and a disabled cost
   // advantage always evaluate directly; so do an empty registry and
@@ -199,7 +200,7 @@ Result<QueryPlan> PlanQueryImpl(const Pattern& q, const ViewSet& views,
   };
   auto cold_view_cost = [&](uint32_t v) {
     return EstimateDirectCostWithCounts(views.view(v).pattern, gs,
-                                        label_count, opts.bounded_cost_cap);
+                                        label_count);
   };
   auto view_edge_pairs = [&](const ViewEdgeRef& ref) {
     if (is_live(ref.view)) {
@@ -208,7 +209,6 @@ Result<QueryPlan> PlanQueryImpl(const Pattern& q, const ViewSet& views,
     const Pattern& vp = views.view(ref.view).pattern;
     std::vector<double> cand = EstimateCandidates(vp, gs, label_count);
     return EstimateViewEdgePairs(vp, ref.edge, cand, gs,
-                                 opts.bounded_cost_cap,
                                  opts.distance_index_entries);
   };
 

@@ -50,16 +50,10 @@ const char* PlanKindName(PlanKind kind);
 
 /// Planner knobs.
 struct PlannerOptions {
-  /// Collapse similar pattern nodes before planning.
-  bool enable_minimization = true;
   /// Choose a view plan when est_view_cost <= advantage * est_direct_cost.
   /// > 1 biases toward views (they also spare G's memory bandwidth);
   /// 0 disables view plans entirely (cost-model kill switch).
   double view_cost_advantage = 4.0;
-  /// Cap on the BFS depth bounded edges contribute to direct cost (`*`
-  /// bounds count as the cap). Each bounded edge is charged a geometric
-  /// ball of that depth over the average out-degree, clamped to |E|.
-  uint32_t bounded_cost_cap = 8;
   /// Mark graph-walking plans for sharded fan-out (set by the engine when
   /// it runs with a ShardedSnapshot). The planner flags kDirect and
   /// kPartialViews plans — the plans whose cost is the G-walk that shard
@@ -106,9 +100,8 @@ struct QueryPlan {
 
 /// Estimated cost of evaluating `q` directly on a graph with statistics
 /// `gs`: per-edge candidate-set x degree work, scaled by the edge-bound BFS
-/// factor. Exposed for tests and the throughput bench.
-double EstimateDirectCost(const Pattern& q, const GraphStatistics& gs,
-                          uint32_t bounded_cost_cap);
+/// factor. Exposed for tests.
+double EstimateDirectCost(const Pattern& q, const GraphStatistics& gs);
 
 /// Plans `q` against the registered `views`. `exts` must be parallel to
 /// `views` (the engine's extension vector). `materialized` (parallel to

@@ -77,9 +77,7 @@ QueryEngine::QueryEngine(Graph g, EngineOptions opts)
     opts_.planner.shard_fanout = true;
     ThreadPoolOptions po;
     po.fault = opts_.fault;
-    po.num_threads = opts_.shard_pool_threads != 0
-                         ? opts_.shard_pool_threads
-                         : opts_.sharding.num_shards;
+    po.num_threads = opts_.sharding.num_shards;
     if (opts_.obs.enabled) {
       po.obs.queue_wait_us =
           metrics_.FindOrCreateHistogram("shard_exec.queue_wait_us");
@@ -278,13 +276,12 @@ Status QueryEngine::WarmViews() {
   std::unique_lock<std::shared_mutex> lk(mu_);
   for (uint32_t v = 0; v < cache_.views().card(); ++v) {
     if (cache_.IsMaterialized(v)) continue;
-    ViewExtension ext;
     std::vector<std::vector<NodeId>> relation;
-    GPMV_RETURN_NOT_OK(RefreshViewExtension(cache_.views().view(v),
-                                            *snapshot_,
-                                            /*seeded=*/false, &ext,
-                                            &relation));
-    cache_.Install(v, std::move(ext), std::move(relation), /*pin=*/false);
+    Result<ViewExtension> ext = ViewExtension::Materialize(
+        cache_.views().view(v), *snapshot_, /*seed=*/nullptr, &relation);
+    GPMV_RETURN_NOT_OK(ext.status());
+    cache_.Install(v, std::move(ext).value(), std::move(relation),
+                   /*pin=*/false);
   }
   return Status::OK();
 }
@@ -345,7 +342,7 @@ QueryResponse QueryEngine::Execute(const Pattern& q, const QueryOptions& qopts,
   // the caller's last submitted op, before any lock is taken.
   if (qopts.min_applied_ts != 0 &&
       applied_through_ts() < qopts.min_applied_ts) {
-    if (quarantined_slices() > 0 && opts_.degraded_serving) {
+    if (quarantined_slices() > 0) {
       // Degraded serving: a quarantined slice pins the watermark, so the
       // floor may simply never be reached — answer from the newest
       // published cut now, explicitly marked, instead of burning the
@@ -781,19 +778,17 @@ Status QueryEngine::PinOrMaterialize(const std::vector<uint32_t>& needed,
       // Materialize under the shared lock from the frozen snapshot, so
       // other queries keep running meanwhile.
       const uint64_t version = graph_version_;
-      ViewExtension ext;
       std::vector<std::vector<NodeId>> relation;
-      GPMV_RETURN_NOT_OK(RefreshViewExtension(cache_.views().view(v),
-                                              *snapshot_,
-                                              /*seeded=*/false, &ext,
-                                              &relation));
+      Result<ViewExtension> ext = ViewExtension::Materialize(
+          cache_.views().view(v), *snapshot_, /*seed=*/nullptr, &relation);
+      GPMV_RETURN_NOT_OK(ext.status());
       lk.unlock();
       {
         std::unique_lock<std::shared_mutex> ul(mu_);
         if (graph_version_ == version) {
           // Install (or lose the race to a concurrent query — either way
           // the view is live) and pin before anyone can evict it.
-          cache_.Install(v, std::move(ext), std::move(relation),
+          cache_.Install(v, std::move(ext).value(), std::move(relation),
                          /*pin=*/true);
           pinned->push_back(v);
           installed = true;
@@ -811,12 +806,12 @@ Status QueryEngine::PinOrMaterialize(const std::vector<uint32_t>& needed,
       Status st;
       {
         std::unique_lock<std::shared_mutex> ul(mu_);
-        ViewExtension ext;
         std::vector<std::vector<NodeId>> relation;
-        st = RefreshViewExtension(cache_.views().view(v), *snapshot_,
-                                  /*seeded=*/false, &ext, &relation);
+        Result<ViewExtension> ext = ViewExtension::Materialize(
+            cache_.views().view(v), *snapshot_, /*seed=*/nullptr, &relation);
+        st = ext.status();
         if (st.ok()) {
-          cache_.Install(v, std::move(ext), std::move(relation),
+          cache_.Install(v, std::move(ext).value(), std::move(relation),
                          /*pin=*/true);
           pinned->push_back(v);
         }
@@ -1169,12 +1164,9 @@ Result<size_t> QueryEngine::AdmitFromWorkload(size_t max_views) {
 }
 
 void QueryEngine::RecordWorkload(const Pattern& q) {
-  if (opts_.workload_history_limit == 0) return;
   std::lock_guard<std::mutex> lk(agg_mu_);
   workload_.push_back(q);
-  while (workload_.size() > opts_.workload_history_limit) {
-    workload_.pop_front();
-  }
+  if (workload_.size() > kWorkloadHistoryLimit) workload_.pop_front();
 }
 
 bool QueryEngine::CheckCacheConsistency(bool expect_unpinned) const {

@@ -147,15 +147,9 @@ struct EngineOptions {
   ThreadPoolOptions pool;
   ViewCacheOptions cache;
   PlannerOptions planner;
-  /// Ring buffer of observed queries feeding AdmitFromWorkload (0 disables).
-  size_t workload_history_limit = 256;
   /// Snapshot sharding; num_shards > 1 enables per-shard query fan-out and
   /// per-shard slice maintenance (see file comment).
   ShardingOptions sharding;
-  /// Workers of the dedicated fan-out pool (0 = one per shard). Separate
-  /// from `pool` so a sharded query running on a query worker never waits
-  /// on its own pool for shard tasks.
-  size_t shard_pool_threads = 0;
   /// Insert-path maintenance knobs (delta kill switch + affected-area
   /// fallback threshold); see core/maintenance.h.
   InsertMaintenanceOptions maintenance;
@@ -172,12 +166,6 @@ struct EngineOptions {
   /// propagated into both pools — task admission (`executor.task`). Not
   /// owned; nullptr (the default) compiles the checks down to a null test.
   FaultInjector* fault = nullptr;
-  /// Degraded-mode serving (docs/ROBUSTNESS.md): while any stream slice is
-  /// quarantined, a read-your-writes floor that the pinned watermark cannot
-  /// reach is answered from the newest published cut immediately — marked
-  /// `QueryResponse::degraded` — instead of riding out ryw_timeout_ms
-  /// against a watermark that will not move. False restores strict waits.
-  bool degraded_serving = true;
 };
 
 /// Per-query consistency knobs; default-constructed = "read the head".
@@ -217,7 +205,8 @@ struct QueryResponse {
   bool as_of = false;  ///< answered against a pinned historical cut
   /// A stream slice was quarantined when this query read: the answer comes
   /// from the newest published cut, which may permanently miss the
-  /// quarantined slice's retained ops (EngineOptions::degraded_serving).
+  /// quarantined slice's retained ops (degraded-mode serving,
+  /// docs/ROBUSTNESS.md).
   bool degraded = false;
   /// Version of the frozen snapshot the query read end-to-end. Monotone
   /// across queries (the concurrency stress suite asserts it): updates only
@@ -351,9 +340,9 @@ class QueryEngine {
   }
 
   /// Quarantine signal from a stream applier (stream/applier_pool.h):
-  /// while any slice is flagged, queries report `degraded` and — with
-  /// EngineOptions::degraded_serving — unreachable read-your-writes floors
-  /// are served from the head cut instead of waiting out their timeout.
+  /// while any slice is flagged, queries report `degraded` and unreachable
+  /// read-your-writes floors are served from the head cut instead of
+  /// waiting out their timeout.
   /// Callers keep transitions balanced (flag on quarantine, clear on revive
   /// or on the quarantined applier's teardown).
   void SetSliceQuarantined(size_t slice, bool quarantined);
@@ -588,8 +577,9 @@ class QueryEngine {
   /// carry the snapshot version, so updates invalidate by version compare.
   ResultCache result_cache_;
 
-  /// Workload history (never held together with mu_). The aggregate
-  /// counters that used to live here moved into metrics_.
+  /// Workload history (never held together with mu_): the last
+  /// kWorkloadHistoryLimit queries, feeding AdmitFromWorkload.
+  static constexpr size_t kWorkloadHistoryLimit = 256;
   mutable std::mutex agg_mu_;
   std::deque<Pattern> workload_;
 
@@ -610,8 +600,10 @@ class QueryEngine {
   std::vector<NodePair> shard_pending_;               // guarded by shard_pending_mu_
   std::shared_ptr<const GraphSnapshot> shard_parent_;  // guarded by shard_pending_mu_
 
-  /// Dedicated fan-out pool (see EngineOptions::shard_pool_threads);
-  /// declared before pool_ so query workers drain before it dies.
+  /// Dedicated fan-out pool, one worker per shard. Separate from pool_ so
+  /// a sharded query running on a query worker never waits on its own pool
+  /// for shard tasks; declared before pool_ so query workers drain before
+  /// it dies.
   std::unique_ptr<ThreadPool> shard_pool_;
 
   /// Last member: destroyed (and joined) first, while the rest is alive.

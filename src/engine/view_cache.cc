@@ -156,9 +156,11 @@ Status ViewCache::RefreshForUpdates(const GraphSnapshot* after_deletions,
         // Decremental: seeded from the cached relation, against the
         // post-deletion snapshot (insertions are not in the graph yet from
         // this phase's point of view).
-        GPMV_RETURN_NOT_OK(RefreshViewExtension(
+        Result<ViewExtension> ext = ViewExtension::Materialize(
             def, after_deletions != nullptr ? *after_deletions : final_snap,
-            /*seeded=*/true, &exts_[v], &e.relation));
+            /*seed=*/&e.relation, &e.relation);
+        GPMV_RETURN_NOT_OK(ext.status());
+        exts_[v] = std::move(ext).value();
         touched = true;
       } else {
         deletion_skipped = true;

@@ -23,6 +23,15 @@ namespace {
 /// wedge the clean-exit path — its connection is cut after this long.
 constexpr double kShutdownDrainMs = 2000.0;
 
+constexpr int kListenBacklog = 128;
+/// Write coalescing (COMM_MIN / COMM_DELAY): flush a connection's
+/// out-buffer at this many bytes, or this many ms after the first unflushed
+/// byte, whichever comes first.
+constexpr size_t kFlushBytes = 8 * 1024;
+constexpr double kFlushDelayMs = 1.0;
+/// Accepted connections beyond this are closed at once.
+constexpr size_t kMaxConnections = 1024;
+
 double MsSince(std::chrono::steady_clock::time_point t0) {
   return std::chrono::duration<double, std::milli>(
              std::chrono::steady_clock::now() - t0)
@@ -32,10 +41,7 @@ double MsSince(std::chrono::steady_clock::time_point t0) {
 }  // namespace
 
 Server::Server(QueryEngine* engine, ApplierPool* pool, ServerOptions opts)
-    : engine_(engine), pool_(pool), opts_(opts) {
-  if (opts_.flush_bytes == 0) opts_.flush_bytes = 1;
-  if (opts_.max_connections == 0) opts_.max_connections = 1;
-}
+    : engine_(engine), pool_(pool), opts_(opts) {}
 
 Server::~Server() {
   RequestStop();
@@ -96,7 +102,7 @@ Status Server::Start() {
                            std::strerror(errno));
   }
   bound_port_ = ntohs(addr.sin_port);
-  if (::listen(listen_fd_, opts_.listen_backlog) != 0) {
+  if (::listen(listen_fd_, kListenBacklog) != 0) {
     return Status::IOError(std::string("listen: ") + std::strerror(errno));
   }
 
@@ -146,7 +152,7 @@ void Server::OnAcceptable() {
       return;  // transient accept failure; the next EPOLLIN retries
     }
     if (GPMV_FAULT_POINT(opts_.fault, "net.accept") ||
-        conns_.size() >= opts_.max_connections || shutting_down_) {
+        conns_.size() >= kMaxConnections || shutting_down_) {
       ::close(fd);
       continue;
     }
@@ -441,7 +447,7 @@ void Server::SendFrame(Connection* c, FrameKind kind, Status::Code status,
   EncodeFrame(kind, status, request_id, payload, &c->out);
   m_frames_out_->Add(1);
   const size_t unsent = c->out.size() - c->sent;
-  if (unsent >= opts_.flush_bytes) {
+  if (unsent >= kFlushBytes) {
     if (c->flush_timer != 0) {
       loop_.CancelTimer(c->flush_timer);
       c->flush_timer = 0;
@@ -451,7 +457,7 @@ void Server::SendFrame(Connection* c, FrameKind kind, Status::Code status,
   }
   if (c->flush_timer == 0 && !c->want_write) {
     const uint64_t id = c->id;
-    c->flush_timer = loop_.RunAfter(opts_.flush_delay_ms, [this, id] {
+    c->flush_timer = loop_.RunAfter(kFlushDelayMs, [this, id] {
       auto it = conns_.find(id);
       if (it == conns_.end()) return;
       it->second->flush_timer = 0;

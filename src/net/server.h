@@ -22,8 +22,8 @@
 ///
 /// Write path — small-packet coalescing after Galois's
 /// NetworkInterfaceBuffered: response bytes append to a per-connection
-/// buffer which flushes when it crosses `flush_bytes` (COMM_MIN) or when
-/// the `flush_delay_ms` (COMM_DELAY) loop timer expires, whichever first.
+/// buffer which flushes when it crosses 8 KiB (COMM_MIN) or when a 1 ms
+/// (COMM_DELAY) loop timer expires, whichever first.
 /// A partial write arms EPOLLOUT and the remainder streams out as the
 /// socket drains — a slow reader backpressures only its own buffer.
 ///
@@ -83,18 +83,10 @@ struct ServerOptions {
   /// TCP port to bind; 0 picks an ephemeral port — `port()` reports the
   /// actual one (tests bind 0 to avoid collisions).
   uint16_t port = 0;
-  int listen_backlog = 128;
-  /// Write-coalescing knobs (COMM_MIN / COMM_DELAY): flush a connection's
-  /// out-buffer at this many bytes, or this many ms after the first
-  /// unflushed byte, whichever comes first.
-  size_t flush_bytes = 8 * 1024;
-  double flush_delay_ms = 1.0;
   /// Parked-op admission: retry cadence and total deadline before the
   /// client gets kDeadlineExceeded.
   double push_retry_ms = 1.0;
   double push_deadline_ms = 1000.0;
-  /// Accepted connections beyond this are immediately closed.
-  size_t max_connections = 1024;
   /// Not owned; nullptr disables the net.* fault points.
   FaultInjector* fault = nullptr;
 };

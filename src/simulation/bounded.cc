@@ -129,17 +129,6 @@ Status ComputeBoundedSimulationRelation(
   return Status::OK();
 }
 
-Status ComputeBoundedSimulationRelation(
-    const Pattern& qb, const Graph& g, std::vector<std::vector<NodeId>>* sim,
-    const std::vector<std::vector<NodeId>>* seed) {
-  return ComputeBoundedSimulationRelation(
-      qb, *GraphSnapshot::Build(g, g.version()), sim, seed);
-}
-
-namespace {
-
-/// Extraction shared by both bounded matchers: match sets + exact shortest
-/// distances from a final relation.
 Result<MatchResult> ExtractBoundedMatches(
     const Pattern& qb, const GraphSnapshot& g,
     const std::vector<std::vector<NodeId>>& sim,
@@ -201,8 +190,6 @@ Result<MatchResult> ExtractBoundedMatches(
   return result;
 }
 
-}  // namespace
-
 Result<MatchResult> MatchBoundedSimulation(
     const Pattern& qb, const GraphSnapshot& g,
     std::vector<std::vector<uint32_t>>* distances,
@@ -210,14 +197,6 @@ Result<MatchResult> MatchBoundedSimulation(
   std::vector<std::vector<NodeId>> sim;
   GPMV_RETURN_NOT_OK(ComputeBoundedSimulationRelation(qb, g, &sim, seed));
   return ExtractBoundedMatches(qb, g, sim, distances);
-}
-
-Result<MatchResult> MatchBoundedSimulation(
-    const Pattern& qb, const Graph& g,
-    std::vector<std::vector<uint32_t>>* distances,
-    const std::vector<std::vector<NodeId>>* seed) {
-  return MatchBoundedSimulation(qb, *GraphSnapshot::Build(g, g.version()),
-                                distances, seed);
 }
 
 namespace {

@@ -10,11 +10,11 @@
 /// extraction distances also feed the distance index I(V) used by
 /// BMatchJoin (Section VI-A).
 ///
-/// All traversals run over a frozen CSR snapshot; `Graph` overloads build a
-/// one-shot snapshot internally (freeze once and reuse on hot paths).
-/// `MatchBoundedSimulationNaive` deliberately stays on the mutable graph —
-/// it is the pre-refactor cubic reference the equivalence property tests
-/// compare against.
+/// All traversals run over a frozen CSR snapshot (freeze once with
+/// `Graph::Freeze` and reuse it). Only `MatchBoundedSimulationNaive` and its
+/// `ComputeCandidateSets(const Graph&)` stay on the mutable graph — the
+/// independent cubic reference the equivalence property tests compare
+/// against.
 
 #ifndef GPMV_SIMULATION_BOUNDED_H_
 #define GPMV_SIMULATION_BOUNDED_H_
@@ -50,9 +50,15 @@ Status ComputeBoundedSimulationRelation(
     const Pattern& qb, const GraphSnapshot& g,
     std::vector<std::vector<NodeId>>* sim,
     const std::vector<std::vector<NodeId>>* seed = nullptr);
-Status ComputeBoundedSimulationRelation(
-    const Pattern& qb, const Graph& g, std::vector<std::vector<NodeId>>* sim,
-    const std::vector<std::vector<NodeId>>* seed = nullptr);
+
+/// Extracts Qb(G) from a final relation `sim` (as computed by
+/// ComputeBoundedSimulationRelation on the same `g`): per pattern edge the
+/// sorted match pairs, and — when `distances` is non-null — parallel exact
+/// shortest nonempty path lengths. No fixpoint runs here.
+Result<MatchResult> ExtractBoundedMatches(
+    const Pattern& qb, const GraphSnapshot& g,
+    const std::vector<std::vector<NodeId>>& sim,
+    std::vector<std::vector<uint32_t>>* distances = nullptr);
 
 /// Computes Qb(G) via bounded simulation. If `distances` is non-null it is
 /// filled parallel to the result's edge matches: (*distances)[e][i] is the
@@ -62,10 +68,6 @@ Status ComputeBoundedSimulationRelation(
 /// ComputeBoundedSimulationRelation).
 Result<MatchResult> MatchBoundedSimulation(
     const Pattern& qb, const GraphSnapshot& g,
-    std::vector<std::vector<uint32_t>>* distances = nullptr,
-    const std::vector<std::vector<NodeId>>* seed = nullptr);
-Result<MatchResult> MatchBoundedSimulation(
-    const Pattern& qb, const Graph& g,
     std::vector<std::vector<uint32_t>>* distances = nullptr,
     const std::vector<std::vector<NodeId>>* seed = nullptr);
 

@@ -11,12 +11,6 @@ Status ComputeDualSimulationRelation(const Pattern& q, const GraphSnapshot& g,
   return RefineSimulation(q, g, space, /*dual=*/true, sim);
 }
 
-Status ComputeDualSimulationRelation(const Pattern& q, const Graph& g,
-                                     std::vector<std::vector<NodeId>>* sim) {
-  return ComputeDualSimulationRelation(q, *GraphSnapshot::Build(g, g.version()),
-                                       sim);
-}
-
 Result<MatchResult> MatchDualSimulation(const Pattern& q,
                                         const GraphSnapshot& g) {
   if (!q.IsSimulationPattern()) {
@@ -25,13 +19,6 @@ Result<MatchResult> MatchDualSimulation(const Pattern& q,
   std::vector<std::vector<NodeId>> sim;
   GPMV_RETURN_NOT_OK(ComputeDualSimulationRelation(q, g, &sim));
   return ExtractSimulationMatches(q, g, sim);
-}
-
-Result<MatchResult> MatchDualSimulation(const Pattern& q, const Graph& g) {
-  if (!q.IsSimulationPattern()) {
-    return Status::InvalidArgument("dual simulation needs unit bounds");
-  }
-  return MatchDualSimulation(q, *GraphSnapshot::Build(g, g.version()));
 }
 
 }  // namespace gpmv

@@ -10,8 +10,7 @@
 /// matcher so views can be materialized under dual semantics as well.
 ///
 /// Implemented on the shared rank-indexed refinement engine
-/// (simulation/refinement.h) over a frozen CSR snapshot; the `Graph`
-/// overloads build a one-shot snapshot internally.
+/// (simulation/refinement.h) over a frozen CSR snapshot.
 
 #ifndef GPMV_SIMULATION_DUAL_H_
 #define GPMV_SIMULATION_DUAL_H_
@@ -19,7 +18,6 @@
 #include <vector>
 
 #include "common/status.h"
-#include "graph/graph.h"
 #include "graph/snapshot.h"
 #include "pattern/pattern.h"
 #include "simulation/match_result.h"
@@ -30,14 +28,11 @@ namespace gpmv {
 /// "no match".
 Status ComputeDualSimulationRelation(const Pattern& q, const GraphSnapshot& g,
                                      std::vector<std::vector<NodeId>>* sim);
-Status ComputeDualSimulationRelation(const Pattern& q, const Graph& g,
-                                     std::vector<std::vector<NodeId>>* sim);
 
 /// Computes Q(G) under dual simulation (edge match sets are data edges whose
 /// endpoints are dual-related). Requires a plain simulation pattern.
 Result<MatchResult> MatchDualSimulation(const Pattern& q,
                                         const GraphSnapshot& g);
-Result<MatchResult> MatchDualSimulation(const Pattern& q, const Graph& g);
 
 }  // namespace gpmv
 

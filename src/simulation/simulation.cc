@@ -12,13 +12,6 @@ Status ComputeSimulationRelation(const Pattern& qs, const GraphSnapshot& g,
   return RefineSimulation(qs, g, space, /*dual=*/false, sim);
 }
 
-Status ComputeSimulationRelation(const Pattern& qs, const Graph& g,
-                                 std::vector<std::vector<NodeId>>* sim,
-                                 const std::vector<std::vector<NodeId>>* seed) {
-  return ComputeSimulationRelation(qs, *GraphSnapshot::Build(g, g.version()),
-                                   sim, seed);
-}
-
 Result<MatchResult> MatchSimulation(const Pattern& qs,
                                     const GraphSnapshot& g) {
   if (!qs.IsSimulationPattern()) {
@@ -28,14 +21,6 @@ Result<MatchResult> MatchSimulation(const Pattern& qs,
   std::vector<std::vector<NodeId>> sim;
   GPMV_RETURN_NOT_OK(ComputeSimulationRelation(qs, g, &sim));
   return ExtractSimulationMatches(qs, g, sim);
-}
-
-Result<MatchResult> MatchSimulation(const Pattern& qs, const Graph& g) {
-  if (!qs.IsSimulationPattern()) {
-    return Status::InvalidArgument(
-        "pattern has non-unit bounds; use MatchBoundedSimulation");
-  }
-  return MatchSimulation(qs, *GraphSnapshot::Build(g, g.version()));
 }
 
 }  // namespace gpmv

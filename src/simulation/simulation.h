@@ -10,15 +10,13 @@
 /// The implementation is the counter-based refinement in the spirit of
 /// Henzinger-Henzinger-Kopke [21], run over a frozen CSR snapshot with all
 /// state keyed by dense candidate ranks (simulation/refinement.h). Every
-/// entry point takes either a `GraphSnapshot` (the fast path — freeze once,
-/// query many times, as the engine does) or a `Graph` (convenience: builds
-/// a one-shot snapshot internally).
+/// entry point takes a `GraphSnapshot`: callers freeze once (`Graph::Freeze`)
+/// and query many times, as the engine does.
 
 #ifndef GPMV_SIMULATION_SIMULATION_H_
 #define GPMV_SIMULATION_SIMULATION_H_
 
 #include "common/status.h"
-#include "graph/graph.h"
 #include "graph/snapshot.h"
 #include "pattern/pattern.h"
 #include "simulation/match_result.h"
@@ -30,7 +28,6 @@ namespace gpmv {
 /// Fails with InvalidArgument when `qs` has a non-unit edge bound (use
 /// MatchBoundedSimulation) or is empty.
 Result<MatchResult> MatchSimulation(const Pattern& qs, const GraphSnapshot& g);
-Result<MatchResult> MatchSimulation(const Pattern& qs, const Graph& g);
 
 /// Computes only the maximum node relation sim(u) per pattern node (no edge
 /// match extraction); used internally and by the dual/strong extensions.
@@ -44,9 +41,6 @@ Result<MatchResult> MatchSimulation(const Pattern& qs, const Graph& g);
 Status ComputeSimulationRelation(
     const Pattern& qs, const GraphSnapshot& g,
     std::vector<std::vector<NodeId>>* sim,
-    const std::vector<std::vector<NodeId>>* seed = nullptr);
-Status ComputeSimulationRelation(
-    const Pattern& qs, const Graph& g, std::vector<std::vector<NodeId>>* sim,
     const std::vector<std::vector<NodeId>>* seed = nullptr);
 
 }  // namespace gpmv

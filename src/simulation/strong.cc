@@ -164,11 +164,4 @@ Result<std::vector<StrongMatch>> MatchStrongSimulation(const Pattern& q,
   return matches;
 }
 
-Result<std::vector<StrongMatch>> MatchStrongSimulation(const Pattern& q,
-                                                       const Graph& g,
-                                                       size_t max_matches) {
-  return MatchStrongSimulation(q, *GraphSnapshot::Build(g, g.version()),
-                               max_matches);
-}
-
 }  // namespace gpmv

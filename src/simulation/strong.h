@@ -19,7 +19,6 @@
 #include <vector>
 
 #include "common/status.h"
-#include "graph/graph.h"
 #include "graph/snapshot.h"
 #include "pattern/pattern.h"
 
@@ -36,12 +35,9 @@ struct StrongMatch {
 /// Computes all strong-simulation matches (up to `max_matches`).
 /// Intended for moderate graphs; each candidate center costs a ball
 /// extraction plus a dual-simulation run. Ball collection and subgraph
-/// induction walk the frozen CSR snapshot; the `Graph` overload builds a
-/// one-shot snapshot internally.
+/// induction walk the frozen CSR snapshot.
 Result<std::vector<StrongMatch>> MatchStrongSimulation(
     const Pattern& q, const GraphSnapshot& g, size_t max_matches = SIZE_MAX);
-Result<std::vector<StrongMatch>> MatchStrongSimulation(
-    const Pattern& q, const Graph& g, size_t max_matches = SIZE_MAX);
 
 /// The ball radius used for `q` (undirected weighted diameter;
 /// kInfDistance when the pattern has a `*` edge on every undirected path

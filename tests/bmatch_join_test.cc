@@ -27,7 +27,7 @@ TEST(BMatchJoinTest, TwoHopQueryViaLooserView) {
   ViewSet views;
   views.Add("v",
             PatternBuilder().Node("A").Node("B").Edge("A", "B", 3).Build());
-  auto exts = MaterializeAll(views, g);
+  auto exts = MaterializeAll(views, *g.Freeze());
   ASSERT_TRUE(exts.ok());
 
   Pattern qb =
@@ -45,7 +45,7 @@ TEST(BMatchJoinTest, TwoHopQueryViaLooserView) {
   EXPECT_EQ(stats.filtered_by_distance, 1u);  // (a, b2) at distance 3
 
   // Agreement with direct bounded evaluation (Theorem 8/9).
-  Result<MatchResult> direct = MatchBoundedSimulation(qb, g);
+  Result<MatchResult> direct = MatchBoundedSimulation(qb, *g.Freeze());
   ASSERT_TRUE(direct.ok());
   EXPECT_TRUE(*r == *direct);
 }
@@ -66,7 +66,7 @@ TEST(BMatchJoinTest, ExplicitDistanceIndexCrossChecksStricterBound) {
   ViewSet views;
   views.Add("v",
             PatternBuilder().Node("A").Node("B").Edge("A", "B", 3).Build());
-  auto exts = MaterializeAll(views, g);
+  auto exts = MaterializeAll(views, *g.Freeze());
   ASSERT_TRUE(exts.ok());
   DistanceIndex idx = DistanceIndex::Build(*exts);
   ASSERT_TRUE(idx.Distance(a, b2).has_value());
@@ -112,7 +112,7 @@ TEST(BMatchJoinTest, Fig6QueryOnConcreteGraph) {
   ASSERT_TRUE(g.AddEdge(w, d).ok());
   ASSERT_TRUE(g.AddEdge(b, e).ok());
 
-  auto exts = MaterializeAll(f.views, g);
+  auto exts = MaterializeAll(f.views, *g.Freeze());
   ASSERT_TRUE(exts.ok());
   for (auto checker :
        {&CheckContainment, &MinimalContainment, &MinimumContainment}) {
@@ -120,7 +120,7 @@ TEST(BMatchJoinTest, Fig6QueryOnConcreteGraph) {
     ASSERT_TRUE(mapping.ok());
     ASSERT_TRUE(mapping->contained);
     Result<MatchResult> joined = BMatchJoin(f.qb, f.views, *exts, *mapping);
-    Result<MatchResult> direct = MatchBoundedSimulation(f.qb, g);
+    Result<MatchResult> direct = MatchBoundedSimulation(f.qb, *g.Freeze());
     ASSERT_TRUE(joined.ok() && direct.ok());
     ASSERT_TRUE(direct->matched());
     EXPECT_TRUE(*joined == *direct);
@@ -134,7 +134,7 @@ TEST(BMatchJoinTest, StarBoundsFlowThroughViews) {
                      .Node("A").Node("B")
                      .Edge("A", "B", kUnbounded)
                      .Build());
-  auto exts = MaterializeAll(views, g);
+  auto exts = MaterializeAll(views, *g.Freeze());
   ASSERT_TRUE(exts.ok());
   Pattern qb = PatternBuilder()
                    .Node("A").Node("B")
@@ -153,7 +153,7 @@ TEST(DistanceIndexTest, BuildsFromExtensionsAndAnswersLookups) {
   ViewSet views;
   views.Add("v",
             PatternBuilder().Node("A").Node("B").Edge("A", "B", 3).Build());
-  auto exts = MaterializeAll(views, g);
+  auto exts = MaterializeAll(views, *g.Freeze());
   ASSERT_TRUE(exts.ok());
   DistanceIndex idx = DistanceIndex::Build(*exts);
   EXPECT_EQ(idx.size(), 1u);
@@ -173,7 +173,7 @@ TEST(DistanceIndexTest, DistancesMatchBfs) {
   ViewSet views;
   views.Add("v",
             PatternBuilder().Node("A").Node("B").Edge("A", "B", 5).Build());
-  auto exts = MaterializeAll(views, g);
+  auto exts = MaterializeAll(views, *g.Freeze());
   DistanceIndex idx = DistanceIndex::Build(*exts);
   auto d = idx.Distance(a, b);
   ASSERT_TRUE(d.has_value());

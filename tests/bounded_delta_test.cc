@@ -36,15 +36,7 @@
 namespace gpmv {
 namespace {
 
-bool SameExtension(const ViewExtension& a, const ViewExtension& b) {
-  if (a.matched() != b.matched()) return false;
-  if (a.num_view_edges() != b.num_view_edges()) return false;
-  for (uint32_t e = 0; e < a.num_view_edges(); ++e) {
-    if (a.edge(e).pairs != b.edge(e).pairs) return false;
-    if (a.edge(e).distances != b.edge(e).distances) return false;
-  }
-  return true;
-}
+using testutil::SameExtension;
 
 /// Picks `count` edges absent from `g` (no self-loops).
 std::vector<NodePair> RandomNewEdges(const Graph& g, size_t count, Rng* rng) {
@@ -84,7 +76,7 @@ void CheckBoundedDeltaAgainstScratch(uint64_t graph_seed,
   Pattern qb = GenerateRandomPattern(po);
 
   std::vector<std::vector<NodeId>> rel;
-  ASSERT_TRUE(ComputeBoundedSimulationRelation(qb, g, &rel).ok());
+  ASSERT_TRUE(ComputeBoundedSimulationRelation(qb, *g.Freeze(), &rel).ok());
   bool matched = true;
   for (const auto& s : rel) matched = matched && !s.empty();
 
@@ -191,8 +183,8 @@ TEST(BoundedDeltaTest, MaintainedBoundedViewMixedStreamStaysExact) {
   ViewDefinition def{"vb", BoundedChainPattern()};
   InsertMaintenanceOptions opts;
   opts.max_area_fraction = 1.0;
-  MaintainedView mv(def, opts);
-  ASSERT_TRUE(mv.Attach(g).ok());
+  testutil::CachedView mv(def, opts);
+  ASSERT_TRUE(mv.Install(g).ok());
 
   Rng rng(2026);
   for (int step = 0; step < 40; ++step) {
@@ -201,12 +193,12 @@ TEST(BoundedDeltaTest, MaintainedBoundedViewMixedStreamStaysExact) {
     if (u == v) continue;
     if (g.HasEdge(u, v)) {
       ASSERT_TRUE(g.RemoveEdge(u, v).ok());
-      ASSERT_TRUE(mv.OnEdgeRemoved(g, u, v).ok());
+      ASSERT_TRUE(mv.Removed(g, u, v).ok());
     } else {
       ASSERT_TRUE(g.AddEdge(u, v).ok());
-      ASSERT_TRUE(mv.OnEdgeInserted(g, u, v).ok());
+      ASSERT_TRUE(mv.Inserted(g, u, v).ok());
     }
-    auto fresh = ViewExtension::Materialize(def, g);
+    auto fresh = ViewExtension::Materialize(def, *g.Freeze());
     ASSERT_TRUE(fresh.ok());
     ASSERT_TRUE(SameExtension(mv.extension(), *fresh)) << "step " << step;
   }
@@ -232,8 +224,8 @@ TEST(BoundedDeltaTest, ForcedFallbacksStayExactForBoundedViews) {
     } else {
       opts.max_area_fraction = 0.0;  // the area cap always trips
     }
-    MaintainedView mv(def, opts);
-    ASSERT_TRUE(mv.Attach(g).ok());
+    testutil::CachedView mv(def, opts);
+    ASSERT_TRUE(mv.Install(g).ok());
 
     Rng rng(17);
     size_t inserts = 0;
@@ -241,9 +233,9 @@ TEST(BoundedDeltaTest, ForcedFallbacksStayExactForBoundedViews) {
       std::vector<NodePair> batch = RandomNewEdges(g, 1, &rng);
       if (batch.empty()) continue;
       ASSERT_TRUE(g.AddEdge(batch[0].first, batch[0].second).ok());
-      ASSERT_TRUE(mv.OnEdgeInserted(g, batch[0].first, batch[0].second).ok());
+      ASSERT_TRUE(mv.Inserted(g, batch[0].first, batch[0].second).ok());
       ++inserts;
-      auto fresh = ViewExtension::Materialize(def, g);
+      auto fresh = ViewExtension::Materialize(def, *g.Freeze());
       ASSERT_TRUE(fresh.ok());
       ASSERT_TRUE(SameExtension(mv.extension(), *fresh))
           << "step " << step << " disable_delta=" << disable_delta;
@@ -279,7 +271,7 @@ TEST(BoundedDeltaTest, DistanceIndexMaintainMatchesGroundTruth) {
   go.seed = 41;
   Graph g = GenerateRandomGraph(go);
   ViewDefinition def{"vb", BoundedChainPattern()};
-  auto ext = ViewExtension::Materialize(def, g);
+  auto ext = ViewExtension::Materialize(def, *g.Freeze());
   ASSERT_TRUE(ext.ok());
   DistanceIndex index = DistanceIndex::Build({*ext});
   ASSERT_GT(index.size(), 0u);
@@ -364,7 +356,7 @@ TEST(BoundedDeltaTest, DistanceIndexInsertOnlyStreamStaysExact) {
   go.seed = 55;
   Graph g = GenerateRandomGraph(go);
   ViewDefinition def{"vb", BoundedChainPattern()};
-  auto ext = ViewExtension::Materialize(def, g);
+  auto ext = ViewExtension::Materialize(def, *g.Freeze());
   ASSERT_TRUE(ext.ok());
   DistanceIndex index = DistanceIndex::Build({*ext});
   ASSERT_GT(index.size(), 0u);
@@ -412,7 +404,7 @@ TEST(BoundedDeltaTest, DistanceIndexMaintainEqualsRebuild) {
   go.seed = 91;
   Graph g = GenerateRandomGraph(go);
   ViewDefinition def{"vb", BoundedChainPattern()};
-  auto ext = ViewExtension::Materialize(def, g);
+  auto ext = ViewExtension::Materialize(def, *g.Freeze());
   ASSERT_TRUE(ext.ok());
   DistanceIndex maintained = DistanceIndex::Build({*ext});
 

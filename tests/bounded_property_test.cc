@@ -50,7 +50,7 @@ Instance MakeInstance(uint64_t seed, uint32_t bound_slack) {
   co.bound_slack = bound_slack;
   co.seed = seed * 41 + 7;
   inst.views = GenerateCoveringViews(inst.qb, co);
-  inst.exts = std::move(MaterializeAll(inst.views, inst.g)).value();
+  inst.exts = std::move(MaterializeAll(inst.views, *inst.g.Freeze())).value();
   return inst;
 }
 
@@ -62,7 +62,8 @@ TEST_P(BoundedTheoremTest, BMatchJoinEqualsDirectBMatch) {
   // looser, so the distance-index filter must trim the merged pairs.
   for (uint32_t slack : {0u, 2u}) {
     Instance inst = MakeInstance(seed, slack);
-    Result<MatchResult> direct = MatchBoundedSimulation(inst.qb, inst.g);
+    Result<MatchResult> direct =
+        MatchBoundedSimulation(inst.qb, *inst.g.Freeze());
     ASSERT_TRUE(direct.ok());
 
     for (auto checker :
@@ -119,7 +120,8 @@ class BoundedSoundnessTest : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(BoundedSoundnessTest, CoveredEdgeMatchesAreInViewExtensions) {
   Instance inst = MakeInstance(GetParam(), 2);
-  Result<MatchResult> direct = MatchBoundedSimulation(inst.qb, inst.g);
+  Result<MatchResult> direct =
+      MatchBoundedSimulation(inst.qb, *inst.g.Freeze());
   ASSERT_TRUE(direct.ok());
   if (!direct->matched()) return;
 

@@ -21,7 +21,8 @@ Pattern BoundedEdge(const std::string& a, const std::string& b,
 
 TEST(BoundedTest, TwoHopPathMatchesBoundTwo) {
   Graph g = ChainGraph({"A", "X", "B"});
-  Result<MatchResult> r = MatchBoundedSimulation(BoundedEdge("A", "B", 2), g);
+  Result<MatchResult> r =
+      MatchBoundedSimulation(BoundedEdge("A", "B", 2), *g.Freeze());
   ASSERT_TRUE(r.ok());
   ASSERT_TRUE(r->matched());
   EXPECT_EQ(r->edge_matches(0), (std::vector<NodePair>{{0, 2}}));
@@ -29,7 +30,8 @@ TEST(BoundedTest, TwoHopPathMatchesBoundTwo) {
 
 TEST(BoundedTest, BoundTooSmallFails) {
   Graph g = ChainGraph({"A", "X", "X", "B"});
-  Result<MatchResult> r = MatchBoundedSimulation(BoundedEdge("A", "B", 2), g);
+  Result<MatchResult> r =
+      MatchBoundedSimulation(BoundedEdge("A", "B", 2), *g.Freeze());
   ASSERT_TRUE(r.ok());
   EXPECT_FALSE(r->matched());
 }
@@ -37,7 +39,7 @@ TEST(BoundedTest, BoundTooSmallFails) {
 TEST(BoundedTest, StarBoundReachesAnyDistance) {
   Graph g = ChainGraph({"A", "X", "X", "X", "X", "B"});
   Result<MatchResult> r =
-      MatchBoundedSimulation(BoundedEdge("A", "B", kUnbounded), g);
+      MatchBoundedSimulation(BoundedEdge("A", "B", kUnbounded), *g.Freeze());
   ASSERT_TRUE(r.ok());
   ASSERT_TRUE(r->matched());
   EXPECT_EQ(r->edge_matches(0), (std::vector<NodePair>{{0, 5}}));
@@ -51,7 +53,7 @@ TEST(BoundedTest, PathMustBeNonempty) {
   Pattern q;
   uint32_t u = q.AddNode("A"), v = q.AddNode("A");
   ASSERT_TRUE(q.AddEdge(u, v, 2).ok());
-  Result<MatchResult> r = MatchBoundedSimulation(q, g);
+  Result<MatchResult> r = MatchBoundedSimulation(q, *g.Freeze());
   ASSERT_TRUE(r.ok());
   EXPECT_FALSE(r->matched());
 }
@@ -66,7 +68,7 @@ TEST(BoundedTest, SelfMatchThroughCycle) {
   uint32_t u = q.AddNode("A"), v = q.AddNode("A");
   ASSERT_TRUE(q.AddEdge(u, v, 2).ok());
   std::vector<std::vector<uint32_t>> dist;
-  Result<MatchResult> r = MatchBoundedSimulation(q, g, &dist);
+  Result<MatchResult> r = MatchBoundedSimulation(q, *g.Freeze(), &dist);
   ASSERT_TRUE(r.ok());
   ASSERT_TRUE(r->matched());
   EXPECT_EQ(r->edge_matches(0), (std::vector<NodePair>{{a, a}}));
@@ -82,7 +84,7 @@ TEST(BoundedTest, DistancesAreShortestPaths) {
   ASSERT_TRUE(g.AddEdge(x, b).ok());
   std::vector<std::vector<uint32_t>> dist;
   Result<MatchResult> r =
-      MatchBoundedSimulation(BoundedEdge("A", "B", 3), g, &dist);
+      MatchBoundedSimulation(BoundedEdge("A", "B", 3), *g.Freeze(), &dist);
   ASSERT_TRUE(r.ok());
   ASSERT_TRUE(r->matched());
   ASSERT_EQ(r->edge_matches(0).size(), 1u);
@@ -93,7 +95,7 @@ TEST(BoundedTest, LargerBoundCollectsMorePairs) {
   Graph g = ChainGraph({"A", "B", "B", "B"});
   std::vector<std::vector<uint32_t>> dist;
   Result<MatchResult> r =
-      MatchBoundedSimulation(BoundedEdge("A", "B", 3), g, &dist);
+      MatchBoundedSimulation(BoundedEdge("A", "B", 3), *g.Freeze(), &dist);
   ASSERT_TRUE(r.ok());
   ASSERT_TRUE(r->matched());
   EXPECT_EQ(r->edge_matches(0),
@@ -116,7 +118,7 @@ TEST(BoundedTest, TransitiveBoundedConstraintsPrune) {
                   .Node("A").Node("B").Node("C")
                   .Edge("A", "B", 2).Edge("B", "C", 2)
                   .Build();
-  Result<MatchResult> r = MatchBoundedSimulation(q, g);
+  Result<MatchResult> r = MatchBoundedSimulation(q, *g.Freeze());
   ASSERT_TRUE(r.ok());
   ASSERT_TRUE(r->matched());
   // b1 is not a valid B (no C within 2), so (a, b1) must be absent.
@@ -139,8 +141,8 @@ TEST(BoundedTest, UnitBoundsAgreeWithSimulation) {
     po.seed = seed + 1000;
     Pattern q = GenerateRandomPattern(po);
 
-    Result<MatchResult> plain = MatchSimulation(q, g);
-    Result<MatchResult> bounded = MatchBoundedSimulation(q, g);
+    Result<MatchResult> plain = MatchSimulation(q, *g.Freeze());
+    Result<MatchResult> bounded = MatchBoundedSimulation(q, *g.Freeze());
     ASSERT_TRUE(plain.ok());
     ASSERT_TRUE(bounded.ok());
     EXPECT_TRUE(*plain == *bounded) << "seed=" << seed;
@@ -168,7 +170,7 @@ TEST(BoundedTest, NaiveBaselineAgreesWithOptimizedMatcher) {
     Pattern q = GenerateRandomPattern(po);
 
     std::vector<std::vector<uint32_t>> d_fast, d_naive;
-    Result<MatchResult> fast = MatchBoundedSimulation(q, g, &d_fast);
+    Result<MatchResult> fast = MatchBoundedSimulation(q, *g.Freeze(), &d_fast);
     Result<MatchResult> naive = MatchBoundedSimulationNaive(q, g, &d_naive);
     ASSERT_TRUE(fast.ok() && naive.ok());
     EXPECT_TRUE(*fast == *naive) << "seed=" << seed;
@@ -182,7 +184,8 @@ TEST(BoundedTest, SeededRelationShapeValidated) {
   std::vector<std::vector<NodeId>> wrong_shape{{0}};
   std::vector<std::vector<NodeId>> sim;
   EXPECT_FALSE(
-      ComputeBoundedSimulationRelation(q, g, &sim, &wrong_shape).ok());
+      ComputeBoundedSimulationRelation(q, *g.Freeze(), &sim,
+                                       &wrong_shape).ok());
 }
 
 TEST(BoundedTest, CandidateSetsHonorPredicates) {

@@ -47,7 +47,7 @@ TEST(AmazonTest, BoundedQueriesContainedInBoundedViews) {
 
 TEST(AmazonTest, ViewExtensionsAreSmallFractionOfGraph) {
   Graph g = GenerateAmazonLike(5000, 2);
-  auto exts = MaterializeAll(AmazonViews(1), g);
+  auto exts = MaterializeAll(AmazonViews(1), *g.Freeze());
   ASSERT_TRUE(exts.ok());
   // Selective rank predicate keeps the cached views a few percent of |E|.
   EXPECT_LT(TotalExtensionPairs(*exts), g.num_edges() / 2);
@@ -57,14 +57,14 @@ TEST(AmazonTest, ViewExtensionsAreSmallFractionOfGraph) {
 TEST(AmazonTest, EndToEndViaViews) {
   Graph g = GenerateAmazonLike(3000, 3);
   ViewSet views = AmazonViews(1);
-  auto exts = MaterializeAll(views, g);
+  auto exts = MaterializeAll(views, *g.Freeze());
   ASSERT_TRUE(exts.ok());
   Pattern q = GenerateAmazonQuery(4, 5, 1, 4);
   auto mapping = MinimalContainment(q, views);
   ASSERT_TRUE(mapping.ok());
   ASSERT_TRUE(mapping->contained);
   Result<MatchResult> joined = MatchJoin(q, views, *exts, *mapping);
-  Result<MatchResult> direct = MatchBoundedSimulation(q, g);
+  Result<MatchResult> direct = MatchBoundedSimulation(q, *g.Freeze());
   ASSERT_TRUE(joined.ok() && direct.ok());
   EXPECT_TRUE(*joined == *direct);
 }
@@ -99,7 +99,7 @@ TEST(YoutubeTest, GraphShapeAndAttributes) {
 
 TEST(YoutubeTest, Fig7ViewsMaterializeSelectively) {
   Graph g = GenerateYoutubeLike(4000, 7);
-  auto exts = MaterializeAll(YoutubeViews(1), g);
+  auto exts = MaterializeAll(YoutubeViews(1), *g.Freeze());
   ASSERT_TRUE(exts.ok());
   // The paper reports YouTube view extensions at ~4% of the graph.
   EXPECT_LT(TotalExtensionPairs(*exts), g.num_edges());
@@ -128,14 +128,14 @@ TEST(YoutubeTest, BoundedGlueQueriesContained) {
 TEST(YoutubeTest, EndToEndViaViews) {
   Graph g = GenerateYoutubeLike(3000, 8);
   ViewSet views = YoutubeViews(1);
-  auto exts = MaterializeAll(views, g);
+  auto exts = MaterializeAll(views, *g.Freeze());
   ASSERT_TRUE(exts.ok());
   Pattern q = GenerateYoutubeQuery(6, 1, 9);
   auto mapping = MinimumContainment(q, views);
   ASSERT_TRUE(mapping.ok());
   ASSERT_TRUE(mapping->contained);
   Result<MatchResult> joined = MatchJoin(q, views, *exts, *mapping);
-  Result<MatchResult> direct = MatchBoundedSimulation(q, g);
+  Result<MatchResult> direct = MatchBoundedSimulation(q, *g.Freeze());
   ASSERT_TRUE(joined.ok() && direct.ok());
   EXPECT_TRUE(*joined == *direct) << q.ToString();
 }

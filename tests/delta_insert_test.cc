@@ -20,15 +20,7 @@
 namespace gpmv {
 namespace {
 
-bool SameExtension(const ViewExtension& a, const ViewExtension& b) {
-  if (a.matched() != b.matched()) return false;
-  if (a.num_view_edges() != b.num_view_edges()) return false;
-  for (uint32_t e = 0; e < a.num_view_edges(); ++e) {
-    if (a.edge(e).pairs != b.edge(e).pairs) return false;
-    if (a.edge(e).distances != b.edge(e).distances) return false;
-  }
-  return true;
-}
+using testutil::SameExtension;
 
 /// Picks `count` edges absent from `g` (no self-loops).
 std::vector<NodePair> RandomNewEdges(const Graph& g, size_t count, Rng* rng) {
@@ -66,7 +58,7 @@ void CheckDeltaAgainstScratch(uint64_t graph_seed, uint64_t pattern_seed,
   Pattern q = GenerateRandomPattern(po);
 
   std::vector<std::vector<NodeId>> rel;
-  ASSERT_TRUE(ComputeBoundedSimulationRelation(q, g, &rel).ok());
+  ASSERT_TRUE(ComputeBoundedSimulationRelation(q, *g.Freeze(), &rel).ok());
   bool matched = true;
   for (const auto& s : rel) matched = matched && !s.empty();
 
@@ -128,7 +120,7 @@ TEST(DeltaInsertTest, RelationMatchesScratchCyclicPatterns) {
   }
 }
 
-TEST(DeltaInsertTest, MaintainedViewMixedBatchesStayExact) {
+TEST(DeltaInsertTest, CachedViewMixedBatchesStayExact) {
   RandomGraphOptions go;
   go.num_nodes = 90;
   go.num_edges = 270;
@@ -138,8 +130,8 @@ TEST(DeltaInsertTest, MaintainedViewMixedBatchesStayExact) {
   ViewDefinition def{"v", testutil::ChainPattern({"L0", "L1", "L2"})};
   InsertMaintenanceOptions opts;
   opts.max_area_fraction = 1.0;
-  MaintainedView mv(def, opts);
-  ASSERT_TRUE(mv.Attach(g).ok());
+  testutil::CachedView mv(def, opts);
+  ASSERT_TRUE(mv.Install(g).ok());
 
   Rng rng(2027);
   for (int step = 0; step < 40; ++step) {
@@ -148,12 +140,12 @@ TEST(DeltaInsertTest, MaintainedViewMixedBatchesStayExact) {
     if (u == v) continue;
     if (g.HasEdge(u, v)) {
       ASSERT_TRUE(g.RemoveEdge(u, v).ok());
-      ASSERT_TRUE(mv.OnEdgeRemoved(g, u, v).ok());
+      ASSERT_TRUE(mv.Removed(g, u, v).ok());
     } else {
       ASSERT_TRUE(g.AddEdge(u, v).ok());
-      ASSERT_TRUE(mv.OnEdgeInserted(g, u, v).ok());
+      ASSERT_TRUE(mv.Inserted(g, u, v).ok());
     }
-    auto fresh = ViewExtension::Materialize(def, g);
+    auto fresh = ViewExtension::Materialize(def, *g.Freeze());
     ASSERT_TRUE(fresh.ok());
     ASSERT_TRUE(SameExtension(mv.extension(), *fresh)) << "step " << step;
   }
@@ -172,8 +164,8 @@ TEST(DeltaInsertTest, ForcedAreaFallbackStaysExact) {
   ViewDefinition def{"v", testutil::ChainPattern({"L0", "L1"})};
   InsertMaintenanceOptions opts;
   opts.max_area_fraction = 0.0;  // the area cap always trips
-  MaintainedView mv(def, opts);
-  ASSERT_TRUE(mv.Attach(g).ok());
+  testutil::CachedView mv(def, opts);
+  ASSERT_TRUE(mv.Install(g).ok());
 
   Rng rng(7);
   size_t inserts = 0;
@@ -181,9 +173,9 @@ TEST(DeltaInsertTest, ForcedAreaFallbackStaysExact) {
     std::vector<NodePair> batch = RandomNewEdges(g, 1, &rng);
     if (batch.empty()) continue;
     ASSERT_TRUE(g.AddEdge(batch[0].first, batch[0].second).ok());
-    ASSERT_TRUE(mv.OnEdgeInserted(g, batch[0].first, batch[0].second).ok());
+    ASSERT_TRUE(mv.Inserted(g, batch[0].first, batch[0].second).ok());
     ++inserts;
-    auto fresh = ViewExtension::Materialize(def, g);
+    auto fresh = ViewExtension::Materialize(def, *g.Freeze());
     ASSERT_TRUE(SameExtension(mv.extension(), *fresh)) << "step " << step;
   }
   EXPECT_EQ(mv.insert_stats().delta_refreshes, 0u);
@@ -195,20 +187,20 @@ TEST(DeltaInsertTest, BoundedViewTakesDeltaPathAndStaysExact) {
   Pattern p;
   uint32_t a = p.AddNode("A"), b = p.AddNode("B");
   ASSERT_TRUE(p.AddEdge(a, b, 2).ok());
-  MaintainedView mv(ViewDefinition{"v", std::move(p)});
-  ASSERT_TRUE(mv.Attach(g).ok());
+  testutil::CachedView mv(ViewDefinition{"v", std::move(p)});
+  ASSERT_TRUE(mv.Install(g).ok());
 
   // New node pair within bound 2 only via the inserted edge. The bounded
   // delta path (DeltaBoundedInsert + ball merge) picks it up without
   // re-materializing, distances included.
   NodeId y = g.AddNode("A");
   ASSERT_TRUE(g.AddEdge(y, 1).ok());  // y -> X -> B
-  ASSERT_TRUE(mv.OnEdgeInserted(g, y, 1).ok());
+  ASSERT_TRUE(mv.Inserted(g, y, 1).ok());
   EXPECT_EQ(mv.insert_stats().delta_refreshes, 1u);
   EXPECT_EQ(mv.insert_stats().bounded_delta_refreshes, 1u);
   EXPECT_EQ(mv.insert_stats().rematerialize_fallbacks, 0u);
   EXPECT_GT(mv.insert_stats().bounded_matches_added, 0u);
-  auto fresh = ViewExtension::Materialize(mv.definition(), g);
+  auto fresh = ViewExtension::Materialize(mv.definition(), *g.Freeze());
   ASSERT_TRUE(fresh.ok());
   EXPECT_TRUE(SameExtension(mv.extension(), *fresh));
 }
@@ -220,17 +212,17 @@ TEST(DeltaInsertTest, RenotifiedInsertionIsIdempotent) {
   NodeId c = g.AddNode("A");
   InsertMaintenanceOptions opts;
   opts.max_area_fraction = 1.0;
-  MaintainedView mv(
+  testutil::CachedView mv(
       ViewDefinition{
           "v", PatternBuilder().Node("A").Node("B").Edge("A", "B").Build()},
       opts);
-  ASSERT_TRUE(mv.Attach(g).ok());
+  ASSERT_TRUE(mv.Install(g).ok());
 
   ASSERT_TRUE(g.AddEdge(c, 1).ok());
-  ASSERT_TRUE(mv.OnEdgeInserted(g, c, 1).ok());
+  ASSERT_TRUE(mv.Inserted(g, c, 1).ok());
   EXPECT_EQ(mv.insert_stats().delta_refreshes, 1u);
-  ASSERT_TRUE(mv.OnEdgeInserted(g, c, 1).ok());  // re-notified, edge exists
-  auto fresh = ViewExtension::Materialize(mv.definition(), g);
+  ASSERT_TRUE(mv.Inserted(g, c, 1).ok());  // re-notified, edge exists
+  auto fresh = ViewExtension::Materialize(mv.definition(), *g.Freeze());
   ASSERT_TRUE(fresh.ok());
   EXPECT_TRUE(SameExtension(mv.extension(), *fresh));
   EXPECT_EQ(mv.extension().TotalPairs(), 2u);
@@ -240,13 +232,13 @@ TEST(DeltaInsertTest, UnmatchedViewFallsBackWhenInsertionCreatesMatch) {
   Graph g;
   NodeId a = g.AddNode("A");
   NodeId b = g.AddNode("B");
-  MaintainedView mv(ViewDefinition{
+  testutil::CachedView mv(ViewDefinition{
       "v", PatternBuilder().Node("A").Node("B").Edge("A", "B").Build()});
-  ASSERT_TRUE(mv.Attach(g).ok());
+  ASSERT_TRUE(mv.Install(g).ok());
   EXPECT_FALSE(mv.extension().matched());
 
   ASSERT_TRUE(g.AddEdge(a, b).ok());
-  ASSERT_TRUE(mv.OnEdgeInserted(g, a, b).ok());
+  ASSERT_TRUE(mv.Inserted(g, a, b).ok());
   EXPECT_TRUE(mv.extension().matched());
   EXPECT_EQ(mv.extension().TotalPairs(), 1u);
   EXPECT_GE(mv.insert_stats().rematerialize_fallbacks, 1u);
@@ -313,7 +305,7 @@ TEST(DeltaInsertTest, EngineUpdateBatchesMatchScratchAcrossPlans) {
     ASSERT_TRUE(dr.status.ok());
     ASSERT_TRUE(sr.status.ok());
     ASSERT_TRUE(dr.result == sr.result) << "step " << step;
-    Result<MatchResult> oracle = MatchBoundedSimulation(q, shadow);
+    Result<MatchResult> oracle = MatchBoundedSimulation(q, *shadow.Freeze());
     ASSERT_TRUE(oracle.ok());
     ASSERT_TRUE(dr.result == *oracle) << "step " << step;
   }

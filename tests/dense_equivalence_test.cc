@@ -103,7 +103,8 @@ TEST_P(DenseEquivalenceTest, BoundedSimulationMatchesNaiveBaseline) {
   for (uint32_t max_bound : {1u, 3u}) {
     Pattern q = MakePattern(seed, max_bound);
     std::vector<std::vector<uint32_t>> dist_fast, dist_naive;
-    Result<MatchResult> fast = MatchBoundedSimulation(q, g, &dist_fast);
+    Result<MatchResult> fast =
+        MatchBoundedSimulation(q, *g.Freeze(), &dist_fast);
     Result<MatchResult> naive = MatchBoundedSimulationNaive(q, g, &dist_naive);
     ASSERT_TRUE(fast.ok() && naive.ok());
     EXPECT_TRUE(*fast == *naive) << "seed=" << seed << " bound=" << max_bound;
@@ -115,7 +116,7 @@ TEST_P(DenseEquivalenceTest, PlainSimulationMatchesNaiveBaseline) {
   const uint64_t seed = GetParam();
   Graph g = MakeGraph(seed);
   Pattern q = MakePattern(seed, 1);
-  Result<MatchResult> sim = MatchSimulation(q, g);
+  Result<MatchResult> sim = MatchSimulation(q, *g.Freeze());
   Result<MatchResult> naive = MatchBoundedSimulationNaive(q, g);
   ASSERT_TRUE(sim.ok() && naive.ok());
   EXPECT_TRUE(*sim == *naive) << "seed=" << seed;
@@ -126,7 +127,7 @@ TEST_P(DenseEquivalenceTest, DualSimulationMatchesLiteralReference) {
   Graph g = MakeGraph(seed);
   Pattern q = MakePattern(seed, 1);
   std::vector<std::vector<NodeId>> fast;
-  ASSERT_TRUE(ComputeDualSimulationRelation(q, g, &fast).ok());
+  ASSERT_TRUE(ComputeDualSimulationRelation(q, *g.Freeze(), &fast).ok());
   EXPECT_EQ(fast, NaiveDualRelation(q, g)) << "seed=" << seed;
 }
 
@@ -141,7 +142,8 @@ TEST_P(DenseEquivalenceTest, DenseMatchJoinEqualsHashReference) {
     co.bound_slack = max_bound > 1 ? 1 : 0;
     co.seed = seed * 13 + 3;
     ViewSet views = GenerateCoveringViews(q, co);
-    Result<std::vector<ViewExtension>> exts = MaterializeAll(views, g);
+    Result<std::vector<ViewExtension>> exts =
+        MaterializeAll(views, *g.Freeze());
     ASSERT_TRUE(exts.ok());
     Result<ContainmentMapping> mapping = CheckContainment(q, views);
     ASSERT_TRUE(mapping.ok());

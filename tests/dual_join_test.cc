@@ -26,7 +26,7 @@ TEST(DualJoinTest, PrunesOrphanTargets) {
   Pattern q = testutil::ChainPattern({"A", "B"});
   ViewSet views;
   views.Add("ab", q);
-  auto exts = std::move(MaterializeAll(views, g)).value();
+  auto exts = std::move(MaterializeAll(views, *g.Freeze())).value();
   auto mapping = std::move(CheckContainment(q, views)).value();
   ASSERT_TRUE(mapping.contained);
 
@@ -35,7 +35,7 @@ TEST(DualJoinTest, PrunesOrphanTargets) {
   ASSERT_TRUE(dual->matched());
   EXPECT_EQ(dual->edge_matches(0), (std::vector<NodePair>{{a, b}}));
 
-  Result<MatchResult> direct = MatchDualSimulation(q, g);
+  Result<MatchResult> direct = MatchDualSimulation(q, *g.Freeze());
   ASSERT_TRUE(direct.ok());
   EXPECT_TRUE(*dual == *direct);
 }
@@ -53,7 +53,7 @@ TEST(DualJoinTest, ParentConditionCascades) {
   Pattern q = testutil::ChainPattern({"A", "B", "C"});
   ViewSet views;
   views.Add("v", q);
-  auto exts = std::move(MaterializeAll(views, g)).value();
+  auto exts = std::move(MaterializeAll(views, *g.Freeze())).value();
   auto mapping = std::move(CheckContainment(q, views)).value();
   ASSERT_TRUE(mapping.contained);
 
@@ -61,7 +61,7 @@ TEST(DualJoinTest, ParentConditionCascades) {
   ASSERT_TRUE(dual.ok());
   EXPECT_EQ(dual->edge_matches(0), (std::vector<NodePair>{{a, b}}));
   EXPECT_EQ(dual->edge_matches(1), (std::vector<NodePair>{{b, c}}));
-  EXPECT_TRUE(*dual == *MatchDualSimulation(q, g));
+  EXPECT_TRUE(*dual == *MatchDualSimulation(q, *g.Freeze()));
 }
 
 TEST(DualJoinTest, EmptyWhenDualFailsButSimulationSucceeds) {
@@ -82,7 +82,7 @@ TEST(DualJoinTest, EmptyWhenDualFailsButSimulationSucceeds) {
                   .Build();
   ViewSet views;
   views.Add("v", q);
-  auto exts = std::move(MaterializeAll(views, g)).value();
+  auto exts = std::move(MaterializeAll(views, *g.Freeze())).value();
   // The cycle view has an empty extension; containment still holds
   // structurally (the view pattern covers the query edges).
   auto mapping = std::move(CheckContainment(q, views)).value();
@@ -90,7 +90,7 @@ TEST(DualJoinTest, EmptyWhenDualFailsButSimulationSucceeds) {
   Result<MatchResult> dual = DualMatchJoin(q, views, exts, mapping);
   ASSERT_TRUE(dual.ok());
   EXPECT_FALSE(dual->matched());
-  EXPECT_FALSE(MatchDualSimulation(q, g)->matched());
+  EXPECT_FALSE(MatchDualSimulation(q, *g.Freeze())->matched());
 }
 
 TEST(DualJoinTest, RejectsBoundedPatterns) {
@@ -100,7 +100,7 @@ TEST(DualJoinTest, RejectsBoundedPatterns) {
   ASSERT_TRUE(qb.AddEdge(a, b, 2).ok());
   ViewSet views;
   views.Add("v", qb);
-  auto exts = std::move(MaterializeAll(views, g)).value();
+  auto exts = std::move(MaterializeAll(views, *g.Freeze())).value();
   auto mapping = std::move(CheckContainment(qb, views)).value();
   Result<MatchResult> r = DualMatchJoin(qb, views, exts, mapping);
   EXPECT_FALSE(r.ok());
@@ -130,7 +130,7 @@ TEST_P(DualJoinPropertyTest, EqualsDirectDualSimulation) {
   co.overlap_views = 2;
   co.seed = seed * 11 + 4;
   ViewSet views = GenerateCoveringViews(q, co);
-  auto exts = std::move(MaterializeAll(views, g)).value();
+  auto exts = std::move(MaterializeAll(views, *g.Freeze())).value();
   auto mapping = std::move(CheckContainment(q, views)).value();
   ASSERT_TRUE(mapping.contained);
 
@@ -138,7 +138,7 @@ TEST_P(DualJoinPropertyTest, EqualsDirectDualSimulation) {
     MatchJoinOptions opts;
     opts.use_rank_order = rank_order;
     Result<MatchResult> joined = DualMatchJoin(q, views, exts, mapping, opts);
-    Result<MatchResult> direct = MatchDualSimulation(q, g);
+    Result<MatchResult> direct = MatchDualSimulation(q, *g.Freeze());
     ASSERT_TRUE(joined.ok() && direct.ok());
     EXPECT_TRUE(*joined == *direct)
         << "seed=" << seed << " rank=" << rank_order << "\n" << q.ToString();

@@ -37,13 +37,13 @@ TEST(DualSimulationTest, ParentConditionPrunes) {
   Pattern q = ChainPattern({"A", "B"});
 
   std::vector<std::vector<NodeId>> dual;
-  ASSERT_TRUE(ComputeDualSimulationRelation(q, g, &dual).ok());
+  ASSERT_TRUE(ComputeDualSimulationRelation(q, *g.Freeze(), &dual).ok());
   EXPECT_EQ(dual[0], (std::vector<NodeId>{a}));
   EXPECT_EQ(dual[1], (std::vector<NodeId>{b}));  // orphan pruned
 
   // Plain simulation keeps the orphan (it has no forward obligations).
   std::vector<std::vector<NodeId>> sim;
-  ASSERT_TRUE(ComputeSimulationRelation(q, g, &sim).ok());
+  ASSERT_TRUE(ComputeSimulationRelation(q, *g.Freeze(), &sim).ok());
   EXPECT_EQ(sim[1], (std::vector<NodeId>{b, orphan}));
 }
 
@@ -63,8 +63,8 @@ TEST(DualSimulationTest, ContainedInSimulation) {
     Pattern q = GenerateRandomPattern(po);
 
     std::vector<std::vector<NodeId>> sim, dual;
-    ASSERT_TRUE(ComputeSimulationRelation(q, g, &sim).ok());
-    ASSERT_TRUE(ComputeDualSimulationRelation(q, g, &dual).ok());
+    ASSERT_TRUE(ComputeSimulationRelation(q, *g.Freeze(), &sim).ok());
+    ASSERT_TRUE(ComputeDualSimulationRelation(q, *g.Freeze(), &dual).ok());
     EXPECT_TRUE(RelationContained(dual, sim)) << "seed=" << seed;
   }
 }
@@ -72,7 +72,7 @@ TEST(DualSimulationTest, ContainedInSimulation) {
 TEST(DualSimulationTest, MatchProducesEdgeSets) {
   Graph g = ChainGraph({"A", "B", "C"});
   Pattern q = ChainPattern({"A", "B", "C"});
-  Result<MatchResult> r = MatchDualSimulation(q, g);
+  Result<MatchResult> r = MatchDualSimulation(q, *g.Freeze());
   ASSERT_TRUE(r.ok());
   ASSERT_TRUE(r->matched());
   EXPECT_EQ(r->edge_matches(0), (std::vector<NodePair>{{0, 1}}));
@@ -85,7 +85,7 @@ TEST(DualSimulationTest, NoMatchWhenParentMissing) {
   g.AddNode("A");
   g.AddNode("B");
   Pattern q = ChainPattern({"A", "B"});
-  Result<MatchResult> r = MatchDualSimulation(q, g);
+  Result<MatchResult> r = MatchDualSimulation(q, *g.Freeze());
   ASSERT_TRUE(r.ok());
   EXPECT_FALSE(r->matched());
 }
@@ -95,7 +95,7 @@ TEST(DualSimulationTest, RejectsBoundedPattern) {
   Pattern q;
   uint32_t a = q.AddNode("A"), b = q.AddNode("B");
   ASSERT_TRUE(q.AddEdge(a, b, 2).ok());
-  EXPECT_FALSE(MatchDualSimulation(q, g).ok());
+  EXPECT_FALSE(MatchDualSimulation(q, *g.Freeze()).ok());
 }
 
 TEST(StrongSimulationTest, RadiusIsUndirectedWeightedDiameter) {
@@ -121,7 +121,8 @@ TEST(StrongSimulationTest, FindsLocalizedMatch) {
   ASSERT_TRUE(g.AddEdge(a1, b1).ok());
   ASSERT_TRUE(g.AddEdge(a2, b2).ok());
   Pattern q = ChainPattern({"A", "B"});
-  Result<std::vector<StrongMatch>> matches = MatchStrongSimulation(q, g);
+  Result<std::vector<StrongMatch>> matches =
+      MatchStrongSimulation(q, *g.Freeze());
   ASSERT_TRUE(matches.ok());
   // Every node is a candidate center and every ball matches.
   EXPECT_EQ(matches->size(), 4u);
@@ -144,7 +145,8 @@ TEST(StrongSimulationTest, LocalityExcludesRemoteSupport) {
   ASSERT_TRUE(g.AddEdge(x1, x2).ok());
   ASSERT_TRUE(g.AddEdge(x2, x3).ok());
   Pattern q = ChainPattern({"A", "B", "C"});
-  Result<std::vector<StrongMatch>> matches = MatchStrongSimulation(q, g);
+  Result<std::vector<StrongMatch>> matches =
+      MatchStrongSimulation(q, *g.Freeze());
   ASSERT_TRUE(matches.ok());
   // Centers a, b, c match; X nodes are not candidates.
   EXPECT_EQ(matches->size(), 3u);
@@ -166,8 +168,9 @@ TEST(StrongSimulationTest, ContainedInDual) {
     Pattern q = GenerateRandomPattern(po);
 
     std::vector<std::vector<NodeId>> dual;
-    ASSERT_TRUE(ComputeDualSimulationRelation(q, g, &dual).ok());
-    Result<std::vector<StrongMatch>> matches = MatchStrongSimulation(q, g);
+    ASSERT_TRUE(ComputeDualSimulationRelation(q, *g.Freeze(), &dual).ok());
+    Result<std::vector<StrongMatch>> matches =
+        MatchStrongSimulation(q, *g.Freeze());
     ASSERT_TRUE(matches.ok());
     // Every ball relation is contained in the global dual relation
     // ([28], Theorem: strong refines dual).
@@ -184,7 +187,8 @@ TEST(StrongSimulationTest, MaxMatchesCap) {
     ASSERT_TRUE(g.AddEdge(a, b).ok());
   }
   Pattern q = ChainPattern({"A", "B"});
-  Result<std::vector<StrongMatch>> matches = MatchStrongSimulation(q, g, 3);
+  Result<std::vector<StrongMatch>> matches =
+      MatchStrongSimulation(q, *g.Freeze(), 3);
   ASSERT_TRUE(matches.ok());
   EXPECT_EQ(matches->size(), 3u);
 }

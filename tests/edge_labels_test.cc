@@ -65,7 +65,7 @@ TEST(EdgeLabelsTest, LoweredPatternMatchesLoweredGraph) {
   EXPECT_EQ(q->num_nodes(), 3u);
   EXPECT_EQ(q->num_edges(), 2u);
 
-  Result<MatchResult> r = MatchSimulation(*q, g);
+  Result<MatchResult> r = MatchSimulation(*q, *g.Freeze());
   ASSERT_TRUE(r.ok());
   ASSERT_TRUE(r->matched());
   // Only alice works at acme: the lowered head edge matches
@@ -88,7 +88,7 @@ TEST(EdgeLabelsTest, WrongRelationDoesNotMatch) {
   std::vector<LabeledPatternEdge> edges{{0, 1, "works_at", 1}};
   Result<Pattern> q = LowerEdgeLabeledPattern(nodes, edges);
   ASSERT_TRUE(q.ok());
-  Result<MatchResult> r = MatchSimulation(*q, g);
+  Result<MatchResult> r = MatchSimulation(*q, *g.Freeze());
   ASSERT_TRUE(r.ok());
   EXPECT_FALSE(r->matched());
 }
@@ -111,7 +111,7 @@ TEST(EdgeLabelsTest, BoundedRelationPath) {
   // Lowered: src -> dummy (1), dummy -> dst (2*2-1 = 3).
   EXPECT_EQ(q->edge(1).bound, 3u);
 
-  Result<MatchResult> r = MatchBoundedSimulation(*q, g);
+  Result<MatchResult> r = MatchBoundedSimulation(*q, *g.Freeze());
   ASSERT_TRUE(r.ok());
   ASSERT_TRUE(r->matched());
   // The dummy -> dst match set includes both 1-hop (bob) and 3-hop (carol)
@@ -139,11 +139,11 @@ TEST(EdgeLabelsTest, ViewAnsweringWorksOnLoweredGraphs) {
 
   ViewSet views;
   views.Add("employment", q);
-  auto exts = std::move(MaterializeAll(views, g)).value();
+  auto exts = std::move(MaterializeAll(views, *g.Freeze())).value();
   auto mapping = std::move(CheckContainment(q, views)).value();
   ASSERT_TRUE(mapping.contained);
   Result<MatchResult> joined = MatchJoin(q, views, exts, mapping);
-  Result<MatchResult> direct = MatchSimulation(q, g);
+  Result<MatchResult> direct = MatchSimulation(q, *g.Freeze());
   ASSERT_TRUE(joined.ok() && direct.ok());
   EXPECT_TRUE(*joined == *direct);
   EXPECT_EQ(joined->edge_matches(0).size(), 2u);  // alice and bob

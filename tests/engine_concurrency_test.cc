@@ -61,7 +61,7 @@ StressFixture MakeStressFixture() {
     f.patterns.push_back(GenerateRandomPattern(po));
   }
   for (const Pattern& q : f.patterns) {
-    Result<MatchResult> direct = MatchBoundedSimulation(q, f.graph);
+    Result<MatchResult> direct = MatchBoundedSimulation(q, *f.graph.Freeze());
     MatchResult r = direct.ok() ? std::move(direct).value() : MatchResult();
     r.Normalize();
     f.expected.push_back(std::move(r));

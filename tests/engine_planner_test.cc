@@ -128,9 +128,9 @@ TEST(PlannerTest, DirectCostGrowsWithBounds) {
       PatternBuilder().Node("A").Node("B").Edge("A", "B", 4).Build();
   Pattern star =
       PatternBuilder().Node("A").Node("B").Edge("A", "B", kUnbounded).Build();
-  double c_plain = EstimateDirectCost(plain, gs, 8);
-  double c_bounded = EstimateDirectCost(bounded, gs, 8);
-  double c_star = EstimateDirectCost(star, gs, 8);
+  double c_plain = EstimateDirectCost(plain, gs);
+  double c_bounded = EstimateDirectCost(bounded, gs);
+  double c_star = EstimateDirectCost(star, gs);
   EXPECT_LT(c_plain, c_bounded);
   EXPECT_LE(c_bounded, c_star);
 }
@@ -158,10 +158,10 @@ TEST(PlannerTest, BoundedCostIsGeometricOnDenseGraphsAndClampedAtE) {
   Pattern b3 = PatternBuilder().Node("A").Node("B").Edge("A", "B", 3).Build();
   Pattern star =
       PatternBuilder().Node("A").Node("B").Edge("A", "B", kUnbounded).Build();
-  double c1 = EstimateDirectCost(b1, gs, 8);
-  double c2 = EstimateDirectCost(b2, gs, 8);
-  double c3 = EstimateDirectCost(b3, gs, 8);
-  double c_star = EstimateDirectCost(star, gs, 8);
+  double c1 = EstimateDirectCost(b1, gs);
+  double c2 = EstimateDirectCost(b2, gs);
+  double c3 = EstimateDirectCost(b3, gs);
+  double c_star = EstimateDirectCost(star, gs);
   // Geometric, not linear: one extra hop more than doubles the edge term.
   EXPECT_GT(c2, 2.0 * c1 - 6.0 /* node terms appear once in each */);
   // The ball never exceeds the whole graph: depth 3 (ball 39 > |E| = 18)

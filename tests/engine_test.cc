@@ -108,7 +108,7 @@ TEST(QueryEngineTest, BoundedQueryThroughViewsMatchesDirect) {
                    .Node("A").Node("B").Node("C")
                    .Edge("A", "B", 2).Edge("B", "C", 2)
                    .Build();
-  Result<MatchResult> direct = MatchBoundedSimulation(qb, g);
+  Result<MatchResult> direct = MatchBoundedSimulation(qb, *g.Freeze());
   ASSERT_TRUE(direct.ok());
 
   QueryEngine engine(g);

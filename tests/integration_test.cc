@@ -7,11 +7,11 @@
 
 #include "common/random.h"
 #include "core/containment.h"
-#include "core/maintenance.h"
 #include "core/match_join.h"
 #include "core/rewriting.h"
 #include "core/view_io.h"
 #include "core/view_selection.h"
+#include "engine/view_cache.h"
 #include "graph/graph_io.h"
 #include "pattern/pattern_io.h"
 #include "simulation/bounded.h"
@@ -37,18 +37,19 @@ TEST(IntegrationTest, FileRoundTripPipeline) {
   Pattern q = std::move(ReadPatternFile(dir + "/q.pattern")).value();
   ViewSet views = std::move(ReadViewSetFile(dir + "/v.views")).value();
 
-  auto exts = std::move(MaterializeAll(views, g)).value();
+  auto exts = std::move(MaterializeAll(views, *g.Freeze())).value();
   auto mapping = std::move(MinimumContainment(q, views)).value();
   ASSERT_TRUE(mapping.contained);
   Result<MatchResult> joined = MatchJoin(q, views, exts, mapping);
-  Result<MatchResult> direct = MatchBoundedSimulation(q, g);
+  Result<MatchResult> direct = MatchBoundedSimulation(q, *g.Freeze());
   ASSERT_TRUE(joined.ok() && direct.ok());
   EXPECT_TRUE(*joined == *direct);
 }
 
-TEST(IntegrationTest, EvolvingGraphWithMaintainedViews) {
-  // A long-lived cache: views attached once, the graph mutates, queries
-  // keep being answered from the maintained extensions.
+TEST(IntegrationTest, EvolvingGraphWithCachedViews) {
+  // A long-lived cache: views installed once, the graph mutates, queries
+  // keep being answered from the extensions ViewCache::RefreshForUpdates
+  // maintains.
   RandomGraphOptions go;
   go.num_nodes = 150;
   go.num_edges = 450;
@@ -69,40 +70,47 @@ TEST(IntegrationTest, EvolvingGraphWithMaintainedViews) {
   co.seed = 23;
   ViewSet views = GenerateCoveringViews(q, co);
 
-  std::vector<MaintainedView> maintained;
+  ViewCache cache;
   for (const ViewDefinition& def : views.views()) {
-    maintained.emplace_back(def);
-    ASSERT_TRUE(maintained.back().Attach(g).ok());
+    const uint32_t id = cache.Register(def);
+    std::vector<std::vector<NodeId>> relation;
+    Result<ViewExtension> ext = ViewExtension::Materialize(
+        def, *g.Freeze(), /*seed=*/nullptr, &relation);
+    ASSERT_TRUE(ext.ok());
+    cache.Install(id, std::move(ext).value(), std::move(relation),
+                  /*pin=*/false);
   }
   auto mapping = std::move(CheckContainment(q, views)).value();
   ASSERT_TRUE(mapping.contained);
 
   Rng rng(24);
   for (int round = 0; round < 12; ++round) {
-    // Mutate: one random deletion and one random insertion.
+    // Mutate: one random deletion and one random insertion, each refreshed
+    // as its own batch.
     for (int step = 0; step < 2; ++step) {
       NodeId u = static_cast<NodeId>(rng.NextBounded(g.num_nodes()));
       NodeId v = static_cast<NodeId>(rng.NextBounded(g.num_nodes()));
       if (u == v) continue;
       if (g.HasEdge(u, v)) {
         ASSERT_TRUE(g.RemoveEdge(u, v).ok());
-        for (auto& mv : maintained) ASSERT_TRUE(mv.OnEdgeRemoved(g, u, v).ok());
+        std::shared_ptr<const GraphSnapshot> snap = g.Freeze();
+        ASSERT_TRUE(
+            cache.RefreshForUpdates(snap.get(), *snap, {{u, v}}, {}, {}).ok());
       } else {
         ASSERT_TRUE(g.AddEdge(u, v).ok());
-        for (auto& mv : maintained) {
-          ASSERT_TRUE(mv.OnEdgeInserted(g, u, v).ok());
-        }
+        ASSERT_TRUE(
+            cache.RefreshForUpdates(nullptr, *g.Freeze(), {}, {{u, v}}, {})
+                .ok());
       }
     }
     // Answer from the maintained cache; must equal direct evaluation.
-    std::vector<ViewExtension> exts;
-    exts.reserve(maintained.size());
-    for (const auto& mv : maintained) exts.push_back(mv.extension());
-    Result<MatchResult> joined = MatchJoin(q, views, exts, mapping);
-    Result<MatchResult> direct = MatchSimulation(q, g);
+    Result<MatchResult> joined =
+        MatchJoin(q, views, cache.extensions(), mapping);
+    Result<MatchResult> direct = MatchSimulation(q, *g.Freeze());
     ASSERT_TRUE(joined.ok() && direct.ok());
     ASSERT_TRUE(*joined == *direct) << "round " << round;
   }
+  EXPECT_TRUE(cache.CheckConsistency(/*expect_unpinned=*/true));
 }
 
 TEST(IntegrationTest, SelectionThenAnsweringOnDataset) {
@@ -120,12 +128,12 @@ TEST(IntegrationTest, SelectionThenAnsweringOnDataset) {
       std::move(SelectViews(workload, candidates, opts)).value();
   ViewSet cache;
   for (uint32_t vi : plan.selected) cache.Add(candidates.view(vi));
-  auto exts = std::move(MaterializeAll(cache, g)).value();
+  auto exts = std::move(MaterializeAll(cache, *g.Freeze())).value();
 
   size_t exact = 0, partial = 0;
   for (const Pattern& q : workload) {
     auto mapping = std::move(CheckContainment(q, cache)).value();
-    Result<MatchResult> direct = MatchSimulation(q, g);
+    Result<MatchResult> direct = MatchSimulation(q, *g.Freeze());
     ASSERT_TRUE(direct.ok());
     if (mapping.contained) {
       Result<MatchResult> joined = MatchJoin(q, cache, exts, mapping);
@@ -155,13 +163,13 @@ TEST(IntegrationTest, SelectionThenAnsweringOnDataset) {
 TEST(IntegrationTest, BoundedPipelineOnCitation) {
   Graph g = GenerateCitationLike(3000, 51);
   ViewSet views = CitationViews(2);
-  auto exts = std::move(MaterializeAll(views, g)).value();
+  auto exts = std::move(MaterializeAll(views, *g.Freeze())).value();
   for (uint64_t seed = 0; seed < 4; ++seed) {
     Pattern q = GenerateCitationQuery(4, 5, 2, seed + 60);
     auto mapping = std::move(MinimalContainment(q, views)).value();
     ASSERT_TRUE(mapping.contained) << seed;
     Result<MatchResult> joined = MatchJoin(q, views, exts, mapping);
-    Result<MatchResult> direct = MatchBoundedSimulation(q, g);
+    Result<MatchResult> direct = MatchBoundedSimulation(q, *g.Freeze());
     ASSERT_TRUE(joined.ok() && direct.ok());
     EXPECT_TRUE(*joined == *direct) << seed;
   }

@@ -28,7 +28,7 @@ struct Fig1Run {
   ContainmentMapping mapping;
 
   Fig1Run() {
-    exts = std::move(MaterializeAll(f.views, f.g)).value();
+    exts = std::move(MaterializeAll(f.views, *f.g.Freeze())).value();
     mapping = std::move(CheckContainment(f.qs, f.views)).value();
   }
 };
@@ -60,7 +60,7 @@ TEST(MatchJoinTest, Fig1ReproducesExample2Table) {
 
 TEST(MatchJoinTest, Fig1AgreesWithDirectMatch) {
   Fig1Run run;
-  Result<MatchResult> direct = MatchSimulation(run.f.qs, run.f.g);
+  Result<MatchResult> direct = MatchSimulation(run.f.qs, *run.f.g.Freeze());
   Result<MatchResult> via_views =
       MatchJoin(run.f.qs, run.f.views, run.exts, run.mapping);
   ASSERT_TRUE(direct.ok() && via_views.ok());
@@ -73,13 +73,13 @@ TEST(MatchJoinTest, Fig3AgreesWithDirectMatch) {
   // paper's own simulation definition retains; we follow the definition,
   // so MatchJoin must equal the direct evaluation.)
   Fig3Fixture f = MakeFig3();
-  auto exts = MaterializeAll(f.views, f.g);
+  auto exts = MaterializeAll(f.views, *f.g.Freeze());
   ASSERT_TRUE(exts.ok());
   auto mapping = CheckContainment(f.qs, f.views);
   ASSERT_TRUE(mapping.ok());
   ASSERT_TRUE(mapping->contained);
 
-  Result<MatchResult> direct = MatchSimulation(f.qs, f.g);
+  Result<MatchResult> direct = MatchSimulation(f.qs, *f.g.Freeze());
   Result<MatchResult> joined = MatchJoin(f.qs, f.views, *exts, *mapping);
   ASSERT_TRUE(direct.ok() && joined.ok());
   ASSERT_TRUE(joined->matched());
@@ -98,7 +98,7 @@ TEST(MatchJoinTest, Fig3AgreesWithDirectMatch) {
 
 TEST(MatchJoinTest, RemovesInvalidMatchesFromMergedViews) {
   Fig3Fixture f = MakeFig3();
-  auto exts = MaterializeAll(f.views, f.g);
+  auto exts = MaterializeAll(f.views, *f.g.Freeze());
   auto mapping = CheckContainment(f.qs, f.views);
   MatchJoinStats stats;
   Result<MatchResult> r =
@@ -145,14 +145,14 @@ TEST(MatchJoinTest, EmptyResultWhenGraphLosesRequiredEdges) {
   Fig1Fixture f = MakeFig1();
   ASSERT_TRUE(f.g.RemoveEdge(f.node("Walt"), f.node("Mat")).ok());
   ASSERT_TRUE(f.g.RemoveEdge(f.node("Bob"), f.node("Mat")).ok());
-  auto exts = MaterializeAll(f.views, f.g);
+  auto exts = MaterializeAll(f.views, *f.g.Freeze());
   ASSERT_TRUE(exts.ok());
   auto mapping = CheckContainment(f.qs, f.views);
   ASSERT_TRUE(mapping->contained);  // containment is data-independent
   Result<MatchResult> r = MatchJoin(f.qs, f.views, *exts, *mapping);
   ASSERT_TRUE(r.ok());
   EXPECT_FALSE(r->matched());
-  Result<MatchResult> direct = MatchSimulation(f.qs, f.g);
+  Result<MatchResult> direct = MatchSimulation(f.qs, *f.g.Freeze());
   ASSERT_TRUE(direct.ok());
   EXPECT_FALSE(direct->matched());
 }
@@ -170,10 +170,10 @@ TEST(MatchJoinTest, MinimalMappingGivesSameResult) {
     ASSERT_TRUE(g.AddEdge(c, d).ok());
     ASSERT_TRUE(g.AddEdge(b, e).ok());
   }
-  auto exts = MaterializeAll(f.views, g);
+  auto exts = MaterializeAll(f.views, *g.Freeze());
   ASSERT_TRUE(exts.ok());
 
-  Result<MatchResult> direct = MatchSimulation(f.qs, g);
+  Result<MatchResult> direct = MatchSimulation(f.qs, *g.Freeze());
   ASSERT_TRUE(direct.ok());
   ASSERT_TRUE(direct->matched());
 
@@ -209,7 +209,7 @@ TEST(MatchJoinTest, DagPatternVisitsStayLow) {
   Graph g = testutil::ChainGraph({"A", "B", "C", "D"});
   ViewSet views;
   views.Add("v", q);  // the query itself as a view
-  auto exts = MaterializeAll(views, g);
+  auto exts = MaterializeAll(views, *g.Freeze());
   auto mapping = CheckContainment(q, views);
   ASSERT_TRUE(mapping->contained);
 

@@ -37,8 +37,8 @@ TEST(MinimizationTest, Fig1PatternCollapses) {
 TEST(MinimizationTest, QuotientPreservesResultsOnFig1) {
   Fig1Fixture f = MakeFig1();
   MinimizedPattern m = std::move(MinimizePattern(f.qs)).value();
-  Result<MatchResult> original = MatchSimulation(f.qs, f.g);
-  Result<MatchResult> quotient = MatchSimulation(m.pattern, f.g);
+  Result<MatchResult> original = MatchSimulation(f.qs, *f.g.Freeze());
+  Result<MatchResult> quotient = MatchSimulation(m.pattern, *f.g.Freeze());
   ASSERT_TRUE(original.ok() && quotient.ok());
   ASSERT_TRUE(original->matched());
   ASSERT_TRUE(quotient->matched());
@@ -160,8 +160,9 @@ TEST(MinimizationTest, BoundedQuotientPreservesResults) {
   EXPECT_TRUE(m->changed);
 
   Graph g = testutil::ChainGraph({"A", "X", "B"});
-  Result<MatchResult> original = MatchBoundedSimulation(q, g);
-  Result<MatchResult> quotient = MatchBoundedSimulation(m->pattern, g);
+  Result<MatchResult> original = MatchBoundedSimulation(q, *g.Freeze());
+  Result<MatchResult> quotient =
+      MatchBoundedSimulation(m->pattern, *g.Freeze());
   ASSERT_TRUE(original.ok() && quotient.ok());
   EXPECT_EQ(original->matched(), quotient->matched());
   for (uint32_t e = 0; e < q.num_edges(); ++e) {
@@ -187,8 +188,8 @@ TEST(MinimizationTest, RandomizedQuotientEquivalence) {
     go.seed = seed + 100;
     Graph g = GenerateRandomGraph(go);
 
-    Result<MatchResult> original = MatchSimulation(q, g);
-    Result<MatchResult> quotient = MatchSimulation(m.pattern, g);
+    Result<MatchResult> original = MatchSimulation(q, *g.Freeze());
+    Result<MatchResult> quotient = MatchSimulation(m.pattern, *g.Freeze());
     ASSERT_TRUE(original.ok() && quotient.ok());
     ASSERT_EQ(original->matched(), quotient->matched()) << "seed=" << seed;
     if (!original->matched()) continue;

@@ -20,7 +20,7 @@ namespace {
 // Qs(G) on the Fig. 1 network, computed directly.
 TEST(PaperExamples, Example2DirectEvaluation) {
   Fig1Fixture f = MakeFig1();
-  Result<MatchResult> r = MatchSimulation(f.qs, f.g);
+  Result<MatchResult> r = MatchSimulation(f.qs, *f.g.Freeze());
   ASSERT_TRUE(r.ok());
   ASSERT_TRUE(r->matched());
 
@@ -81,16 +81,16 @@ TEST(PaperExamples, Example3PatternContainment) {
 TEST(PaperExamples, Example4MatchJoin) {
   {
     Fig1Fixture f = MakeFig1();
-    auto exts = MaterializeAll(f.views, f.g);
+    auto exts = MaterializeAll(f.views, *f.g.Freeze());
     auto m = CheckContainment(f.qs, f.views);
     Result<MatchResult> joined = MatchJoin(f.qs, f.views, *exts, *m);
-    Result<MatchResult> direct = MatchSimulation(f.qs, f.g);
+    Result<MatchResult> direct = MatchSimulation(f.qs, *f.g.Freeze());
     ASSERT_TRUE(joined.ok() && direct.ok());
     EXPECT_TRUE(*joined == *direct);
   }
   {
     Fig3Fixture f = MakeFig3();
-    auto exts = MaterializeAll(f.views, f.g);
+    auto exts = MaterializeAll(f.views, *f.g.Freeze());
     auto m = CheckContainment(f.qs, f.views);
     ASSERT_TRUE(m->contained);
     MatchJoinStats stats;
@@ -103,7 +103,7 @@ TEST(PaperExamples, Example4MatchJoin) {
         joined->edge_matches(f.qs.EdgeByName("AI", "SE"));
     EXPECT_EQ(ai_se, (std::vector<NodePair>{{f.node("AI2"), f.node("SE2")}}));
     EXPECT_GE(stats.removed_pairs, 1u);
-    EXPECT_TRUE(*joined == *MatchSimulation(f.qs, f.g));
+    EXPECT_TRUE(*joined == *MatchSimulation(f.qs, *f.g.Freeze()));
   }
 }
 
@@ -167,7 +167,7 @@ TEST(PaperExamples, Example8BoundedEvaluation) {
   ASSERT_TRUE(f.g.AddEdge(f.node("SE1"), f.node("Bio1")).ok());
   ASSERT_TRUE(f.g.AddEdge(f.node("PM1"), f.node("AI1")).ok());
 
-  Result<MatchResult> r = MatchBoundedSimulation(qb, f.g);
+  Result<MatchResult> r = MatchBoundedSimulation(qb, *f.g.Freeze());
   ASSERT_TRUE(r.ok());
   ASSERT_TRUE(r->matched());
   auto pairs = [&](std::initializer_list<std::pair<const char*, const char*>>

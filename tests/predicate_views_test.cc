@@ -46,7 +46,7 @@ ViewSet LooseView() {
 TEST(PredicateViewsTest, StricterQueryFiltersViaSnapshots) {
   Graph g = VideoGraph();
   ViewSet views = LooseView();
-  auto exts = std::move(MaterializeAll(views, g)).value();
+  auto exts = std::move(MaterializeAll(views, *g.Freeze())).value();
   // The loose view keeps (0,3), (1,3), (1,4) and (2,3): all four sources
   // have R >= 4 and both targets have V >= 10000.
   ASSERT_EQ(exts[0].edge(0).pairs.size(), 4u);
@@ -70,7 +70,7 @@ TEST(PredicateViewsTest, StricterQueryFiltersViaSnapshots) {
   EXPECT_EQ(stats.filtered_by_condition, 3u);  // (1,3), (1,4), (2,3) dropped
 
   // Identical to direct evaluation.
-  Result<MatchResult> direct = MatchBoundedSimulation(q, g);
+  Result<MatchResult> direct = MatchBoundedSimulation(q, *g.Freeze());
   ASSERT_TRUE(direct.ok());
   EXPECT_TRUE(*r == *direct);
 }
@@ -113,9 +113,9 @@ TEST(PredicateViewsTest, WildcardViewCoversAnyLabel) {
   EXPECT_TRUE(mapping.contained);
 
   Graph g = VideoGraph();
-  auto exts = std::move(MaterializeAll(views, g)).value();
+  auto exts = std::move(MaterializeAll(views, *g.Freeze())).value();
   Result<MatchResult> r = MatchJoin(q, views, *&exts, mapping);
-  Result<MatchResult> direct = MatchBoundedSimulation(q, g);
+  Result<MatchResult> direct = MatchBoundedSimulation(q, *g.Freeze());
   ASSERT_TRUE(r.ok() && direct.ok());
   EXPECT_TRUE(*r == *direct);
 }
@@ -139,7 +139,7 @@ TEST(PredicateViewsTest, SnapshotLabelFilterDropsWrongLabels) {
                      .Node("e", "Ent")
                      .Edge("x", "e")
                      .Build());
-  auto exts = std::move(MaterializeAll(views, g)).value();
+  auto exts = std::move(MaterializeAll(views, *g.Freeze())).value();
   ASSERT_EQ(exts[0].edge(0).pairs.size(), 2u);
 
   Pattern q = PatternBuilder()

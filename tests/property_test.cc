@@ -52,7 +52,7 @@ Instance MakeInstance(uint64_t seed) {
   co.overlap_views = 2;
   co.seed = seed * 29 + 11;
   inst.views = GenerateCoveringViews(inst.q, co);
-  inst.exts = std::move(MaterializeAll(inst.views, inst.g)).value();
+  inst.exts = std::move(MaterializeAll(inst.views, *inst.g.Freeze())).value();
   return inst;
 }
 
@@ -60,7 +60,7 @@ class TheoremOneTest : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(TheoremOneTest, MatchJoinEqualsDirectMatch) {
   Instance inst = MakeInstance(GetParam());
-  Result<MatchResult> direct = MatchSimulation(inst.q, inst.g);
+  Result<MatchResult> direct = MatchSimulation(inst.q, *inst.g.Freeze());
   ASSERT_TRUE(direct.ok());
 
   for (auto checker :
@@ -88,7 +88,7 @@ class ViewMatchSoundnessTest : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(ViewMatchSoundnessTest, CoveredEdgesAreContainedInViewMatchSets) {
   Instance inst = MakeInstance(GetParam());
-  Result<MatchResult> direct = MatchSimulation(inst.q, inst.g);
+  Result<MatchResult> direct = MatchSimulation(inst.q, *inst.g.Freeze());
   ASSERT_TRUE(direct.ok());
   if (!direct->matched()) return;  // nothing to check
 
@@ -183,7 +183,7 @@ TEST(PropertyTest, MatchJoinWorksWithUnmaterializedUnselectedViews) {
   for (uint32_t vi : m->selected) sparse[vi] = inst.exts[vi];
   Result<MatchResult> joined =
       MatchJoin(inst.q, inst.views, sparse, *m);
-  Result<MatchResult> direct = MatchSimulation(inst.q, inst.g);
+  Result<MatchResult> direct = MatchSimulation(inst.q, *inst.g.Freeze());
   ASSERT_TRUE(joined.ok() && direct.ok());
   EXPECT_TRUE(*joined == *direct);
 }

@@ -16,14 +16,14 @@ namespace {
 
 TEST(RewritingTest, FullyContainedQueryIsExact) {
   Fig1Fixture f = MakeFig1();
-  auto exts = std::move(MaterializeAll(f.views, f.g)).value();
+  auto exts = std::move(MaterializeAll(f.views, *f.g.Freeze())).value();
   Result<PartialAnswer> pa = MaximallyContainedRewriting(f.qs, f.views, exts);
   ASSERT_TRUE(pa.ok()) << pa.status().ToString();
   EXPECT_TRUE(pa->exact);
   EXPECT_EQ(pa->covered_edges.size(), f.qs.num_edges());
   EXPECT_TRUE(pa->uncovered_edges.empty());
   // The rewriting result equals the direct answer.
-  Result<MatchResult> direct = MatchSimulation(f.qs, f.g);
+  Result<MatchResult> direct = MatchSimulation(f.qs, *f.g.Freeze());
   ASSERT_TRUE(direct.ok());
   EXPECT_EQ(pa->result.TotalMatches(), direct->TotalMatches());
 }
@@ -41,7 +41,7 @@ TEST(RewritingTest, DropsUncoverableEdge) {
   NodeId a = g.AddNode("A"), b = g.AddNode("B"), z = g.AddNode("Z");
   ASSERT_TRUE(g.AddEdge(a, b).ok());
   ASSERT_TRUE(g.AddEdge(b, z).ok());
-  auto exts = std::move(MaterializeAll(views, g)).value();
+  auto exts = std::move(MaterializeAll(views, *g.Freeze())).value();
 
   Result<PartialAnswer> pa = MaximallyContainedRewriting(q, views, exts);
   ASSERT_TRUE(pa.ok());
@@ -72,7 +72,7 @@ TEST(RewritingTest, IterativeShrinkingReachesFixpoint) {
   NodeId a = g.AddNode("A"), b = g.AddNode("B"), c = g.AddNode("C");
   ASSERT_TRUE(g.AddEdge(a, b).ok());
   ASSERT_TRUE(g.AddEdge(b, c).ok());
-  auto exts = std::move(MaterializeAll(views, g)).value();
+  auto exts = std::move(MaterializeAll(views, *g.Freeze())).value();
 
   Result<PartialAnswer> pa = MaximallyContainedRewriting(q, views, exts);
   ASSERT_TRUE(pa.ok());
@@ -105,7 +105,7 @@ TEST(RewritingTest, CoverageCertificateThroughDroppedEdgeIsRevoked) {
   ASSERT_TRUE(g.AddEdge(a, b).ok());
   ASSERT_TRUE(g.AddEdge(b, c).ok());
   ASSERT_TRUE(g.AddEdge(c, d).ok());
-  auto exts = std::move(MaterializeAll(views, g)).value();
+  auto exts = std::move(MaterializeAll(views, *g.Freeze())).value();
 
   // Sanity: on the full query, VA does cover e0.
   Result<ContainmentMapping> full = CheckContainment(q, views);
@@ -145,11 +145,11 @@ TEST(RewritingTest, PartialAnswerIsSupersetOfTrueMatches) {
     ViewSet half;  // intentionally drop some covering views
     for (size_t i = 0; i < all.card(); i += 2) half.Add(all.view(i));
 
-    auto exts = std::move(MaterializeAll(half, g)).value();
+    auto exts = std::move(MaterializeAll(half, *g.Freeze())).value();
     Result<PartialAnswer> pa = MaximallyContainedRewriting(q, half, exts);
     ASSERT_TRUE(pa.ok());
 
-    Result<MatchResult> direct = MatchSimulation(q, g);
+    Result<MatchResult> direct = MatchSimulation(q, *g.Freeze());
     ASSERT_TRUE(direct.ok());
     if (!direct->matched()) continue;
     // Soundness: every true match of a covered edge appears in the partial
@@ -167,7 +167,7 @@ TEST(RewritingTest, PartialAnswerIsSupersetOfTrueMatches) {
 
 TEST(RewritingTest, ValidatesInputs) {
   Fig1Fixture f = MakeFig1();
-  auto exts = std::move(MaterializeAll(f.views, f.g)).value();
+  auto exts = std::move(MaterializeAll(f.views, *f.g.Freeze())).value();
   EXPECT_FALSE(MaximallyContainedRewriting(Pattern(), f.views, exts).ok());
   std::vector<ViewExtension> wrong(1);
   EXPECT_FALSE(MaximallyContainedRewriting(f.qs, f.views, wrong).ok());

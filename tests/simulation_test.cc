@@ -16,7 +16,7 @@ using testutil::ChainPattern;
 TEST(SimulationTest, ChainPatternOnChainGraph) {
   Graph g = ChainGraph({"A", "B", "C"});
   Pattern q = ChainPattern({"A", "B", "C"});
-  Result<MatchResult> r = MatchSimulation(q, g);
+  Result<MatchResult> r = MatchSimulation(q, *g.Freeze());
   ASSERT_TRUE(r.ok());
   ASSERT_TRUE(r->matched());
   EXPECT_EQ(r->edge_matches(0), (std::vector<NodePair>{{0, 1}}));
@@ -27,7 +27,7 @@ TEST(SimulationTest, ChainPatternOnChainGraph) {
 TEST(SimulationTest, MissingLabelYieldsEmpty) {
   Graph g = ChainGraph({"A", "B"});
   Pattern q = ChainPattern({"A", "Z"});
-  Result<MatchResult> r = MatchSimulation(q, g);
+  Result<MatchResult> r = MatchSimulation(q, *g.Freeze());
   ASSERT_TRUE(r.ok());
   EXPECT_FALSE(r->matched());
   EXPECT_EQ(r->TotalMatches(), 0u);
@@ -42,7 +42,7 @@ TEST(SimulationTest, StructuralPruningCascades) {
   ASSERT_TRUE(g.AddEdge(b1, c1).ok());
   ASSERT_TRUE(g.AddEdge(a2, b2).ok());
   Pattern q = ChainPattern({"A", "B", "C"});
-  Result<MatchResult> r = MatchSimulation(q, g);
+  Result<MatchResult> r = MatchSimulation(q, *g.Freeze());
   ASSERT_TRUE(r.ok());
   ASSERT_TRUE(r->matched());
   // a2 must be pruned: its only B successor cannot reach a C.
@@ -56,7 +56,7 @@ TEST(SimulationTest, CyclicPatternNeedsCycle) {
                   .Edge("A", "B").Edge("B", "A")
                   .Build();
   Graph chain = ChainGraph({"A", "B"});
-  Result<MatchResult> r1 = MatchSimulation(q, chain);
+  Result<MatchResult> r1 = MatchSimulation(q, *chain.Freeze());
   ASSERT_TRUE(r1.ok());
   EXPECT_FALSE(r1->matched());
 
@@ -64,7 +64,7 @@ TEST(SimulationTest, CyclicPatternNeedsCycle) {
   NodeId a = cyc.AddNode("A"), b = cyc.AddNode("B");
   ASSERT_TRUE(cyc.AddEdge(a, b).ok());
   ASSERT_TRUE(cyc.AddEdge(b, a).ok());
-  Result<MatchResult> r2 = MatchSimulation(q, cyc);
+  Result<MatchResult> r2 = MatchSimulation(q, *cyc.Freeze());
   ASSERT_TRUE(r2.ok());
   ASSERT_TRUE(r2->matched());
   EXPECT_EQ(r2->edge_matches(0), (std::vector<NodePair>{{a, b}}));
@@ -87,7 +87,7 @@ TEST(SimulationTest, PredicateRestrictsCandidates) {
   uint32_t pw = q.AddNode("W");
   ASSERT_TRUE(q.AddEdge(pv, pw).ok());
 
-  Result<MatchResult> r = MatchSimulation(q, g);
+  Result<MatchResult> r = MatchSimulation(q, *g.Freeze());
   ASSERT_TRUE(r.ok());
   ASSERT_TRUE(r->matched());
   EXPECT_EQ(r->edge_matches(0), (std::vector<NodePair>{{v_hi, w}}));
@@ -99,7 +99,7 @@ TEST(SimulationTest, WildcardLabelMatchesAnything) {
   uint32_t u = q.AddNode("");
   uint32_t v = q.AddNode("B");
   ASSERT_TRUE(q.AddEdge(u, v).ok());
-  Result<MatchResult> r = MatchSimulation(q, g);
+  Result<MatchResult> r = MatchSimulation(q, *g.Freeze());
   ASSERT_TRUE(r.ok());
   ASSERT_TRUE(r->matched());
   EXPECT_EQ(r->edge_matches(0), (std::vector<NodePair>{{0, 1}}));
@@ -111,7 +111,7 @@ TEST(SimulationTest, MultiLabelNodesMatchEitherLabel) {
   NodeId c = g.AddNode("C");
   ASSERT_TRUE(g.AddEdge(ab, c).ok());
   Pattern q = ChainPattern({"B", "C"});
-  Result<MatchResult> r = MatchSimulation(q, g);
+  Result<MatchResult> r = MatchSimulation(q, *g.Freeze());
   ASSERT_TRUE(r.ok());
   ASSERT_TRUE(r->matched());
   EXPECT_EQ(r->edge_matches(0), (std::vector<NodePair>{{ab, c}}));
@@ -122,14 +122,14 @@ TEST(SimulationTest, RejectsBoundedPattern) {
   Pattern q;
   uint32_t a = q.AddNode("A"), b = q.AddNode("B");
   ASSERT_TRUE(q.AddEdge(a, b, 2).ok());
-  Result<MatchResult> r = MatchSimulation(q, g);
+  Result<MatchResult> r = MatchSimulation(q, *g.Freeze());
   EXPECT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), Status::Code::kInvalidArgument);
 }
 
 TEST(SimulationTest, RejectsEmptyPattern) {
   Graph g = ChainGraph({"A"});
-  EXPECT_FALSE(MatchSimulation(Pattern(), g).ok());
+  EXPECT_FALSE(MatchSimulation(Pattern(), *g.Freeze()).ok());
 }
 
 TEST(SimulationTest, SeededRelationRefines) {
@@ -137,13 +137,13 @@ TEST(SimulationTest, SeededRelationRefines) {
   Pattern q = ChainPattern({"A", "B"});
   std::vector<std::vector<NodeId>> seed{{0}, {1}};
   std::vector<std::vector<NodeId>> sim;
-  ASSERT_TRUE(ComputeSimulationRelation(q, g, &sim, &seed).ok());
+  ASSERT_TRUE(ComputeSimulationRelation(q, *g.Freeze(), &sim, &seed).ok());
   EXPECT_EQ(sim[0], (std::vector<NodeId>{0}));
   EXPECT_EQ(sim[1], (std::vector<NodeId>{1}));
 
   // A seed that omits the only valid match drains the relation.
   std::vector<std::vector<NodeId>> bad_seed{{0}, {2}};
-  ASSERT_TRUE(ComputeSimulationRelation(q, g, &sim, &bad_seed).ok());
+  ASSERT_TRUE(ComputeSimulationRelation(q, *g.Freeze(), &sim, &bad_seed).ok());
   EXPECT_TRUE(sim[0].empty());
 }
 
@@ -166,7 +166,7 @@ TEST_P(SimulationOracleTest, AgreesWithBruteForce) {
   po.seed = seed * 31 + 1;
   Pattern q = GenerateRandomPattern(po);
 
-  Result<MatchResult> fast = MatchSimulation(q, g);
+  Result<MatchResult> fast = MatchSimulation(q, *g.Freeze());
   ASSERT_TRUE(fast.ok());
   MatchResult oracle = testutil::OracleMatch(q, g);
   EXPECT_EQ(*fast == oracle, true)

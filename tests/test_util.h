@@ -1,6 +1,7 @@
 /// \file test_util.h
 /// \brief Shared helpers for the gpmv test suite: a brute-force simulation
-/// oracle, match-set expectation helpers, small graph builders, and the
+/// oracle, match-set expectation helpers, small graph builders, a view kept
+/// fresh through the view cache's maintenance path, and the
 /// deterministic-schedule concurrency harness (PhaseBarrier +
 /// ScheduleDriver + seed plumbing) the stress suites run on.
 ///
@@ -18,12 +19,16 @@
 #include <cstdint>
 #include <cstdlib>
 #include <functional>
+#include <memory>
 #include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "common/random.h"
+#include "core/maintenance.h"
+#include "core/view.h"
+#include "engine/view_cache.h"
 #include "graph/graph.h"
 #include "graph/traversal.h"
 #include "pattern/pattern.h"
@@ -137,6 +142,67 @@ inline Pattern ChainPattern(const std::vector<std::string>& labels) {
   }
   return p;
 }
+
+/// Exact equality of two extensions: matched flag, and per view edge the
+/// pairs and their distances.
+inline bool SameExtension(const ViewExtension& a, const ViewExtension& b) {
+  if (a.matched() != b.matched()) return false;
+  if (a.num_view_edges() != b.num_view_edges()) return false;
+  for (uint32_t e = 0; e < a.num_view_edges(); ++e) {
+    if (a.edge(e).pairs != b.edge(e).pairs) return false;
+    if (a.edge(e).distances != b.edge(e).distances) return false;
+  }
+  return true;
+}
+
+/// One view kept fresh the way the engine keeps its cached views: a
+/// ViewCache holding only this view, refreshed through
+/// ViewCache::RefreshForUpdates after each edge update. Callers mutate the
+/// graph first, then report the update; every refresh reads the graph's
+/// (incrementally re-)frozen snapshot.
+class CachedView {
+ public:
+  explicit CachedView(ViewDefinition def, InsertMaintenanceOptions opts = {})
+      : opts_(opts) {
+    cache_.Register(std::move(def));
+  }
+
+  /// Materializes the view on `g` and installs it in the cache.
+  Status Install(Graph& g) {
+    std::vector<std::vector<NodeId>> relation;
+    Result<ViewExtension> ext = ViewExtension::Materialize(
+        definition(), *g.Freeze(), /*seed=*/nullptr, &relation);
+    GPMV_RETURN_NOT_OK(ext.status());
+    cache_.Install(0, std::move(ext).value(), std::move(relation),
+                   /*pin=*/false);
+    return Status::OK();
+  }
+
+  /// Refreshes after edge (u, v) was removed from `g`.
+  Status Removed(Graph& g, NodeId u, NodeId v) {
+    std::shared_ptr<const GraphSnapshot> snap = g.Freeze();
+    return cache_.RefreshForUpdates(snap.get(), *snap, {{u, v}}, {}, opts_,
+                                    &insert_stats_);
+  }
+
+  /// Refreshes after edge (u, v) was inserted into `g`.
+  Status Inserted(Graph& g, NodeId u, NodeId v) {
+    return cache_.RefreshForUpdates(nullptr, *g.Freeze(), {}, {{u, v}}, opts_,
+                                    &insert_stats_);
+  }
+
+  const ViewDefinition& definition() const { return cache_.views().view(0); }
+  const ViewExtension& extension() const { return cache_.extensions()[0]; }
+  /// Refresh and prescreen-skip counts (`refreshes`, `refreshes_skipped`).
+  ViewCacheStats stats() const { return cache_.stats(); }
+  /// Insert-path delta and fallback counts, summed over every refresh.
+  const InsertMaintenanceStats& insert_stats() const { return insert_stats_; }
+
+ private:
+  InsertMaintenanceOptions opts_;
+  ViewCache cache_;
+  InsertMaintenanceStats insert_stats_;
+};
 
 // ---------------------------------------------------------------------------
 // Deterministic-schedule concurrency harness

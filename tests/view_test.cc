@@ -18,7 +18,8 @@ std::vector<NodePair> Pairs(const Fig1Fixture& f,
 
 TEST(ViewTest, Fig1ViewExtensionsMatchThePaper) {
   Fig1Fixture f = MakeFig1();
-  Result<std::vector<ViewExtension>> exts = MaterializeAll(f.views, f.g);
+  Result<std::vector<ViewExtension>> exts =
+      MaterializeAll(f.views, *f.g.Freeze());
   ASSERT_TRUE(exts.ok());
   ASSERT_EQ(exts->size(), 2u);
 
@@ -41,7 +42,7 @@ TEST(ViewTest, Fig1ViewExtensionsMatchThePaper) {
 TEST(ViewTest, SimulationViewDistancesAreOne) {
   Fig1Fixture f = MakeFig1();
   Result<ViewExtension> ext =
-      ViewExtension::Materialize(f.views.view(0), f.g);
+      ViewExtension::Materialize(f.views.view(0), *f.g.Freeze());
   ASSERT_TRUE(ext.ok());
   for (uint32_t e = 0; e < ext->num_view_edges(); ++e) {
     for (uint32_t d : ext->edge(e).distances) EXPECT_EQ(d, 1u);
@@ -51,7 +52,7 @@ TEST(ViewTest, SimulationViewDistancesAreOne) {
 TEST(ViewTest, SnapshotsCoverAllMatchedNodes) {
   Fig1Fixture f = MakeFig1();
   Result<ViewExtension> ext =
-      ViewExtension::Materialize(f.views.view(0), f.g);
+      ViewExtension::Materialize(f.views.view(0), *f.g.Freeze());
   ASSERT_TRUE(ext.ok());
   for (uint32_t e = 0; e < ext->num_view_edges(); ++e) {
     for (const NodePair& p : ext->edge(e).pairs) {
@@ -73,7 +74,7 @@ TEST(ViewTest, NonMatchingViewYieldsEmptyExtension) {
   Graph g;
   g.AddNode("A");
   ViewDefinition def{"v", testutil::ChainPattern({"A", "B"})};
-  Result<ViewExtension> ext = ViewExtension::Materialize(def, g);
+  Result<ViewExtension> ext = ViewExtension::Materialize(def, *g.Freeze());
   ASSERT_TRUE(ext.ok());
   EXPECT_FALSE(ext->matched());
   EXPECT_EQ(ext->TotalPairs(), 0u);
@@ -86,7 +87,8 @@ TEST(ViewTest, BoundedViewStoresDistances) {
   uint32_t a = p.AddNode("A"), b = p.AddNode("B");
   ASSERT_TRUE(p.AddEdge(a, b, 3).ok());
   Result<ViewExtension> ext =
-      ViewExtension::Materialize(ViewDefinition{"v", std::move(p)}, g);
+      ViewExtension::Materialize(ViewDefinition{"v", std::move(p)},
+                                 *g.Freeze());
   ASSERT_TRUE(ext.ok());
   ASSERT_TRUE(ext->matched());
   ASSERT_EQ(ext->edge(0).pairs.size(), 1u);
@@ -103,7 +105,8 @@ TEST(ViewTest, ViewSetSizesFollowTableOne) {
 
 TEST(ViewTest, TotalPairsAndBytes) {
   Fig1Fixture f = MakeFig1();
-  Result<std::vector<ViewExtension>> exts = MaterializeAll(f.views, f.g);
+  Result<std::vector<ViewExtension>> exts =
+      MaterializeAll(f.views, *f.g.Freeze());
   ASSERT_TRUE(exts.ok());
   EXPECT_EQ(TotalExtensionPairs(*exts), 4u + 7u);
   EXPECT_GT((*exts)[0].ApproxBytes(), 0u);

@@ -20,6 +20,10 @@
 ///                  [--slow-query-ms M] [--slow-query-log <file>]
 ///   gpmv_cli serve <graph> --port N [--appliers N] [...same tuning flags]
 ///
+/// Every subcommand checks its arguments against its own flag table
+/// (Commands()): an unknown or misspelt flag, a flag missing its value, or a
+/// stray positional exits 2 with the usage text.
+///
 /// Graphs use the graph_io.h text format; patterns pattern_io.h; view sets
 /// view_io.h. `serve` runs a query file (view-set format: `view <name>`
 /// headers separating patterns) through the concurrent view-cache engine
@@ -88,6 +92,7 @@
 /// fresh engine metrics-registry snapshot through bench_util.h's
 /// JsonReport (same shape as the bench artifacts).
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <csignal>
@@ -97,6 +102,7 @@
 #include <fstream>
 #include <future>
 #include <limits>
+#include <map>
 #include <memory>
 #include <string>
 #include <thread>
@@ -157,29 +163,27 @@ int Usage() {
   return 2;
 }
 
-bool HasFlag(const std::vector<std::string>& args, const char* flag) {
-  for (const std::string& a : args) {
-    if (a == flag) return true;
-  }
-  return false;
-}
+/// A subcommand's arguments, split by its flag table (see Commands()):
+/// the leading positionals, then `--switch` and `--flag <value>` entries
+/// (switches map to an empty value; the first occurrence of a flag wins).
+struct Args {
+  std::vector<std::string> pos;
+  std::map<std::string, std::string> flags;
 
-/// Value of `--flag <value>`; `def` when absent.
-std::string FlagValue(const std::vector<std::string>& args, const char* flag,
-                      const std::string& def = "") {
-  for (size_t i = 0; i + 1 < args.size(); ++i) {
-    if (args[i] == flag) return args[i + 1];
+  bool Has(const char* flag) const { return flags.count(flag) != 0; }
+  /// Value of `--flag <value>`; `def` when absent.
+  std::string Value(const char* flag, const std::string& def = "") const {
+    auto it = flags.find(flag);
+    return it == flags.end() ? def : it->second;
   }
-  return def;
-}
+};
 
 /// Numeric `--flag <value>`; false (with a message) on a malformed value
 /// or one above `max` (common/parse_num.h — strtoull would silently wrap a
 /// leading minus and saturate overflow).
-bool NumericFlag(const std::vector<std::string>& args, const char* flag,
-                 size_t def, size_t* out,
+bool NumericFlag(const Args& args, const char* flag, size_t def, size_t* out,
                  size_t max = std::numeric_limits<size_t>::max()) {
-  std::string v = FlagValue(args, flag);
+  std::string v = args.Value(flag);
   if (v.empty()) {
     *out = def;
     return true;
@@ -195,47 +199,6 @@ bool NumericFlag(const std::vector<std::string>& args, const char* flag,
   return true;
 }
 
-/// Validates serve's flag tail starting at `flags_start` (2 with a
-/// <queries> positional, 1 in --port mode): only known flags, and every
-/// value-taking flag actually has a value (a trailing `--updates` would
-/// otherwise be silently treated as absent).
-bool ValidateServeFlags(const std::vector<std::string>& args,
-                        size_t flags_start) {
-  static const char* kValueFlags[] = {
-      "--views",       "--threads",     "--cache-mb",
-      "--result-cache-mb", "--advise",  "--updates",
-      "--shards",      "--stream",      "--stream-rate",
-      "--max-lag-ms",  "--appliers",    "--as-of",
-      "--port",
-      "--metrics-out", "--metrics-interval-ms",
-      "--prom-out",    "--slow-query-ms", "--slow-query-log",
-      "--fault-spec"};
-  for (size_t i = flags_start; i < args.size(); ++i) {
-    const std::string& a = args[i];
-    if (a == "--warm" || a == "--hash-shards" || a == "--no-delta" ||
-        a == "--trace" || a == "--no-metrics") {
-      continue;
-    }
-    bool known = false;
-    for (const char* f : kValueFlags) {
-      if (a == f) {
-        known = true;
-        break;
-      }
-    }
-    if (!known) {
-      std::fprintf(stderr, "error: unknown argument '%s'\n", a.c_str());
-      return false;
-    }
-    if (i + 1 >= args.size()) {
-      std::fprintf(stderr, "error: %s requires a value\n", a.c_str());
-      return false;
-    }
-    ++i;  // skip the flag's value
-  }
-  return true;
-}
-
 template <typename T>
 bool Load(Result<T> r, const char* what, T* out) {
   if (!r.ok()) {
@@ -247,18 +210,17 @@ bool Load(Result<T> r, const char* what, T* out) {
   return true;
 }
 
-int CmdGen(const std::vector<std::string>& args) {
-  if (args.size() < 4) return Usage();
-  const std::string& kind = args[0];
+int CmdGen(const Args& args) {
+  const std::string& kind = args.pos[0];
   // Checked parse: raw std::stoull here aborted the whole process on
   // `gen random abc ...` (uncaught std::invalid_argument).
   uint64_t n64 = 0, seed = 0;
-  if (!ParseUnsigned(args[1], &n64, std::numeric_limits<size_t>::max()) ||
-      !ParseUnsigned(args[2], &seed)) {
+  if (!ParseUnsigned(args.pos[1], &n64, std::numeric_limits<size_t>::max()) ||
+      !ParseUnsigned(args.pos[2], &seed)) {
     std::fprintf(stderr,
                  "error: <n> and <seed> must be non-negative numbers, got "
                  "'%s' '%s'\n",
-                 args[1].c_str(), args[2].c_str());
+                 args.pos[1].c_str(), args.pos[2].c_str());
     return Usage();
   }
   const size_t n = static_cast<size_t>(n64);
@@ -278,20 +240,19 @@ int CmdGen(const std::vector<std::string>& args) {
   } else {
     return Usage();
   }
-  Status st = WriteGraphFile(g, args[3]);
+  Status st = WriteGraphFile(g, args.pos[3]);
   if (!st.ok()) {
     std::fprintf(stderr, "write failed: %s\n", st.ToString().c_str());
     return 1;
   }
   std::printf("wrote %zu nodes, %zu edges to %s\n", g.num_nodes(),
-              g.num_edges(), args[3].c_str());
+              g.num_edges(), args.pos[3].c_str());
   return 0;
 }
 
-int CmdStats(const std::vector<std::string>& args) {
-  if (args.empty()) return Usage();
+int CmdStats(const Args& args) {
   Graph g;
-  if (!Load(ReadGraphFile(args[0]), "graph", &g)) return 1;
+  if (!Load(ReadGraphFile(args.pos[0]), "graph", &g)) return 1;
 
   // Freeze once and report from the CSR snapshot — the same structure the
   // engine serves queries from — plus the freeze cost itself.
@@ -325,14 +286,14 @@ int CmdStats(const std::vector<std::string>& args) {
   // --json: the graph shape plus a fresh engine's metrics-registry
   // snapshot (collector gauges included), in the same JsonReport shape
   // the bench artifacts use, so downstream tooling parses one format.
-  const std::string json_path = FlagValue(args, "--json");
+  const std::string json_path = args.Value("--json");
   if (!json_path.empty()) {
     EngineOptions eopts;
     eopts.pool.num_threads = 1;
     QueryEngine engine(std::move(g), eopts);
     const obs::MetricsSnapshot ms = engine.metrics()->TakeSnapshot();
     bench::JsonReport report("gpmv_stats");
-    report.Meta("graph", args[0]);
+    report.Meta("graph", args.pos[0]);
     report.Meta("freeze_ms", freeze_ms);
     report.Add("graph", {{"nodes", static_cast<double>(gs.num_nodes)},
                          {"edges", static_cast<double>(gs.num_edges)},
@@ -368,15 +329,16 @@ int CmdStats(const std::vector<std::string>& args) {
   return 0;
 }
 
-int CmdMatch(const std::vector<std::string>& args) {
-  if (args.size() < 2) return Usage();
+int CmdMatch(const Args& args) {
   Graph g;
   Pattern q;
-  if (!Load(ReadGraphFile(args[0]), "graph", &g)) return 1;
-  if (!Load(ReadPatternFile(args[1]), "pattern", &q)) return 1;
+  if (!Load(ReadGraphFile(args.pos[0]), "graph", &g)) return 1;
+  if (!Load(ReadPatternFile(args.pos[1]), "pattern", &q)) return 1;
   Stopwatch sw;
-  Result<MatchResult> r = HasFlag(args, "--dual") ? MatchDualSimulation(q, g)
-                                                  : MatchBoundedSimulation(q, g);
+  std::shared_ptr<const GraphSnapshot> snap = g.Freeze();
+  Result<MatchResult> r = args.Has("--dual")
+                              ? MatchDualSimulation(q, *snap)
+                              : MatchBoundedSimulation(q, *snap);
   if (!r.ok()) {
     std::fprintf(stderr, "match failed: %s\n", r.status().ToString().c_str());
     return 1;
@@ -390,12 +352,11 @@ int CmdMatch(const std::vector<std::string>& args) {
   return 0;
 }
 
-int CmdContain(const std::vector<std::string>& args) {
-  if (args.size() < 2) return Usage();
+int CmdContain(const Args& args) {
   Pattern q;
   ViewSet views;
-  if (!Load(ReadPatternFile(args[0]), "pattern", &q)) return 1;
-  if (!Load(ReadViewSetFile(args[1]), "views", &views)) return 1;
+  if (!Load(ReadPatternFile(args.pos[0]), "pattern", &q)) return 1;
+  if (!Load(ReadViewSetFile(args.pos[1]), "views", &views)) return 1;
 
   auto report = [&](const char* name, const ContainmentMapping& m) {
     std::printf("%-8s: %s", name, m.contained ? "contained via {" : "not contained");
@@ -414,14 +375,13 @@ int CmdContain(const std::vector<std::string>& args) {
   return 0;
 }
 
-int CmdMaterialize(const std::vector<std::string>& args) {
-  if (args.size() < 2) return Usage();
+int CmdMaterialize(const Args& args) {
   Graph g;
   ViewSet views;
-  if (!Load(ReadGraphFile(args[0]), "graph", &g)) return 1;
-  if (!Load(ReadViewSetFile(args[1]), "views", &views)) return 1;
+  if (!Load(ReadGraphFile(args.pos[0]), "graph", &g)) return 1;
+  if (!Load(ReadViewSetFile(args.pos[1]), "views", &views)) return 1;
   Stopwatch sw;
-  auto exts = MaterializeAll(views, g);
+  auto exts = MaterializeAll(views, *g.Freeze());
   if (!exts.ok()) {
     std::fprintf(stderr, "%s\n", exts.status().ToString().c_str());
     return 1;
@@ -443,25 +403,25 @@ int CmdMaterialize(const std::vector<std::string>& args) {
   return 0;
 }
 
-int CmdAnswer(const std::vector<std::string>& args) {
-  if (args.size() < 3) return Usage();
+int CmdAnswer(const Args& args) {
   Graph g;
   Pattern q;
   ViewSet views;
-  if (!Load(ReadGraphFile(args[0]), "graph", &g)) return 1;
-  if (!Load(ReadPatternFile(args[1]), "pattern", &q)) return 1;
-  if (!Load(ReadViewSetFile(args[2]), "views", &views)) return 1;
+  if (!Load(ReadGraphFile(args.pos[0]), "graph", &g)) return 1;
+  if (!Load(ReadPatternFile(args.pos[1]), "pattern", &q)) return 1;
+  if (!Load(ReadViewSetFile(args.pos[2]), "views", &views)) return 1;
 
   Result<ContainmentMapping> mapping =
-      HasFlag(args, "--minimal")   ? MinimalContainment(q, views)
-      : HasFlag(args, "--minimum") ? MinimumContainment(q, views)
+      args.Has("--minimal")   ? MinimalContainment(q, views)
+      : args.Has("--minimum") ? MinimumContainment(q, views)
                                    : CheckContainment(q, views);
   if (!mapping.ok() || !mapping->contained) {
     std::printf("query is not contained in the views; try 'rewrite'\n");
     return 1;
   }
   Stopwatch sw;
-  auto exts = MaterializeAll(views, g);
+  std::shared_ptr<const GraphSnapshot> snap = g.Freeze();
+  auto exts = MaterializeAll(views, *snap);
   if (!exts.ok()) {
     std::fprintf(stderr, "%s\n", exts.status().ToString().c_str());
     return 1;
@@ -477,8 +437,8 @@ int CmdAnswer(const std::vector<std::string>& args) {
               t_mat, sw.ElapsedMillis(), mapping->selected.size());
   std::printf("matched: %s  total pairs: %zu\n", r->matched() ? "yes" : "no",
               r->TotalMatches());
-  if (HasFlag(args, "--check")) {
-    Result<MatchResult> direct = MatchBoundedSimulation(q, g);
+  if (args.Has("--check")) {
+    Result<MatchResult> direct = MatchBoundedSimulation(q, *snap);
     bool same = direct.ok() && *direct == *r;
     std::printf("direct evaluation check: %s\n", same ? "IDENTICAL" : "MISMATCH");
     return same ? 0 : 1;
@@ -486,16 +446,15 @@ int CmdAnswer(const std::vector<std::string>& args) {
   return 0;
 }
 
-int CmdRewrite(const std::vector<std::string>& args) {
-  if (args.size() < 3) return Usage();
+int CmdRewrite(const Args& args) {
   Graph g;
   Pattern q;
   ViewSet views;
-  if (!Load(ReadGraphFile(args[0]), "graph", &g)) return 1;
-  if (!Load(ReadPatternFile(args[1]), "pattern", &q)) return 1;
-  if (!Load(ReadViewSetFile(args[2]), "views", &views)) return 1;
+  if (!Load(ReadGraphFile(args.pos[0]), "graph", &g)) return 1;
+  if (!Load(ReadPatternFile(args.pos[1]), "pattern", &q)) return 1;
+  if (!Load(ReadViewSetFile(args.pos[2]), "views", &views)) return 1;
 
-  auto exts = MaterializeAll(views, g);
+  auto exts = MaterializeAll(views, *g.Freeze());
   if (!exts.ok()) {
     std::fprintf(stderr, "%s\n", exts.status().ToString().c_str());
     return 1;
@@ -598,13 +557,10 @@ bool ReportServeEnd(const obs::MetricsSnapshot& m, const FaultInjector& fault,
   return true;
 }
 
-int CmdServe(const std::vector<std::string>& args) {
+int CmdServe(const Args& args) {
   // In `--port` mode there is no <queries> positional (clients send queries
-  // over the socket), so the flag tail starts right after <graph>.
-  const bool has_queries = args.size() >= 2 && args[1].rfind("--", 0) != 0;
-  if (args.empty() || !ValidateServeFlags(args, has_queries ? 2 : 1)) {
-    return Usage();
-  }
+  // over the socket).
+  const bool has_queries = args.pos.size() == 2;
   size_t port = 0;
   if (!NumericFlag(args, "--port", 0, &port)) return Usage();
   if (port > 65535) {
@@ -621,8 +577,8 @@ int CmdServe(const std::vector<std::string>& args) {
 
   Graph g;
   ViewSet queries;
-  if (!Load(ReadGraphFile(args[0]), "graph", &g)) return 1;
-  if (has_queries && !Load(ReadViewSetFile(args[1]), "queries", &queries)) {
+  if (!Load(ReadGraphFile(args.pos[0]), "graph", &g)) return 1;
+  if (has_queries && !Load(ReadViewSetFile(args.pos[1]), "queries", &queries)) {
     return 1;
   }
 
@@ -648,9 +604,9 @@ int CmdServe(const std::vector<std::string>& args) {
   }
   opts.cache.budget_bytes = cache_mb << 20;
   opts.result_cache.budget_bytes = result_cache_mb << 20;
-  opts.maintenance.enable_delta = !HasFlag(args, "--no-delta");
+  opts.maintenance.enable_delta = !args.Has("--no-delta");
   opts.sharding.num_shards = static_cast<uint32_t>(shards);
-  if (HasFlag(args, "--hash-shards")) {
+  if (args.Has("--hash-shards")) {
     opts.sharding.partition = ShardingOptions::Partition::kHash;
   }
 
@@ -660,10 +616,10 @@ int CmdServe(const std::vector<std::string>& args) {
       !NumericFlag(args, "--slow-query-ms", 0, &slow_query_ms)) {
     return Usage();
   }
-  const std::string metrics_out = FlagValue(args, "--metrics-out");
-  const std::string prom_out = FlagValue(args, "--prom-out");
-  const bool trace = HasFlag(args, "--trace");
-  opts.obs.enabled = !HasFlag(args, "--no-metrics");
+  const std::string metrics_out = args.Value("--metrics-out");
+  const std::string prom_out = args.Value("--prom-out");
+  const bool trace = args.Has("--trace");
+  opts.obs.enabled = !args.Has("--no-metrics");
   if (!opts.obs.enabled &&
       (trace || !metrics_out.empty() || !prom_out.empty() ||
        slow_query_ms > 0)) {
@@ -674,7 +630,7 @@ int CmdServe(const std::vector<std::string>& args) {
   }
   opts.obs.trace = trace;
   opts.obs.slow_query_ms = static_cast<double>(slow_query_ms);
-  opts.obs.slow_query_path = FlagValue(args, "--slow-query-log");
+  opts.obs.slow_query_path = args.Value("--slow-query-log");
   if (slow_query_ms > 0 && opts.obs.slow_query_path.empty()) {
     // No file given: slow-query JSON lines go to stderr.
     opts.obs.slow_query_sink = [](const std::string& line) {
@@ -688,7 +644,7 @@ int CmdServe(const std::vector<std::string>& args) {
   // and the metrics exporter alike. Declared before the engine so every
   // consumer outlives nothing.
   FaultInjector fault;
-  const std::string fault_spec = FlagValue(args, "--fault-spec");
+  const std::string fault_spec = args.Value("--fault-spec");
   if (!fault_spec.empty()) {
     Status st = fault.ArmFromSpec(fault_spec);
     if (!st.ok()) {
@@ -713,7 +669,7 @@ int CmdServe(const std::vector<std::string>& args) {
     if (!exporter->ok()) return 1;
   }
 
-  const std::string views_path = FlagValue(args, "--views");
+  const std::string views_path = args.Value("--views");
   if (!views_path.empty()) {
     ViewSet views;
     if (!Load(ReadViewSetFile(views_path), "views", &views)) return 1;
@@ -726,7 +682,7 @@ int CmdServe(const std::vector<std::string>& args) {
       }
     }
   }
-  if (HasFlag(args, "--warm")) {
+  if (args.Has("--warm")) {
     Status st = engine.WarmViews();
     if (!st.ok()) {
       std::fprintf(stderr, "warmup: %s\n", st.ToString().c_str());
@@ -735,14 +691,14 @@ int CmdServe(const std::vector<std::string>& args) {
   }
 
   std::vector<EdgeUpdate> updates;
-  const std::string updates_path = FlagValue(args, "--updates");
+  const std::string updates_path = args.Value("--updates");
   if (!updates_path.empty()) {
     Result<std::vector<EdgeUpdate>> up = ReadUpdatesFile(updates_path);
     if (!Load(std::move(up), "updates", &updates)) return 1;
   }
 
   std::vector<EdgeUpdate> stream_ops;
-  const std::string stream_path = FlagValue(args, "--stream");
+  const std::string stream_path = args.Value("--stream");
   size_t stream_rate = 0, max_lag_ms = 0, appliers = 0, as_of = 0;
   if (!NumericFlag(args, "--stream-rate", 0, &stream_rate) ||
       !NumericFlag(args, "--max-lag-ms", 20, &max_lag_ms) ||
@@ -994,18 +950,91 @@ int CmdServe(const std::vector<std::string>& args) {
   return failed == 0 ? 0 : 1;
 }
 
+/// One subcommand's flag table: how many leading positionals it takes,
+/// its `--switch` flags and its `--flag <value>` flags. Main rejects any
+/// other argument — an unknown or misspelt flag, a flag missing its value,
+/// a stray positional — with exit status 2 and the usage text.
+struct Command {
+  const char* name;
+  size_t min_pos;
+  size_t max_pos;
+  std::vector<std::string> switches;
+  std::vector<std::string> value_flags;
+  int (*run)(const Args&);
+};
+
+const std::vector<Command>& Commands() {
+  static const std::vector<Command> kCommands = {
+      {"gen", 4, 4, {}, {}, &CmdGen},
+      {"stats", 1, 1, {}, {"--json"}, &CmdStats},
+      {"match", 2, 2, {"--dual"}, {}, &CmdMatch},
+      {"contain", 2, 2, {}, {}, &CmdContain},
+      {"materialize", 2, 2, {}, {}, &CmdMaterialize},
+      {"answer", 3, 3, {"--minimal", "--minimum", "--check"}, {}, &CmdAnswer},
+      {"rewrite", 3, 3, {}, {}, &CmdRewrite},
+      // serve: <graph> <queries>, or <graph> alone with --port.
+      {"serve",
+       1,
+       2,
+       {"--warm", "--hash-shards", "--no-delta", "--trace", "--no-metrics"},
+       {"--views", "--threads", "--cache-mb", "--result-cache-mb", "--advise",
+        "--updates", "--shards", "--stream", "--stream-rate", "--max-lag-ms",
+        "--appliers", "--as-of", "--port", "--metrics-out",
+        "--metrics-interval-ms", "--prom-out", "--slow-query-ms",
+        "--slow-query-log", "--fault-spec"},
+       &CmdServe},
+  };
+  return kCommands;
+}
+
+/// Splits `argv` by `cmd`'s flag table; false (with a message) on any
+/// argument the table does not allow.
+bool ParseArgs(const Command& cmd, const std::vector<std::string>& argv,
+               Args* out) {
+  auto listed = [](const std::vector<std::string>& names,
+                   const std::string& a) {
+    return std::find(names.begin(), names.end(), a) != names.end();
+  };
+  size_t i = 0;
+  for (; i < argv.size() && argv[i].rfind("--", 0) != 0; ++i) {
+    out->pos.push_back(argv[i]);
+  }
+  if (out->pos.size() < cmd.min_pos || out->pos.size() > cmd.max_pos) {
+    std::fprintf(stderr,
+                 "error: %s takes %zu to %zu positional arguments, got %zu\n",
+                 cmd.name, cmd.min_pos, cmd.max_pos, out->pos.size());
+    return false;
+  }
+  for (; i < argv.size(); ++i) {
+    const std::string& a = argv[i];
+    if (listed(cmd.switches, a)) {
+      out->flags.emplace(a, "");
+    } else if (!listed(cmd.value_flags, a)) {
+      std::fprintf(stderr, "error: unknown argument '%s' for %s\n", a.c_str(),
+                   cmd.name);
+      return false;
+    } else if (i + 1 >= argv.size()) {
+      std::fprintf(stderr, "error: %s requires a value\n", a.c_str());
+      return false;
+    } else {
+      out->flags.emplace(a, argv[++i]);
+    }
+  }
+  return true;
+}
+
 int Main(int argc, char** argv) {
   if (argc < 2) return Usage();
-  std::string cmd = argv[1];
-  std::vector<std::string> args(argv + 2, argv + argc);
-  if (cmd == "gen") return CmdGen(args);
-  if (cmd == "stats") return CmdStats(args);
-  if (cmd == "match") return CmdMatch(args);
-  if (cmd == "contain") return CmdContain(args);
-  if (cmd == "materialize") return CmdMaterialize(args);
-  if (cmd == "answer") return CmdAnswer(args);
-  if (cmd == "rewrite") return CmdRewrite(args);
-  if (cmd == "serve") return CmdServe(args);
+  const std::string name = argv[1];
+  for (const Command& cmd : Commands()) {
+    if (name != cmd.name) continue;
+    Args args;
+    if (!ParseArgs(cmd, std::vector<std::string>(argv + 2, argv + argc),
+                   &args)) {
+      return Usage();
+    }
+    return cmd.run(args);
+  }
   return Usage();
 }
 

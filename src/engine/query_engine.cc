@@ -290,27 +290,31 @@ QueryResponse QueryEngine::Query(const Pattern& q, const QueryOptions& qopts) {
   return Execute(q, qopts);
 }
 
-Result<std::future<QueryResponse>> QueryEngine::Submit(Pattern q,
-                                                       QueryOptions qopts) {
+Status QueryEngine::Submit(Pattern q, QueryOptions qopts,
+                           std::function<void(QueryResponse)> done) {
   // The stopwatch rides into the task by value: when a worker picks the
   // task up, its elapsed time *is* the queue wait.
   Stopwatch queued;
-  auto task = std::make_shared<std::packaged_task<QueryResponse()>>(
-      [this, query = std::move(q), qopts, queued] {
-        return Execute(query, qopts, queued.ElapsedMillis());
+  Status st = pool_.Submit(
+      [this, query = std::move(q), qopts, queued, done = std::move(done)] {
+        done(Execute(query, qopts, queued.ElapsedMillis()));
       });
-  std::future<QueryResponse> fut = task->get_future();
-  Status st = pool_.Submit([task] { (*task)(); });
-  if (!st.ok()) {
-    // Admission control (ThreadPoolOptions::shed_when_saturated) surfaces
-    // as kResourceExhausted: the query was shed, not executed — count it
-    // so overload is visible even though no QueryResponse exists for it.
-    if (opts_.obs.enabled &&
-        st.code() == Status::Code::kResourceExhausted) {
-      h_.shed_queries->Add(1);
-    }
-    return st;
+  // Admission control (ThreadPoolOptions::shed_when_saturated) surfaces as
+  // kResourceExhausted: the query was shed, not executed — count it so
+  // overload is visible even though no QueryResponse exists for it.
+  if (opts_.obs.enabled && st.code() == Status::Code::kResourceExhausted) {
+    h_.shed_queries->Add(1);
   }
+  return st;
+}
+
+Result<std::future<QueryResponse>> QueryEngine::Submit(Pattern q,
+                                                       QueryOptions qopts) {
+  auto promise = std::make_shared<std::promise<QueryResponse>>();
+  std::future<QueryResponse> fut = promise->get_future();
+  GPMV_RETURN_NOT_OK(Submit(std::move(q), qopts, [promise](QueryResponse r) {
+    promise->set_value(std::move(r));
+  }));
   return fut;
 }
 

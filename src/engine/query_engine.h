@@ -81,6 +81,7 @@
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <future>
 #include <memory>
 #include <mutex>
@@ -254,10 +255,15 @@ class QueryEngine {
 
   /// Answers `q` on the worker pool; blocks only when the task queue is
   /// full (backpressure) and fails only once the pool is shut down. Safe
-  /// from any thread. The returned future is satisfied by a worker; a
+  /// from any thread. On OK, the worker that ran the query calls `done`
+  /// exactly once with the response (on a refusal it is never called); a
   /// query observes the graph version current when its *execution* starts,
   /// not when it was submitted — updates applied while it sat queued are
-  /// visible to it.
+  /// visible to it. `done` runs on the worker, so it must not block.
+  Status Submit(Pattern q, QueryOptions qopts,
+                std::function<void(QueryResponse)> done);
+
+  /// Submit with a future the worker satisfies instead of a callback.
   Result<std::future<QueryResponse>> Submit(Pattern q,
                                             QueryOptions qopts = {});
 

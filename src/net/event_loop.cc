@@ -161,6 +161,7 @@ bool EventLoop::RunOnce(int max_wait_ms) {
   }
   DrainPosted();
   RunExpiredTimers();
+  if (after_pass_) after_pass_();
   return !stop_requested();
 }
 
@@ -168,8 +169,9 @@ void EventLoop::Run() {
   while (RunOnce(100)) {
   }
   // A Post racing RequestStop still runs (its Wakeup may have landed after
-  // our final epoll wait).
+  // our final epoll wait), and so does the pass-end hook after it.
   DrainPosted();
+  if (after_pass_) after_pass_();
 }
 
 }  // namespace net

@@ -1,14 +1,14 @@
 /// \file event_loop.h
 /// \brief Single-threaded epoll reactor underneath the net server
 /// (net/server.h): fd readiness callbacks, cross-thread task posting via an
-/// eventfd wakeup, and steady-clock timers (the write-coalescing flush
-/// delay and parked-op retry cadence both ride on them).
+/// eventfd wakeup, steady-clock timers (the parked-op retry cadence rides
+/// on them) and an after-pass hook (the server's write flush).
 ///
-/// Threading contract: Watch/Modify/Unwatch/RunAfter/CancelTimer and the
-/// dispatched callbacks run on the loop thread only (the thread inside
-/// Run()/RunOnce). Post and RequestStop are safe from any thread — they are
-/// the *only* cross-thread entry points; the query-completion waiter thread
-/// uses Post to hand encoded responses back to the loop.
+/// Threading contract: Watch/Modify/Unwatch/RunAfter/CancelTimer/
+/// SetAfterPass and the dispatched callbacks run on the loop thread only
+/// (the thread inside Run()/RunOnce). Post and RequestStop are safe from
+/// any thread — they are the *only* cross-thread entry points; engine
+/// workers use Post to hand encoded query responses back to the loop.
 ///
 /// A callback may freely Unwatch (and close) its own fd, or any other fd,
 /// mid-dispatch: handlers are held by shared_ptr for the duration of the
@@ -30,6 +30,7 @@
 #include <memory>
 #include <mutex>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/status.h"
@@ -75,6 +76,11 @@ class EventLoop {
   /// Drops a pending timer; no-op when it already fired. Loop thread only.
   void CancelTimer(uint64_t id);
 
+  /// Installs `fn` to run once at the end of every pass — after the fd
+  /// handlers, posted tasks and expired timers of that pass, before the
+  /// next wait. Loop thread only (or before the loop runs).
+  void SetAfterPass(std::function<void()> fn) { after_pass_ = std::move(fn); }
+
   /// Dispatches until RequestStop. Pending posted tasks are drained once
   /// more after the stop is observed, so a Post racing the stop is not
   /// silently lost.
@@ -82,7 +88,8 @@ class EventLoop {
 
   /// One loop tick: waits for readiness at most `max_wait_ms` (clipped to
   /// the next timer deadline; 0 polls), then dispatches fd events, posted
-  /// tasks, and expired timers. Returns false once stop was requested.
+  /// tasks, expired timers and the after-pass hook. Returns false once stop
+  /// was requested.
   bool RunOnce(int max_wait_ms);
 
   /// Makes Run return after the current tick. Safe from any thread;
@@ -126,6 +133,8 @@ class EventLoop {
   std::map<TimerKey, std::function<void()>> timers_;
   std::unordered_map<uint64_t, TimerKey> timer_index_;  ///< id -> key
   uint64_t next_timer_id_ = 1;
+
+  std::function<void()> after_pass_;
 };
 
 }  // namespace net

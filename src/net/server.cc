@@ -24,11 +24,9 @@ namespace {
 constexpr double kShutdownDrainMs = 2000.0;
 
 constexpr int kListenBacklog = 128;
-/// Write coalescing (COMM_MIN / COMM_DELAY): flush a connection's
-/// out-buffer at this many bytes, or this many ms after the first unflushed
-/// byte, whichever comes first.
+/// Write coalescing (COMM_MIN): flush a connection's out-buffer at once at
+/// this many bytes; below it, at the end of the loop pass.
 constexpr size_t kFlushBytes = 8 * 1024;
-constexpr double kFlushDelayMs = 1.0;
 /// Accepted connections beyond this are closed at once.
 constexpr size_t kMaxConnections = 1024;
 
@@ -41,20 +39,19 @@ double MsSince(std::chrono::steady_clock::time_point t0) {
 }  // namespace
 
 Server::Server(QueryEngine* engine, ApplierPool* pool, ServerOptions opts)
-    : engine_(engine), pool_(pool), opts_(opts) {}
+    : engine_(engine),
+      pool_(pool),
+      opts_(opts),
+      inbox_(std::make_shared<Inbox>()) {
+  inbox_->server = this;
+}
 
 Server::~Server() {
-  RequestStop();
   {
-    std::lock_guard<std::mutex> lk(wq_mu_);
-    wq_stop_ = true;
+    // Late completions from now on are dropped on the worker.
+    std::lock_guard<std::mutex> lk(inbox_->mu);
+    inbox_->server = nullptr;
   }
-  wq_cv_.notify_all();
-  if (waiter_.joinable()) waiter_.join();
-  for (auto& [id, c] : conns_) {
-    if (c->fd >= 0) ::close(c->fd);
-  }
-  conns_.clear();
   if (listen_fd_ >= 0) ::close(listen_fd_);
 }
 
@@ -109,30 +106,18 @@ Status Server::Start() {
   GPMV_RETURN_NOT_OK(loop_.Init());
   GPMV_RETURN_NOT_OK(
       loop_.Watch(listen_fd_, EPOLLIN, [this](uint32_t) { OnAcceptable(); }));
+  loop_.SetAfterPass([this] { FlushDirty(); });
 
   start_time_ = std::chrono::steady_clock::now();
-  waiter_ = std::thread([this] { WaiterMain(); });
   started_ = true;
   return Status::OK();
 }
 
 void Server::Run() {
   loop_.Run();
-  // Loop done: stop the waiter and hard-close whatever survived (normally
-  // nothing — MaybeFinishShutdown closed every connection already).
-  {
-    std::lock_guard<std::mutex> lk(wq_mu_);
-    wq_stop_ = true;
-  }
-  wq_cv_.notify_all();
-  if (waiter_.joinable()) waiter_.join();
-  for (auto& [id, c] : conns_) {
-    loop_.Unwatch(c->fd);
-    ::close(c->fd);
-    c->fd = -1;
-  }
-  conns_.clear();
-  if (m_open_conns_ != nullptr) m_open_conns_->Set(0.0);
+  // Hard-close whatever survived (normally nothing — MaybeFinishShutdown
+  // closed every connection already).
+  CloseAll();
 }
 
 void Server::RequestStop() {
@@ -157,8 +142,8 @@ void Server::OnAcceptable() {
       continue;
     }
     const int one = 1;
-    // The server coalesces its own writes (COMM_MIN/COMM_DELAY); Nagle on
-    // top of that would only delay the flushed packet.
+    // The server coalesces its own writes (one write per loop pass, or at
+    // COMM_MIN); Nagle on top of that would only delay the flushed packet.
     ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
 
     auto conn = std::make_unique<Connection>();
@@ -291,23 +276,30 @@ void Server::HandleQuery(Connection* c, const Frame& f) {
   // the client asked for explicitly.
   qo.min_applied_ts = std::max(req->min_applied_ts, c->last_update_ts);
   qo.as_of_ts = req->as_of_ts;
-  Result<std::future<QueryResponse>> fut =
-      engine_->Submit(std::move(pattern).value(), qo);
-  if (!fut.ok()) {
+  const uint64_t seq = c->next_reply_seq + c->replies.size();
+  const auto submitted = std::chrono::steady_clock::now();
+  // Runs on the worker: it may outlive this server (see Inbox).
+  auto done = [inbox = inbox_, request_us = m_request_us_, conn_id = c->id,
+               seq, request_id = f.request_id,
+               submitted](QueryResponse resp) {
+    request_us->Record(static_cast<uint64_t>(MsSince(submitted) * 1000.0));
+    QueryReply reply = EncodeReply(request_id, std::move(resp));
+    std::lock_guard<std::mutex> lk(inbox->mu);
+    Server* s = inbox->server;
+    if (s == nullptr) return;
+    s->loop_.Post([s, conn_id, seq, reply = std::move(reply)]() mutable {
+      s->OnQueryDone(conn_id, seq, std::move(reply));
+    });
+  };
+  Status st = engine_->Submit(std::move(pattern).value(), qo, std::move(done));
+  if (!st.ok()) {
     // Shed by admission control (or shut down) — the loop thread never
     // blocks on a saturated pool.
-    SendError(c, f.request_id, fut.status());
+    SendError(c, f.request_id, st);
     return;
   }
   m_queries_->Add(1);
-  ++c->inflight_queries;
-  {
-    std::lock_guard<std::mutex> lk(wq_mu_);
-    wq_.push_back(PendingQuery{c->id, f.request_id,
-                               std::move(fut).value(),
-                               std::chrono::steady_clock::now()});
-  }
-  wq_cv_.notify_one();
+  c->replies.emplace_back();
 }
 
 void Server::HandleUpdate(Connection* c, const Frame& f) {
@@ -446,23 +438,12 @@ void Server::SendFrame(Connection* c, FrameKind kind, Status::Code status,
                        uint64_t request_id, const std::string& payload) {
   EncodeFrame(kind, status, request_id, payload, &c->out);
   m_frames_out_->Add(1);
-  const size_t unsent = c->out.size() - c->sent;
-  if (unsent >= kFlushBytes) {
-    if (c->flush_timer != 0) {
-      loop_.CancelTimer(c->flush_timer);
-      c->flush_timer = 0;
-    }
+  if (c->out.size() - c->sent >= kFlushBytes) {
     Flush(c);  // may close the connection; caller must re-look-up
-    return;
-  }
-  if (c->flush_timer == 0 && !c->want_write) {
-    const uint64_t id = c->id;
-    c->flush_timer = loop_.RunAfter(kFlushDelayMs, [this, id] {
-      auto it = conns_.find(id);
-      if (it == conns_.end()) return;
-      it->second->flush_timer = 0;
-      Flush(it->second.get());
-    });
+  } else if (!c->dirty && !c->want_write) {
+    // An armed EPOLLOUT already owns the flush.
+    c->dirty = true;
+    dirty_.push_back(c->id);
   }
 }
 
@@ -517,6 +498,17 @@ void Server::Flush(Connection* c) {
   MaybeFinishShutdown();
 }
 
+void Server::FlushDirty() {
+  // Flush never sends a frame, so dirty_ does not grow under the loop.
+  for (uint64_t id : dirty_) {
+    auto it = conns_.find(id);
+    if (it == conns_.end()) continue;  // closed during the pass
+    it->second->dirty = false;
+    Flush(it->second.get());
+  }
+  dirty_.clear();
+}
+
 void Server::UpdateReadInterest(Connection* c) {
   uint32_t events = 0;
   if (!c->reading_paused && !c->draining && !c->parked && !shutting_down_) {
@@ -529,7 +521,7 @@ void Server::UpdateReadInterest(Connection* c) {
 void Server::MaybeCloseDrained(Connection* c) {
   // A parked op still owes its client an ack/error even after the peer
   // half-closed its write side — it resolves (or deadlines) first.
-  if (c->draining && !c->parked && c->inflight_queries == 0 &&
+  if (c->draining && !c->parked && c->replies.empty() &&
       c->sent == c->out.size()) {
     CloseConn(c->id);
   }
@@ -539,7 +531,6 @@ void Server::CloseConn(uint64_t conn_id) {
   auto it = conns_.find(conn_id);
   if (it == conns_.end()) return;
   Connection* c = it->second.get();
-  if (c->flush_timer != 0) loop_.CancelTimer(c->flush_timer);
   if (c->retry_timer != 0) loop_.CancelTimer(c->retry_timer);
   loop_.Unwatch(c->fd);
   ::close(c->fd);
@@ -549,63 +540,42 @@ void Server::CloseConn(uint64_t conn_id) {
   MaybeFinishShutdown();
 }
 
-// ---------------------------------------------------------- query futures
+// ------------------------------------------------------ query completion
 
-void Server::WaiterMain() {
-  for (;;) {
-    PendingQuery pq;
-    {
-      std::unique_lock<std::mutex> lk(wq_mu_);
-      wq_cv_.wait(lk, [this] { return wq_stop_ || !wq_.empty(); });
-      if (wq_stop_) return;  // abandoned futures complete harmlessly
-      pq = std::move(wq_.front());
-      wq_.pop_front();
-    }
-    QueryResponse resp = pq.future.get();
-    m_request_us_->Record(
-        static_cast<uint64_t>(MsSince(pq.submitted) * 1000.0));
-    std::string encoded;
-    bool is_error = false;
-    Status::Code code = Status::Code::kOk;
-    if (resp.status.ok()) {
-      // Normalized match sets make equal results bit-identical on the
-      // wire (the loadgen equivalence check relies on it).
-      resp.result.Normalize();
-      encoded = EncodeQueryResult(resp);
-    } else {
-      is_error = true;
-      code = resp.status.code();
-      encoded = resp.status.message();
-    }
-    loop_.Post([this, conn_id = pq.conn_id, request_id = pq.request_id,
-                bytes = std::move(encoded), is_error, code]() mutable {
-      OnQueryDone(conn_id, request_id, std::move(bytes), is_error, code);
-    });
+Server::QueryReply Server::EncodeReply(uint64_t request_id,
+                                       QueryResponse resp) {
+  QueryReply reply;
+  reply.request_id = request_id;
+  if (resp.status.ok()) {
+    // Normalized match sets make equal results bit-identical on the wire
+    // (the loadgen equivalence check relies on it).
+    resp.result.Normalize();
+    reply.payload = EncodeQueryResult(resp);
+  } else {
+    reply.kind = FrameKind::kError;
+    reply.status = resp.status.code();
+    reply.payload = resp.status.message();
   }
+  return reply;
 }
 
-void Server::OnQueryDone(uint64_t conn_id, uint64_t request_id,
-                         std::string encoded, bool is_error,
-                         Status::Code error_code) {
+void Server::OnQueryDone(uint64_t conn_id, uint64_t seq, QueryReply reply) {
   auto it = conns_.find(conn_id);
-  if (it == conns_.end()) {
-    // Connection went away while the query ran; the result is dropped.
-    MaybeFinishShutdown();
-    return;
-  }
+  // Connection gone while the query ran: the result is dropped.
+  if (it == conns_.end()) return;
   Connection* c = it->second.get();
-  GPMV_DCHECK(c->inflight_queries > 0);
-  --c->inflight_queries;
-  if (is_error) {
-    m_errors_sent_->Add(1);
-    SendFrame(c, FrameKind::kError, error_code, request_id, encoded);
-  } else {
-    SendFrame(c, FrameKind::kQueryResult, Status::Code::kOk, request_id,
-              encoded);
+  GPMV_DCHECK(seq - c->next_reply_seq < c->replies.size());
+  c->replies[seq - c->next_reply_seq] = std::move(reply);
+  while (!c->replies.empty() && c->replies.front().has_value()) {
+    QueryReply r = std::move(*c->replies.front());
+    c->replies.pop_front();
+    ++c->next_reply_seq;
+    if (r.kind == FrameKind::kError) m_errors_sent_->Add(1);
+    SendFrame(c, r.kind, r.status, r.request_id, r.payload);
+    if (conns_.find(conn_id) == conns_.end()) return;  // a write fault
   }
-  it = conns_.find(conn_id);
-  if (it != conns_.end()) MaybeCloseDrained(it->second.get());
-  MaybeFinishShutdown();
+  // Whatever was sent is flushed by the pass-end flush (or already was),
+  // and that flush closes a drained connection and finishes a shutdown.
 }
 
 // -------------------------------------------------------------- shutdown
@@ -638,19 +608,11 @@ void Server::BeginShutdown() {
       c = it->second.get();
     }
     UpdateReadInterest(c);
-    // Stop coalescing: push whatever is buffered now.
-    if (c->flush_timer != 0) {
-      loop_.CancelTimer(c->flush_timer);
-      c->flush_timer = 0;
-    }
-    Flush(c);
+    Flush(c);  // writes what is buffered; closes an idle connection
   }
   // Backstop: a peer that never drains its socket cannot hold the exit.
   loop_.RunAfter(kShutdownDrainMs, [this] {
-    std::vector<uint64_t> stuck;
-    stuck.reserve(conns_.size());
-    for (auto& [id, c] : conns_) stuck.push_back(id);
-    for (uint64_t id : stuck) CloseConn(id);
+    CloseAll();
     loop_.RequestStop();
   });
   MaybeFinishShutdown();
@@ -659,25 +621,23 @@ void Server::BeginShutdown() {
 void Server::MaybeFinishShutdown() {
   if (!shutting_down_) return;
   for (auto& [id, c] : conns_) {
-    if (c->inflight_queries > 0 || c->sent != c->out.size()) return;
+    if (!c->replies.empty() || c->sent != c->out.size()) return;
   }
   // Everything answered and drained: close the remainder and stop.
-  std::vector<uint64_t> ids;
-  ids.reserve(conns_.size());
-  for (auto& [id, c] : conns_) ids.push_back(id);
-  for (uint64_t id : ids) {
-    auto it = conns_.find(id);
-    if (it == conns_.end()) continue;
-    Connection* c = it->second.get();
-    if (c->flush_timer != 0) loop_.CancelTimer(c->flush_timer);
+  CloseAll();
+  loop_.RequestStop();
+}
+
+void Server::CloseAll() {
+  if (conns_.empty()) return;  // the gauge already reads 0
+  for (auto& [id, c] : conns_) {
     if (c->retry_timer != 0) loop_.CancelTimer(c->retry_timer);
     loop_.Unwatch(c->fd);
     ::close(c->fd);
-    conns_.erase(it);
     m_closed_->Add(1);
   }
+  conns_.clear();
   m_open_conns_->Set(0.0);
-  loop_.RequestStop();
 }
 
 }  // namespace net

@@ -6,25 +6,22 @@
 /// pool, update ops through `ApplierPool::TryPush` into the MVCC ingest
 /// slices, stats straight off the metrics registry.
 ///
-/// Thread topology (three kinds of thread, two owned here):
+/// Thread topology (the server owns no thread):
 ///
 ///   * the **loop thread** (the caller of Run) owns every Connection and
 ///     all socket I/O. It never blocks on engine work: query submission
 ///     uses the executor's shed-when-saturated admission (a saturated pool
 ///     fast-fails kResourceExhausted instead of parking the loop), and op
 ///     admission uses the pool's non-blocking TryPush.
-///   * the **waiter thread** (owned) turns query futures into response
-///     frames: it blocks on each future in submission order, encodes the
-///     response off-loop, and Posts the bytes back to the loop for
-///     buffered sending. FIFO handling means one connection's responses
-///     arrive in its submission order.
-///   * the engine's own worker/applier threads, untouched.
+///   * the engine's worker that ran a query completes it: it records
+///     `net.request_us`, encodes the response off-loop and Posts the bytes
+///     to the loop. A per-connection reorder slot keeps one connection's
+///     results in its submission order; other connections never wait.
 ///
 /// Write path — small-packet coalescing after Galois's
 /// NetworkInterfaceBuffered: response bytes append to a per-connection
-/// buffer which flushes when it crosses 8 KiB (COMM_MIN) or when a 1 ms
-/// (COMM_DELAY) loop timer expires, whichever first.
-/// A partial write arms EPOLLOUT and the remainder streams out as the
+/// buffer flushed at the end of the loop pass that produced them, or at
+/// once past 8 KiB (COMM_MIN). A partial write arms EPOLLOUT and the remainder streams out as the
 /// socket drains — a slow reader backpressures only its own buffer.
 ///
 /// Read path — per-connection ingest backpressure: when an op's slice
@@ -47,7 +44,8 @@
 /// Shutdown: a kShutdown frame (or RequestStop) acks kOk, stops accepting,
 /// fails parked ops, drains in-flight queries, flushes every connection,
 /// then closes everything and returns from Run — the CI smoke job asserts
-/// this clean exit.
+/// this clean exit. A peer that never drains is cut after a 2 s backstop;
+/// a query still running then finishes in the engine and is dropped.
 ///
 /// Fault points (common/fault.h): `net.accept` drops a just-accepted
 /// connection, `net.read` fails a socket read, `net.write` fails a flush
@@ -59,15 +57,14 @@
 
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <cstdint>
 #include <deque>
-#include <future>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
-#include <thread>
 #include <unordered_map>
+#include <vector>
 
 #include "common/fault.h"
 #include "common/status.h"
@@ -95,15 +92,16 @@ struct ServerOptions {
 class Server {
  public:
   /// `engine` must outlive the server. `pool` may be null — update frames
-  /// then fail with kNotSupported (query-only serving).
+  /// then fail with kNotSupported (query-only serving). Queries still
+  /// running in the engine when the server is destroyed finish there and
+  /// their results are dropped.
   Server(QueryEngine* engine, ApplierPool* pool, ServerOptions opts = {});
   ~Server();
 
   Server(const Server&) = delete;
   Server& operator=(const Server&) = delete;
 
-  /// Binds + listens + starts the waiter thread. After OK, port() is live
-  /// and Run() will serve.
+  /// Binds + listens. After OK, port() is live and Run() will serve.
   Status Start();
 
   /// Serves until a kShutdown frame or RequestStop; returns only after
@@ -123,6 +121,14 @@ class Server {
   }
 
  private:
+  /// A finished query's response frame, encoded on the worker.
+  struct QueryReply {
+    uint64_t request_id = 0;
+    FrameKind kind = FrameKind::kQueryResult;
+    Status::Code status = Status::Code::kOk;
+    std::string payload;
+  };
+
   struct Connection {
     int fd = -1;
     uint64_t id = 0;
@@ -132,8 +138,8 @@ class Server {
     /// grows; the buffer compacts when fully drained.
     std::string out;
     size_t sent = 0;
-    bool want_write = false;    ///< EPOLLOUT armed
-    uint64_t flush_timer = 0;   ///< pending COMM_DELAY timer id (0 = none)
+    bool want_write = false;  ///< EPOLLOUT armed
+    bool dirty = false;       ///< listed for the pass-end flush
 
     bool reading_paused = false;
     /// Parked update op (slice queue full): frames decoded behind it stay
@@ -145,17 +151,20 @@ class Server {
     uint64_t retry_timer = 0;
 
     uint64_t last_update_ts = 0;  ///< read-your-writes floor
-    size_t inflight_queries = 0;
+    /// Reorder slot: entry i is executed query `next_reply_seq + i`, empty
+    /// until its worker delivers; the size is the in-flight count.
+    std::deque<std::optional<QueryReply>> replies;
+    uint64_t next_reply_seq = 0;
     /// Protocol error latched or peer half-closed: close once drained.
     bool draining = false;
   };
 
-  /// One submitted query awaiting its future, in FIFO order.
-  struct PendingQuery {
-    uint64_t conn_id = 0;
-    uint64_t request_id = 0;
-    std::future<QueryResponse> future;
-    std::chrono::steady_clock::time_point submitted;
+  /// Shared with every in-flight completion; ~Server detaches it, so a
+  /// completion that outlives the server is dropped, not posted. A
+  /// completion Posts while holding `mu`, so the detach waits it out.
+  struct Inbox {
+    std::mutex mu;
+    Server* server = nullptr;
   };
 
   void OnAcceptable();
@@ -171,23 +180,29 @@ class Server {
   void RetryParked(uint64_t conn_id);
   void FinishParked(Connection* c);
 
-  /// Appends an encoded frame and applies the coalescing policy.
+  /// Appends an encoded frame and applies the coalescing policy: flush now
+  /// past 8 KiB (may close the connection), else list it for the pass-end
+  /// flush.
   void SendFrame(Connection* c, FrameKind kind, Status::Code status,
                  uint64_t request_id, const std::string& payload);
   void SendError(Connection* c, uint64_t request_id, const Status& st);
   /// Writes as much of the out-buffer as the socket takes now.
   void Flush(Connection* c);
+  /// The loop's after-pass hook: flushes every connection listed dirty.
+  void FlushDirty();
   void UpdateReadInterest(Connection* c);
   /// Closes a draining connection once its responses are answered and
   /// written out. May invalidate `c`.
   void MaybeCloseDrained(Connection* c);
   void CloseConn(uint64_t conn_id);
+  /// Closes every connection at once (shutdown's last step).
+  void CloseAll();
 
-  /// Waiter-thread body and its loop-side completion.
-  void WaiterMain();
-  void OnQueryDone(uint64_t conn_id, uint64_t request_id,
-                   std::string encoded, bool is_error,
-                   Status::Code error_code);
+  /// Worker side of a query completion: the response frame's fields.
+  static QueryReply EncodeReply(uint64_t request_id, QueryResponse resp);
+  /// Loop side: fills the query's reorder slot and sends every reply now
+  /// at the head of the connection's order.
+  void OnQueryDone(uint64_t conn_id, uint64_t seq, QueryReply reply);
 
   void BeginShutdown();
   /// Stops the loop once shutdown started, queries drained, buffers empty.
@@ -207,13 +222,10 @@ class Server {
   std::atomic<uint64_t> accepted_{0};
 
   bool shutting_down_ = false;  ///< loop thread only
+  /// Connections with unsent bytes awaiting the pass-end flush.
+  std::vector<uint64_t> dirty_;
 
-  /// Waiter-thread queue.
-  std::thread waiter_;
-  std::mutex wq_mu_;
-  std::condition_variable wq_cv_;
-  std::deque<PendingQuery> wq_;
-  bool wq_stop_ = false;
+  std::shared_ptr<Inbox> inbox_;
 
   /// Stats frames: server-global gapless seq + steady ms since Start, so
   /// a socket-served artifact satisfies the exporter schema checker.

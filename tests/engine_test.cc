@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <future>
+#include <thread>
+#include <utility>
+
 #include "pattern/pattern_builder.h"
 #include "simulation/bounded.h"
 #include "test_util.h"
@@ -296,6 +301,52 @@ TEST(QueryEngineTest, SubmitRunsOnWorkerPool) {
   EXPECT_EQ(engine.metrics()->TakeSnapshot().GaugeValue("pool.executed"),
             1.0);
 }
+
+TEST(QueryEngineTest, SubmitCallbackRunsOnceOnTheWorker) {
+  EngineOptions opts;
+  opts.pool.num_threads = 2;
+  QueryEngine engine(SmallChainGraph(), opts);
+  Pattern q = ChainABC();
+  std::atomic<int> calls{0};
+  std::promise<std::pair<std::thread::id, QueryResponse>> got;
+  ASSERT_TRUE(engine
+                  .Submit(q, QueryOptions{},
+                          [&](QueryResponse resp) {
+                            ++calls;
+                            got.set_value(
+                                {std::this_thread::get_id(), std::move(resp)});
+                          })
+                  .ok());
+  auto [worker, resp] = got.get_future().get();
+  EXPECT_NE(worker, std::this_thread::get_id());
+  ASSERT_TRUE(resp.status.ok());
+  EXPECT_TRUE(resp.result == testutil::OracleMatch(q, SmallChainGraph()));
+  EXPECT_EQ(calls.load(), 1);
+}
+
+#if GPMV_FAULT_INJECTION
+TEST(QueryEngineTest, RefusedSubmitNeverCallsBack) {
+  FaultInjector fault(7);
+  FaultPointSpec spec;
+  spec.fire_on = {1};
+  fault.Arm("executor.task", spec);
+  EngineOptions opts;
+  opts.pool.num_threads = 1;
+  opts.fault = &fault;
+  QueryEngine engine(SmallChainGraph(), opts);
+  std::atomic<int> calls{0};
+  Status st = engine.Submit(ChainABC(), QueryOptions{},
+                            [&](QueryResponse) { ++calls; });
+  EXPECT_EQ(st.code(), Status::Code::kResourceExhausted);
+  EXPECT_EQ(
+      engine.metrics()->TakeSnapshot().CounterValue("engine.shed_queries"),
+      1u);
+  // The future wrapper reports the same refusal as a failed Result.
+  fault.Arm("executor.task", spec);
+  EXPECT_FALSE(engine.Submit(ChainABC()).ok());
+  EXPECT_EQ(calls.load(), 0);
+}
+#endif  // GPMV_FAULT_INJECTION
 
 }  // namespace
 }  // namespace gpmv

@@ -5,7 +5,9 @@
 /// (posting, timers, fd watching), and live-server tests over real TCP
 /// connections on an ephemeral port (request/response semantics,
 /// per-request vs framing errors, mid-frame disconnects, slow readers,
-/// read-your-writes, ingest backpressure error frames, shutdown). The
+/// read-your-writes, ingest backpressure error frames, shutdown, write
+/// coalescing, per-connection result order without cross-connection
+/// head-of-line blocking, completions that outlive the server). The
 /// malformed-input cases pin the ISSUE contract: a hostile or broken
 /// client must never crash or wedge the server, only lose its own
 /// connection.
@@ -22,6 +24,8 @@
 #include <atomic>
 #include <chrono>
 #include <cstring>
+#include <functional>
+#include <future>
 #include <memory>
 #include <string>
 #include <thread>
@@ -358,6 +362,20 @@ TEST(NetEventLoopTest, WatchDispatchesPipeReadability) {
   ::close(fds[1]);
 }
 
+TEST(NetEventLoopTest, AfterPassHookRunsLastInEveryPass) {
+  EventLoop loop;
+  ASSERT_TRUE(loop.Init().ok());
+  std::vector<std::string> order;
+  loop.SetAfterPass([&] { order.push_back("pass"); });
+  loop.Post([&] { order.push_back("task"); });
+  loop.RunAfter(0.0, [&] { order.push_back("timer"); });
+  loop.RunOnce(50);
+  EXPECT_EQ(order, (std::vector<std::string>{"task", "timer", "pass"}));
+  loop.RunOnce(0);  // an idle pass still ends with the hook
+  EXPECT_EQ(order,
+            (std::vector<std::string>{"task", "timer", "pass", "pass"}));
+}
+
 TEST(NetEventLoopTest, RequestStopMakesRunReturn) {
   EventLoop loop;
   ASSERT_TRUE(loop.Init().ok());
@@ -469,6 +487,19 @@ class NetServerTest : public ::testing::Test {
     q.min_applied_ts = min_ts;
     q.pattern_text = text;
     return EncodeQueryRequest(q);
+  }
+
+  obs::MetricsSnapshot Metrics() { return engine_->metrics()->TakeSnapshot(); }
+
+  /// Polls `pred` for up to 5 s; true once it holds.
+  static bool Eventually(const std::function<bool()>& pred) {
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(5);
+    while (!pred()) {
+      if (std::chrono::steady_clock::now() >= deadline) return false;
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    return true;
   }
 
   std::unique_ptr<QueryEngine> engine_;
@@ -685,6 +716,154 @@ TEST_F(NetServerTest, PipelinedQueriesComeBackInOrder) {
                  f.status == Status::Code::kResourceExhausted));
     EXPECT_EQ(f.request_id, id);
   }
+}
+
+TEST_F(NetServerTest, BlockedQueryDoesNotDelayOtherConnections) {
+  // Connection A's query waits on a read-your-writes floor far above the
+  // watermark (healthy pool, so the engine waits out its 2 s ryw timeout)
+  // on one worker; connection B's plain query runs on the other and its
+  // result must not queue behind A's.
+  EngineOptions eo;
+  eo.pool.num_threads = 2;
+  Start(ServerOptions{}, /*with_pool=*/true, ApplierPoolOptions{},
+        /*fault=*/nullptr, eo);
+  const std::string text = PatternToText(ChainPattern({"A", "B"}));
+  TestClient a, b;
+  ASSERT_TRUE(a.Connect(server_->port()));
+  ASSERT_TRUE(b.Connect(server_->port()));
+  ASSERT_TRUE(
+      a.Send(FrameKind::kQuery, 1, QueryPayload(text, uint64_t{1} << 40)));
+  ASSERT_TRUE(Eventually(
+      [&] { return Metrics().CounterValue("mvcc.ryw_waits") >= 1; }));
+
+  const auto sent = std::chrono::steady_clock::now();
+  ASSERT_TRUE(b.Send(FrameKind::kQuery, 2, QueryPayload(text)));
+  Frame f;
+  ASSERT_TRUE(b.Recv(&f));
+  const double b_ms = std::chrono::duration<double, std::milli>(
+                          std::chrono::steady_clock::now() - sent)
+                          .count();
+  EXPECT_EQ(f.kind, FrameKind::kQueryResult);
+  EXPECT_EQ(f.request_id, 2u);
+  EXPECT_LT(b_ms, 500.0);
+
+  ASSERT_TRUE(a.Recv(&f));
+  EXPECT_EQ(f.kind, FrameKind::kError);
+  EXPECT_EQ(f.status, Status::Code::kDeadlineExceeded);
+  EXPECT_EQ(f.request_id, 1u);
+}
+
+TEST_F(NetServerTest, EarlyResultWaitsForItsConnectionsEarlierQuery) {
+  // Query 1 waits on a read-your-writes floor (the first stream ts) while
+  // query 2 of the same connection finishes on the other worker; query 2's
+  // result must still leave after query 1's, once another connection's
+  // update lifts the watermark.
+  EngineOptions eo;
+  eo.pool.num_threads = 2;
+  Start(ServerOptions{}, /*with_pool=*/true, ApplierPoolOptions{},
+        /*fault=*/nullptr, eo);
+  const std::string text = PatternToText(ChainPattern({"A", "B"}));
+  TestClient reader, writer;
+  ASSERT_TRUE(reader.Connect(server_->port()));
+  ASSERT_TRUE(writer.Connect(server_->port()));
+  ASSERT_TRUE(reader.Send(FrameKind::kQuery, 1, QueryPayload(text, 1)));
+  ASSERT_TRUE(Eventually(
+      [&] { return Metrics().CounterValue("mvcc.ryw_waits") >= 1; }));
+  ASSERT_TRUE(reader.Send(FrameKind::kQuery, 2, QueryPayload(text)));
+  ASSERT_TRUE(Eventually([&] {
+    const obs::MetricsSnapshot m = Metrics();
+    const obs::HistogramSnapshot* h = m.FindHistogram("net.request_us");
+    return h != nullptr && h->count == 1;  // query 2 is done
+  }));
+
+  ASSERT_TRUE(writer.Send(FrameKind::kUpdate, 1,
+                          EncodeUpdateRequest(EdgeUpdate::Insert(0, 2))));
+  Frame f;
+  ASSERT_TRUE(writer.Recv(&f));
+  ASSERT_EQ(f.kind, FrameKind::kUpdateAck);
+  ASSERT_EQ(*DecodeUpdateAck(f.payload), 1u);
+  for (uint64_t id = 1; id <= 2; ++id) {
+    ASSERT_TRUE(reader.Recv(&f));
+    EXPECT_EQ(f.kind, FrameKind::kQueryResult);
+    EXPECT_EQ(f.request_id, id);
+  }
+}
+
+TEST_F(NetServerTest, PipelinedFramesShareFlushes) {
+  // 50 update frames in one write to a query-only server: the loop answers
+  // each with kNotSupported within one pass, and the pass-end flush sends
+  // the answers together instead of one write per frame.
+  Start(ServerOptions{}, /*with_pool=*/false);
+  TestClient c;
+  ASSERT_TRUE(c.Connect(server_->port()));
+  const obs::MetricsSnapshot before = Metrics();
+  constexpr uint64_t kBurst = 50;
+  std::string burst;
+  for (uint64_t id = 1; id <= kBurst; ++id) {
+    EncodeFrame(FrameKind::kUpdate, Status::Code::kOk, id,
+                EncodeUpdateRequest(EdgeUpdate::Insert(0, 3)), &burst);
+  }
+  ASSERT_TRUE(c.SendRaw(burst));
+  for (uint64_t id = 1; id <= kBurst; ++id) {
+    Frame f;
+    ASSERT_TRUE(c.Recv(&f));
+    EXPECT_EQ(f.kind, FrameKind::kError);
+    EXPECT_EQ(f.status, Status::Code::kNotSupported);
+    EXPECT_EQ(f.request_id, id);
+  }
+  auto delta = [&](const char* name) {
+    return Metrics().CounterValue(name) - before.CounterValue(name);
+  };
+  // A flush is counted after its write returns, so it may land after the
+  // client has read the bytes.
+  ASSERT_TRUE(Eventually([&] { return delta("net.flushes") >= 1; }));
+  EXPECT_EQ(delta("net.frames_sent"), kBurst);
+  EXPECT_LE(delta("net.flushes"), 5u);
+}
+
+TEST_F(NetServerTest, ServerDestroyedWithQueryInFlightDropsTheResult) {
+  // The engine's only worker is held inside a completion callback, so the
+  // served query queues behind it. The server shuts down (its drain
+  // backstop cuts the connection still owed that result) and is destroyed
+  // while the engine lives on; only then does the query run. Its late
+  // completion must find the server detached rather than post to a
+  // destroyed loop (ASan/TSan would report it).
+  EngineOptions eo;
+  eo.pool.num_threads = 1;
+  Start(ServerOptions{}, /*with_pool=*/false, ApplierPoolOptions{},
+        /*fault=*/nullptr, eo);
+  std::promise<void> held;
+  std::promise<void> release;
+  std::shared_future<void> gate = release.get_future().share();
+  ASSERT_TRUE(engine_
+                  ->Submit(ChainPattern({"A", "B"}), QueryOptions{},
+                           [&held, gate](QueryResponse) {
+                             held.set_value();
+                             gate.wait();
+                           })
+                  .ok());
+  held.get_future().wait();
+
+  TestClient c;
+  ASSERT_TRUE(c.Connect(server_->port()));
+  ASSERT_TRUE(c.Send(FrameKind::kQuery, 1,
+                     QueryPayload(PatternToText(ChainPattern({"A", "B"})))));
+  ASSERT_TRUE(
+      Eventually([&] { return Metrics().CounterValue("net.queries") == 1; }));
+  server_->RequestStop();
+  runner_.join();
+  server_.reset();
+  EXPECT_TRUE(c.WaitEof());
+
+  release.set_value();
+  // The completion records net.request_us on the worker before it finds
+  // the server gone.
+  ASSERT_TRUE(Eventually([&] {
+    const obs::MetricsSnapshot m = Metrics();
+    const obs::HistogramSnapshot* h = m.FindHistogram("net.request_us");
+    return h != nullptr && h->count == 1;
+  }));
+  EXPECT_EQ(Metrics().CounterValue("net.frames_sent"), 0u);
 }
 
 TEST_F(NetServerTest, UpdateWithoutPoolIsNotSupported) {

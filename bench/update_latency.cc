@@ -22,8 +22,11 @@
 /// `--min-speedup X` gates the aggregate insert-stream speedup of the
 /// plain family and `--min-bounded-speedup X` the bounded family (delta vs
 /// re-materialize) — the CI smoke runs both at 1.3, under the >=2x the
-/// delta delivers on insert-heavy streams (docs/BENCHMARKS.md). `--json`
-/// writes the machine-readable rows (bench_util.h JsonReport).
+/// delta delivers on insert-heavy streams (docs/BENCHMARKS.md). The
+/// bounded family's delete-stream aggregate (DeltaBoundedDelete against the
+/// seeded full refresh) is printed and written as
+/// `bounded_delete_aggregate`, report-only. `--json` writes the
+/// machine-readable rows (bench_util.h JsonReport).
 ///
 /// A final section measures multi-applier streamed ingestion: the same
 /// insert-only op stream pushed through a 1-applier and an N-applier
@@ -227,8 +230,8 @@ PassResult RunPass(const Graph& base, const std::vector<Pattern>& views,
   return out;
 }
 
-/// Insert-stream totals for one view family's aggregate speedup gate.
-struct InsertAggregate {
+/// One stream kind's totals for a view family's aggregate speedup.
+struct StreamAggregate {
   double delta_edges = 0.0, delta_secs = 0.0;
   double base_edges = 0.0, base_secs = 0.0;
 
@@ -240,12 +243,13 @@ struct InsertAggregate {
 
 /// Runs the full (stream kind x batch size) matrix for one view family,
 /// printing rows, appending JSON rows under `family`-prefixed labels and
-/// accumulating the insert-stream aggregate. Returns false on a
-/// delta-vs-rematerialize result mismatch.
+/// accumulating the insert- and (when `delete_agg` is non-null)
+/// delete-stream aggregates. Returns false on a delta-vs-rematerialize
+/// result mismatch.
 bool RunMatrix(const Graph& base, const std::vector<Pattern>& views,
                size_t num_batches, const char* family, bool bounded,
-               bench::JsonReport* report, InsertAggregate* agg,
-               uint64_t* stream_seed) {
+               bench::JsonReport* report, StreamAggregate* insert_agg,
+               StreamAggregate* delete_agg, uint64_t* stream_seed) {
   const StreamKind kinds[] = {StreamKind::kInsert, StreamKind::kDelete,
                               StreamKind::kMixed};
   const size_t batch_sizes[] = {1, 16, 128};
@@ -272,19 +276,27 @@ bool RunMatrix(const Graph& base, const std::vector<Pattern>& views,
       const double remat_ups = static_cast<double>(remat.edges_applied) /
                                std::max(remat.seconds, 1e-9);
       const double speedup = delta_ups / std::max(remat_ups, 1e-9);
-      if (kind == StreamKind::kInsert) {
+      StreamAggregate* agg = kind == StreamKind::kInsert   ? insert_agg
+                             : kind == StreamKind::kDelete ? delete_agg
+                                                           : nullptr;
+      if (agg != nullptr) {
         agg->delta_edges += static_cast<double>(delta.edges_applied);
         agg->delta_secs += delta.seconds;
         agg->base_edges += static_cast<double>(remat.edges_applied);
         agg->base_secs += remat.seconds;
       }
       // The "delta" column counts the refreshes the family's delta path
-      // actually served: DeltaBoundedInsert for bounded views.
+      // actually served: on delete streams DeltaBoundedDelete (both
+      // families), otherwise DeltaBoundedInsert for bounded views.
       const obs::MetricsSnapshot& dm = delta.metrics;
       const obs::MetricsSnapshot& rm = remat.metrics;
+      const bool deletes = kind == StreamKind::kDelete;
       const uint64_t delta_count = dm.CounterValue(
-          bounded ? "delta.bounded_refreshes" : "delta.refreshes");
-      const uint64_t delta_fallbacks = dm.CounterValue("delta.fallbacks");
+          deletes  ? "delta.delete_refreshes"
+          : bounded ? "delta.bounded_refreshes"
+                    : "delta.refreshes");
+      const uint64_t delta_fallbacks = dm.CounterValue(
+          deletes ? "delta.delete_fallbacks" : "delta.fallbacks");
       char label[64];
       std::snprintf(label, sizeof(label), "%s%s_b%zu", family,
                     StreamName(kind), bs);
@@ -294,10 +306,11 @@ bool RunMatrix(const Graph& base, const std::vector<Pattern>& views,
                   static_cast<unsigned long long>(delta_fallbacks), speedup);
       std::printf("%-20s remat %10.3f %10.3f %10.0f %10llu %10llu\n", label,
                   remat.p50_ms, remat.p99_ms, remat_ups,
-                  static_cast<unsigned long long>(
-                      rm.CounterValue("delta.refreshes")),
-                  static_cast<unsigned long long>(
-                      rm.CounterValue("delta.fallbacks")));
+                  static_cast<unsigned long long>(rm.CounterValue(
+                      deletes ? "delta.delete_refreshes" : "delta.refreshes")),
+                  static_cast<unsigned long long>(rm.CounterValue(
+                      deletes ? "delta.delete_fallbacks"
+                              : "delta.fallbacks")));
       std::vector<std::pair<std::string, double>> row = {
           {"p50_ms", delta.p50_ms},
           {"p99_ms", delta.p99_ms},
@@ -307,6 +320,10 @@ bool RunMatrix(const Graph& base, const std::vector<Pattern>& views,
           {"affected_nodes",
            static_cast<double>(dm.CounterValue("delta.affected_nodes"))},
           {"speedup", speedup}};
+      if (deletes) {
+        row.push_back({"delete_skips", static_cast<double>(dm.CounterValue(
+                                           "delta.delete_skips"))});
+      }
       if (bounded) {
         row.push_back({"bounded_matches_added",
                        static_cast<double>(
@@ -448,24 +465,30 @@ int main(int argc, char** argv) {
   report.Meta("batches", static_cast<double>(num_batches));
 
   uint64_t stream_seed = 1;
-  InsertAggregate plain_agg;
+  StreamAggregate plain_agg;
   if (!RunMatrix(base, plain_views, num_batches, "", /*bounded=*/false,
-                 &report, &plain_agg, &stream_seed)) {
+                 &report, &plain_agg, /*delete_agg=*/nullptr, &stream_seed)) {
     return 1;
   }
-  InsertAggregate bounded_agg;
+  StreamAggregate bounded_agg, bounded_delete_agg;
   if (!RunMatrix(base, bounded_views, num_batches, "bounded_",
-                 /*bounded=*/true, &report, &bounded_agg, &stream_seed)) {
+                 /*bounded=*/true, &report, &bounded_agg, &bounded_delete_agg,
+                 &stream_seed)) {
     return 1;
   }
 
   const double agg_speedup = plain_agg.Speedup();
   const double bounded_speedup = bounded_agg.Speedup();
+  const double bounded_delete_speedup = bounded_delete_agg.Speedup();
   std::printf("\ninsert-stream aggregate speedup (delta vs re-materialize): "
               "plain %.2fx, bounded %.2fx\n",
               agg_speedup, bounded_speedup);
+  std::printf("delete-stream aggregate speedup, bounded (report-only): "
+              "%.2fx\n",
+              bounded_delete_speedup);
   report.Add("insert_aggregate", {{"speedup", agg_speedup}});
   report.Add("bounded_insert_aggregate", {{"speedup", bounded_speedup}});
+  report.Add("bounded_delete_aggregate", {{"speedup", bounded_delete_speedup}});
 
   // Multi-applier ingestion: identical insert-only op stream through a
   // 1-applier and an N-applier pool; final view answers must agree.

@@ -97,7 +97,8 @@ size_t MergeBoundedInsertDelta(const ViewDefinition& def,
                                const std::vector<NodePair>& inserted,
                                const std::vector<std::vector<NodeId>>& relation,
                                const std::vector<std::vector<NodeId>>& added,
-                               ViewExtension* ext, DistanceIndex* dindex) {
+                               DeltaScratch* bfs, ViewExtension* ext,
+                               DistanceIndex* dindex) {
   size_t pairs_changed = 0;
   auto contains = [](const std::vector<NodeId>& sorted, NodeId v) {
     return std::binary_search(sorted.begin(), sorted.end(), v);
@@ -105,8 +106,8 @@ size_t MergeBoundedInsertDelta(const ViewDefinition& def,
   auto inner = [](uint32_t bound) {
     return bound == kUnbounded ? kUnbounded : bound - 1;
   };
-  BfsScratch scratch(g.num_nodes());
-  BfsScratch fwd(g.num_nodes());
+  BfsScratch& scratch = bfs->rev();
+  BfsScratch& fwd = bfs->fwd();
   for (uint32_t e = 0; e < def.pattern.num_edges(); ++e) {
     const PatternEdge& pe = def.pattern.edge(e);
     const std::vector<NodeId>& rs = relation[pe.src];
@@ -212,20 +213,21 @@ size_t MergeBoundedInsertDelta(const ViewDefinition& def,
 Status RefreshViewExtensionInserted(const ViewDefinition& def,
                                     const GraphSnapshot& g,
                                     const std::vector<NodePair>& inserted,
-                                    const InsertMaintenanceOptions& opts,
-                                    ViewExtension* ext,
+                                    const MaintenanceOptions& opts,
+                                    DeltaScratch* scratch, ViewExtension* ext,
                                     std::vector<std::vector<NodeId>>* relation,
-                                    InsertMaintenanceStats* stats,
+                                    MaintenanceStats* stats,
                                     DistanceIndex* dindex) {
-  InsertMaintenanceStats local;
+  MaintenanceStats local;
   if (stats == nullptr) stats = &local;
   if (opts.enable_delta) {
-    DeltaInsertOptions dopts;
+    DeltaOptions dopts;
     dopts.max_area_fraction = opts.max_area_fraction;
     DeltaInsertStats dstats;
     std::vector<std::vector<NodeId>> added;
     GPMV_RETURN_NOT_OK(DeltaBoundedInsert(def.pattern, g, inserted, dopts,
-                                          relation, &added, &dstats));
+                                          scratch, relation, &added,
+                                          &dstats));
     if (dstats.applied) {
       ++stats->delta_refreshes;
       stats->affected_nodes += dstats.affected_nodes;
@@ -236,7 +238,7 @@ Status RefreshViewExtensionInserted(const ViewDefinition& def,
       } else {
         ++stats->bounded_delta_refreshes;
         const size_t changed = MergeBoundedInsertDelta(
-            def, g, inserted, *relation, added, ext, dindex);
+            def, g, inserted, *relation, added, scratch, ext, dindex);
         stats->delta_matches_added += changed;
         stats->bounded_matches_added += changed;
       }
@@ -266,20 +268,37 @@ Status RefreshViewExtensionInserted(const ViewDefinition& def,
   return Status::OK();
 }
 
-bool DeletionMayAffectView(const ViewDefinition& def,
-                           const std::vector<std::vector<NodeId>>& relation,
-                           NodeId u, NodeId v) {
-  if (!def.pattern.IsSimulationPattern()) return true;
-  for (uint32_t e = 0; e < def.pattern.num_edges(); ++e) {
-    const PatternEdge& pe = def.pattern.edge(e);
-    const auto& su = relation[pe.src];
-    const auto& sv = relation[pe.dst];
-    if (std::binary_search(su.begin(), su.end(), u) &&
-        std::binary_search(sv.begin(), sv.end(), v)) {
-      return true;
+Status RefreshViewExtensionDeleted(const ViewDefinition& def,
+                                   const GraphSnapshot& g,
+                                   const std::vector<NodePair>& deleted,
+                                   const MaintenanceOptions& opts,
+                                   DeltaScratch* scratch, ViewExtension* ext,
+                                   std::vector<std::vector<NodeId>>* relation,
+                                   MaintenanceStats* stats) {
+  MaintenanceStats local;
+  if (stats == nullptr) stats = &local;
+  if (opts.enable_delta) {
+    DeltaOptions dopts;
+    dopts.max_area_fraction = opts.max_area_fraction;
+    DeltaDeleteStats dstats;
+    std::vector<NodeId> orphaned;
+    GPMV_RETURN_NOT_OK(DeltaBoundedDelete(def.pattern, g, deleted, dopts,
+                                          scratch, relation,
+                                          ext->mutable_edges(), &orphaned,
+                                          &dstats));
+    if (dstats.applied) {
+      for (NodeId v : orphaned) ext->DropSnapshot(v);
+      ++stats->delete_refreshes;
+      return Status::OK();
     }
   }
-  return false;
+  // Seeded full refresh: sound because the relation can only have shrunk.
+  ++stats->delete_fallbacks;
+  Result<ViewExtension> fresh =
+      ViewExtension::Materialize(def, g, /*seed=*/relation, relation);
+  GPMV_RETURN_NOT_OK(fresh.status());
+  *ext = std::move(fresh).value();
+  return Status::OK();
 }
 
 }  // namespace gpmv

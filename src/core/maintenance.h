@@ -6,12 +6,22 @@
 /// (citing [15], Fan et al., SIGMOD 2011). This module provides a working
 /// maintenance layer with the following contract:
 ///
-///  * *Edge deletions* are handled decrementally: the maximum (bounded)
-///    simulation relation can only shrink under deletions, so the cached
-///    relation is re-refined seeded from its previous value — no label
-///    scan, no candidate re-enumeration — and the match sets re-extracted.
-///    For plain simulation views a constant-time prescreen skips deletions
-///    that touch no matched node.
+///  * *Edge deletions* are handled decrementally, after one sound
+///    prescreen for plain and bounded views alike (DeletionMayAffectView,
+///    simulation/delta.h):
+///    a view is refreshed only if some pattern edge (s, t, k) has a member
+///    of rel(s) within the post-delete reverse (k-1)-ball of a deleted
+///    edge's tail (k = 1: the deleted edge itself joined rel(s) to
+///    rel(t)). A view that passes is repaired locally by
+///    DeltaBoundedDelete (simulation/delta.h): the affected sources are
+///    re-checked, removals cascade through the reverse balls of the
+///    removed nodes, and the extension is patched row by row — removed
+///    sources and pairs to removed targets dropped, re-checked rows
+///    recomputed with exact distances, and the snapshots of nodes left in
+///    no pair pruned. The seeded full refresh (ViewExtension::Materialize
+///    seeded from the cached relation) runs only as the fallback: the
+///    dirty area over `max_area_fraction`·|V|, a relation that empties
+///    (the view stops matching), or `enable_delta` off.
 ///  * *Edge insertions* are handled with the localized delta of [15]
 ///    (simulation/delta.h): the affected area around the inserted edges'
 ///    endpoints is computed from the cached relation's reach, a delta
@@ -23,7 +33,7 @@
 ///    the merge additionally sweeps the bound-radius balls around each
 ///    inserted edge and add-or-min-updates the (pair, distance) columns —
 ///    distances stay exact shortest nonempty path lengths throughout. The
-///    path re-materializes instead (counted in InsertMaintenanceStats::
+///    path re-materializes instead (counted in MaintenanceStats::
 ///    rematerialize_fallbacks) when the delta cannot apply: views whose
 ///    cached relation is empty, or an affected area larger than
 ///    `max_area_fraction`·|V| — the boundedness caveat of [15].
@@ -34,9 +44,8 @@
 ///
 /// The engine's view cache drives these routines once per update batch
 /// (ViewCache::RefreshForUpdates): callers mutate the Graph, freeze it, and
-/// hand the frozen snapshots in. The deletion refresh and the fallback are
-/// ViewExtension::Materialize — seeded from the cached relation, or from
-/// the label candidates — which runs the fixpoint once.
+/// hand the frozen snapshots in, plus the one DeltaScratch it lends to
+/// every call.
 
 #ifndef GPMV_CORE_MAINTENANCE_H_
 #define GPMV_CORE_MAINTENANCE_H_
@@ -50,18 +59,23 @@
 
 namespace gpmv {
 
-/// Insert-path knobs; see file comment and simulation/delta.h.
-struct InsertMaintenanceOptions {
-  /// Kill switch: false always re-materializes on insertions (the
-  /// pre-delta behavior; bench/update_latency's baseline).
+/// Maintenance knobs for both directions; see file comment and
+/// simulation/delta.h.
+struct MaintenanceOptions {
+  /// Kill switch: false re-materializes instead of running either delta
+  /// (the pre-delta behavior; bench/update_latency's baseline). The
+  /// deletion prescreen still applies.
   bool enable_delta = true;
-  /// Affected-area fallback threshold (DeltaInsertOptions).
+  /// Affected-area fallback threshold (DeltaOptions), for insertions and
+  /// deletions alike.
   double max_area_fraction = 0.25;
 };
 
-/// Counters of the insert maintenance path, aggregated per update batch by
-/// the engine (the `delta.*` metrics).
-struct InsertMaintenanceStats {
+/// Counters of the maintenance paths, aggregated per update batch by the
+/// engine (the `delta.*` metrics). The insert-path counters and the
+/// deletion counters are kept apart: `delta_refreshes` and
+/// `rematerialize_fallbacks` count insert-phase refreshes only.
+struct MaintenanceStats {
   size_t delta_refreshes = 0;          ///< views maintained via the delta
   size_t rematerialize_fallbacks = 0;  ///< views re-materialized instead
   size_t affected_nodes = 0;           ///< Σ affected-area sizes
@@ -78,7 +92,12 @@ struct InsertMaintenanceStats {
   size_t fallback_area_too_large = 0;  ///< affected area over the threshold
   size_t fallback_disabled = 0;        ///< enable_delta was false
 
-  void Merge(const InsertMaintenanceStats& other) {
+  /// Deletion phase, per view and batch:
+  size_t delete_refreshes = 0;  ///< repaired locally by DeltaBoundedDelete
+  size_t delete_fallbacks = 0;  ///< seeded full refresh instead
+  size_t delete_skips = 0;      ///< prescreen proved the view unaffected
+
+  void Merge(const MaintenanceStats& other) {
     delta_refreshes += other.delta_refreshes;
     rematerialize_fallbacks += other.rematerialize_fallbacks;
     affected_nodes += other.affected_nodes;
@@ -90,6 +109,9 @@ struct InsertMaintenanceStats {
     fallback_unmatched += other.fallback_unmatched;
     fallback_area_too_large += other.fallback_area_too_large;
     fallback_disabled += other.fallback_disabled;
+    delete_refreshes += other.delete_refreshes;
+    delete_fallbacks += other.delete_fallbacks;
+    delete_skips += other.delete_skips;
   }
 };
 
@@ -108,21 +130,26 @@ struct InsertMaintenanceStats {
 Status RefreshViewExtensionInserted(const ViewDefinition& def,
                                     const GraphSnapshot& g,
                                     const std::vector<NodePair>& inserted,
-                                    const InsertMaintenanceOptions& opts,
-                                    ViewExtension* ext,
+                                    const MaintenanceOptions& opts,
+                                    DeltaScratch* scratch, ViewExtension* ext,
                                     std::vector<std::vector<NodeId>>* relation,
-                                    InsertMaintenanceStats* stats = nullptr,
+                                    MaintenanceStats* stats = nullptr,
                                     DistanceIndex* dindex = nullptr);
 
-/// Constant-time prescreen for *plain simulation* views: removing edge
-/// (u, v) can only shrink the extension when (u, v) was itself a match pair
-/// of some view edge, because only match pairs support the relation.
-/// `relation` must be the view's cached node relation (sorted sets). Always
-/// true for bounded views — the deleted edge may be interior to a matched
-/// path, which this screen cannot see.
-bool DeletionMayAffectView(const ViewDefinition& def,
-                           const std::vector<std::vector<NodeId>>& relation,
-                           NodeId u, NodeId v);
+/// Deletion-path refresh for a view that passed DeletionMayAffectView:
+/// brings `ext`/`relation` up to date with `g`, the frozen snapshot after
+/// the deletions, through DeltaBoundedDelete, pruning the snapshots of
+/// nodes left in no pair; falls back to ViewExtension::Materialize seeded
+/// from `relation` (see file comment). Distances only grow under
+/// deletions, so the distance index is repaired by its owner
+/// (DistanceIndex::InvalidateForDeletions + RepairDirty), not here.
+Status RefreshViewExtensionDeleted(const ViewDefinition& def,
+                                   const GraphSnapshot& g,
+                                   const std::vector<NodePair>& deleted,
+                                   const MaintenanceOptions& opts,
+                                   DeltaScratch* scratch, ViewExtension* ext,
+                                   std::vector<std::vector<NodeId>>* relation,
+                                   MaintenanceStats* stats = nullptr);
 
 }  // namespace gpmv
 

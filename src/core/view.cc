@@ -45,6 +45,22 @@ Result<ViewExtension> ViewExtension::Materialize(
   return ext;
 }
 
+namespace {
+
+/// Footprint of one snapshot entry (key, struct, label and attribute
+/// payloads).
+size_t SnapshotBytes(const NodeSnapshot& snap) {
+  size_t bytes = sizeof(NodeId) + sizeof(NodeSnapshot);
+  for (const std::string& l : snap.labels) bytes += l.size();
+  for (const auto& [name, value] : snap.attrs.entries()) {
+    bytes += name.size() + sizeof(AttrValue);
+    if (value.is_string()) bytes += value.as_string().size();
+  }
+  return bytes;
+}
+
+}  // namespace
+
 void ViewExtension::EnsureSnapshot(const GraphSnapshot& g, NodeId v) {
   auto [it, inserted] = snapshots_.try_emplace(v);
   if (!inserted) return;
@@ -53,6 +69,14 @@ void ViewExtension::EnsureSnapshot(const GraphSnapshot& g, NodeId v) {
   for (LabelId l : g.labels(v)) snap.labels.push_back(g.LabelName(l));
   std::sort(snap.labels.begin(), snap.labels.end());
   snap.attrs = g.attrs(v);
+  snapshot_bytes_ += SnapshotBytes(snap);
+}
+
+void ViewExtension::DropSnapshot(NodeId v) {
+  auto it = snapshots_.find(v);
+  if (it == snapshots_.end()) return;
+  snapshot_bytes_ -= SnapshotBytes(it->second);
+  snapshots_.erase(it);
 }
 
 const NodeSnapshot* ViewExtension::snapshot(NodeId v) const {
@@ -67,19 +91,17 @@ size_t ViewExtension::TotalPairs() const {
 }
 
 size_t ViewExtension::ApproxBytes() const {
-  size_t bytes = 0;
+  size_t bytes = snapshot_bytes_;
   for (const ViewEdgeExtension& e : edges_) {
     bytes += e.pairs.size() * sizeof(NodePair);
     bytes += e.distances.size() * sizeof(uint32_t);
   }
-  for (const auto& [v, snap] : snapshots_) {
-    bytes += sizeof(v) + sizeof(NodeSnapshot);
-    for (const std::string& l : snap.labels) bytes += l.size();
-    for (const auto& [name, value] : snap.attrs.entries()) {
-      bytes += name.size() + sizeof(AttrValue);
-      if (value.is_string()) bytes += value.as_string().size();
-    }
-  }
+  return bytes;
+}
+
+size_t ViewExtension::RecountApproxBytes() const {
+  size_t bytes = ApproxBytes() - snapshot_bytes_;
+  for (const auto& [v, snap] : snapshots_) bytes += SnapshotBytes(snap);
   return bytes;
 }
 

@@ -69,15 +69,6 @@ struct NodeSnapshot {
   bool HasLabel(const std::string& label) const;
 };
 
-/// Matches of one view edge in G.
-struct ViewEdgeExtension {
-  /// Matching node pairs, sorted ascending.
-  std::vector<NodePair> pairs;
-  /// Parallel to `pairs`: exact shortest-path distance realizing the match
-  /// (1 for plain simulation views).
-  std::vector<uint32_t> distances;
-};
-
 /// The materialized result V(G) of one view.
 class ViewExtension {
  public:
@@ -109,25 +100,37 @@ class ViewExtension {
   /// |V(G)| contribution: total number of materialized pairs.
   size_t TotalPairs() const;
 
+  /// Number of snapshotted nodes; equals the number of distinct pair
+  /// endpoints, which every maintenance path preserves.
+  size_t num_snapshots() const { return snapshots_.size(); }
+
   /// Rough memory footprint in bytes (pairs, distances and snapshots); used
-  /// to report view-to-graph size ratios as in Section VII.
+  /// to report view-to-graph size ratios as in Section VII and for the
+  /// view cache's byte budget. O(#view edges): the snapshot share is a
+  /// running total kept by EnsureSnapshot / DropSnapshot.
   size_t ApproxBytes() const;
+
+  /// ApproxBytes recomputed from scratch by walking every snapshot — the
+  /// reference the running total is checked against.
+  size_t RecountApproxBytes() const;
 
   /// Internal/maintenance accessors.
   std::vector<ViewEdgeExtension>* mutable_edges() { return &edges_; }
   void set_matched(bool m) { matched_ = m; }
-  std::unordered_map<NodeId, NodeSnapshot>* mutable_snapshots() {
-    return &snapshots_;
-  }
 
   /// Captures node `v`'s labels + attributes if not snapshotted yet — used
   /// at materialization and when delta maintenance adds match pairs.
   void EnsureSnapshot(const GraphSnapshot& g, NodeId v);
 
+  /// Forgets node `v`'s snapshot (no-op if absent) — used when deletion
+  /// maintenance leaves `v` in no match pair.
+  void DropSnapshot(NodeId v);
+
  private:
   bool matched_ = false;
   std::vector<ViewEdgeExtension> edges_;
   std::unordered_map<NodeId, NodeSnapshot> snapshots_;
+  size_t snapshot_bytes_ = 0;  ///< Σ SnapshotBytes over snapshots_
 };
 
 /// Materializes every view of `views` on `g`.

@@ -139,6 +139,9 @@ void QueryEngine::InitMetrics() {
       m.FindOrCreateCounter("delta.fallback_area_too_large");
   h_.delta_fallback_disabled =
       m.FindOrCreateCounter("delta.fallback_disabled");
+  h_.delta_delete_refreshes = m.FindOrCreateCounter("delta.delete_refreshes");
+  h_.delta_delete_fallbacks = m.FindOrCreateCounter("delta.delete_fallbacks");
+  h_.delta_delete_skips = m.FindOrCreateCounter("delta.delete_skips");
   h_.stream_appliers = m.FindOrCreateGauge("stream.appliers");
   h_.stream_appliers->Set(1.0);
   h_.mvcc_asof_queries = m.FindOrCreateCounter("mvcc.asof_queries");
@@ -970,7 +973,7 @@ Status QueryEngine::ApplyStreamBatchSlice(const std::vector<EdgeUpdate>& batch,
   }
   size_t inserted_count = 0;
   size_t deleted_count = 0;
-  InsertMaintenanceStats delta_stats;
+  MaintenanceStats delta_stats;
   double delete_phase_ms = 0.0;
   double insert_phase_ms = 0.0;
   Stopwatch apply_sw;
@@ -1084,6 +1087,9 @@ Status QueryEngine::ApplyStreamBatchSlice(const std::vector<EdgeUpdate>& batch,
     h_.delta_fallback_area_too_large->Add(
         delta_stats.fallback_area_too_large);
     h_.delta_fallback_disabled->Add(delta_stats.fallback_disabled);
+    h_.delta_delete_refreshes->Add(delta_stats.delete_refreshes);
+    h_.delta_delete_fallbacks->Add(delta_stats.delete_fallbacks);
+    h_.delta_delete_skips->Add(delta_stats.delete_skips);
     h_.update_apply_us->Record(ToMicros(apply_sw.ElapsedMillis()));
     h_.update_delete_phase_us->Record(ToMicros(delete_phase_ms));
     h_.update_insert_phase_us->Record(ToMicros(insert_phase_ms));

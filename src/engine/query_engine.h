@@ -16,10 +16,11 @@
 ///  * core/maintenance — ApplyUpdates() routes edge insert/delete batches
 ///                     through incremental maintenance so cached extensions
 ///                     stay fresh instead of being invalidated: deletions
-///                     re-refine decrementally (seeded + prescreen), and
+///                     pass one ball prescreen for plain and bounded views
+///                     and repair the rest locally (DeltaBoundedDelete),
 ///                     insertions run the localized delta-simulation path
-///                     (simulation/delta.h), re-materializing only when
-///                     the affected area outgrows the locality threshold.
+///                     (simulation/delta.h); either re-materializes only
+///                     when its area outgrows the locality threshold.
 ///
 /// Concurrency model: one shared_mutex (the *registry lock*) protects the
 /// graph and every extension payload. Query execution — planning, MatchJoin,
@@ -151,9 +152,9 @@ struct EngineOptions {
   /// Snapshot sharding; num_shards > 1 enables per-shard query fan-out and
   /// per-shard slice maintenance (see file comment).
   ShardingOptions sharding;
-  /// Insert-path maintenance knobs (delta kill switch + affected-area
-  /// fallback threshold); see core/maintenance.h.
-  InsertMaintenanceOptions maintenance;
+  /// Maintenance knobs for insertions and deletions (delta kill switch +
+  /// affected-area fallback threshold); see core/maintenance.h.
+  MaintenanceOptions maintenance;
   /// Full-result memoization (result_cache.h); budget_bytes 0 disables.
   ResultCacheOptions result_cache;
   /// Observability: tracing, slow-query log, metrics kill switch.
@@ -269,8 +270,9 @@ class QueryEngine {
 
   /// Applies an edge insert/delete batch to the graph, then routes every
   /// materialized extension through incremental maintenance in two phases:
-  /// *deletions first* (decremental seeded refresh with the constant-time
-  /// prescreen, against a snapshot frozen after the deletions), *then the
+  /// *deletions first* (ball prescreen, then the local decremental repair
+  /// of DeltaBoundedDelete, against a snapshot frozen after the
+  /// deletions), *then the
   /// insertions* (localized delta-simulation — affected-area fixpoint +
   /// extension merge, simulation/delta.h — against the final snapshot,
   /// re-materializing only on a delta fallback). A batch therefore has
@@ -503,7 +505,7 @@ class QueryEngine {
     obs::Counter* shard_messages;
     obs::Counter* shard_frontier_msgs;
     obs::Gauge* shard_fanout_width;  // SetMax
-    // insert maintenance (delta.*)
+    // maintenance (delta.*): insert path, then the deletion path
     obs::Counter* delta_refreshes;
     obs::Counter* delta_fallbacks;
     obs::Counter* delta_affected_nodes;
@@ -515,6 +517,9 @@ class QueryEngine {
     obs::Counter* delta_fallback_unmatched;
     obs::Counter* delta_fallback_area_too_large;
     obs::Counter* delta_fallback_disabled;
+    obs::Counter* delta_delete_refreshes;
+    obs::Counter* delta_delete_fallbacks;
+    obs::Counter* delta_delete_skips;
     obs::Gauge* stream_appliers;  // Set (configured slice count)
     // MVCC chain (graph/mvcc.h); chain depth / pins / GC total surface as
     // collector gauges read straight off the chain.

@@ -115,22 +115,29 @@ Status ViewCache::RefreshForUpdates(const GraphSnapshot* after_deletions,
                                     const GraphSnapshot& final_snap,
                                     const std::vector<NodePair>& deleted,
                                     const std::vector<NodePair>& inserted,
-                                    const InsertMaintenanceOptions& opts,
-                                    InsertMaintenanceStats* delta_stats) {
+                                    const MaintenanceOptions& opts,
+                                    MaintenanceStats* delta_stats) {
   std::lock_guard<std::mutex> lk(meta_mu_);
+  const GraphSnapshot& del_snap =
+      after_deletions != nullptr ? *after_deletions : final_snap;
   // Deletions can only lengthen indexed distances: dirty the tracked
   // sources inside the post-delete balls now, repair against the final
   // snapshot once the sweep is done (the entries stay untouched meanwhile,
   // so the per-view refreshes below never read through them).
-  if (!deleted.empty()) {
-    dindex_.InvalidateForDeletions(
-        after_deletions != nullptr ? *after_deletions : final_snap, deleted);
-  }
+  if (!deleted.empty()) dindex_.InvalidateForDeletions(del_snap, deleted);
   // Insertions can only shorten them: min-update every tracked entry whose
   // shortest path improved through an inserted edge.
   if (!inserted.empty()) {
     stats_.distance_shortened += dindex_.ApplyInsertions(final_snap, inserted);
   }
+  // One set of |V|-sized traversal buffers for every sweep (edge updates
+  // never change the node count, so both snapshots fit).
+  const size_t num_nodes = final_snap.num_nodes();
+  if (!scratch_.has_value() || scratch_->num_nodes() != num_nodes) {
+    scratch_.emplace(num_nodes);
+  }
+  DeltaScratch& scratch = *scratch_;
+  MaintenanceStats batch_stats;
   for (uint32_t v = 0; v < entries_.size(); ++v) {
     Entry& e = entries_[v];
     if (!e.materialized) continue;
@@ -141,28 +148,20 @@ Status ViewCache::RefreshForUpdates(const GraphSnapshot* after_deletions,
 
     // A view the insert phase will re-materialize anyway (delta disabled)
     // does so once, against the final snapshot — its deletion refresh
-    // would be wasted. Bounded views now take the delta path too.
+    // would be wasted.
     const bool insert_rematerializes = !inserted.empty() && !opts.enable_delta;
 
     if (!deleted.empty() && !insert_rematerializes) {
-      bool affected = false;
-      for (const NodePair& p : deleted) {
-        if (DeletionMayAffectView(def, e.relation, p.first, p.second)) {
-          affected = true;
-          break;
-        }
-      }
-      if (affected) {
-        // Decremental: seeded from the cached relation, against the
-        // post-deletion snapshot (insertions are not in the graph yet from
-        // this phase's point of view).
-        Result<ViewExtension> ext = ViewExtension::Materialize(
-            def, after_deletions != nullptr ? *after_deletions : final_snap,
-            /*seed=*/&e.relation, &e.relation);
-        GPMV_RETURN_NOT_OK(ext.status());
-        exts_[v] = std::move(ext).value();
+      if (DeletionMayAffectView(def.pattern, e.relation, del_snap, deleted,
+                                &scratch)) {
+        // Decremental, against the post-deletion snapshot (insertions are
+        // not in the graph yet from this phase's point of view).
+        GPMV_RETURN_NOT_OK(RefreshViewExtensionDeleted(
+            def, del_snap, deleted, opts, &scratch, &exts_[v], &e.relation,
+            &batch_stats));
         touched = true;
       } else {
+        ++batch_stats.delete_skips;
         deletion_skipped = true;
       }
     }
@@ -171,11 +170,11 @@ Status ViewCache::RefreshForUpdates(const GraphSnapshot* after_deletions,
       // re-materialization: the bounded merge (which feeds the distance
       // index in lockstep) never ran then, so the fresh extension's pairs
       // are re-indexed wholesale below.
-      InsertMaintenanceStats view_stats;
+      MaintenanceStats view_stats;
       GPMV_RETURN_NOT_OK(RefreshViewExtensionInserted(
-          def, final_snap, inserted, opts, &exts_[v], &e.relation,
+          def, final_snap, inserted, opts, &scratch, &exts_[v], &e.relation,
           &view_stats, &dindex_));
-      if (delta_stats != nullptr) delta_stats->Merge(view_stats);
+      batch_stats.Merge(view_stats);
       if (view_stats.rematerialize_fallbacks > 0) {
         IndexBoundedExtensionLocked(v);
       }
@@ -192,6 +191,7 @@ Status ViewCache::RefreshForUpdates(const GraphSnapshot* after_deletions,
       ++stats_.refreshes_skipped;
     }
   }
+  if (delta_stats != nullptr) delta_stats->Merge(batch_stats);
   // On-demand repair: one forward BFS per dirty source against the final
   // snapshot restores the exact-or-absent contract before the new graph
   // version becomes queryable.
@@ -227,6 +227,8 @@ bool ViewCache::CheckConsistency(bool expect_unpinned) const {
     }
     ++materialized;
     if (e.bytes != EntryBytes(exts_[v], e.relation)) return false;
+    // The O(1) running snapshot total must match a full recount.
+    if (exts_[v].ApproxBytes() != exts_[v].RecountApproxBytes()) return false;
     bytes += e.bytes;
   }
   if (bytes != stats_.bytes_cached) return false;

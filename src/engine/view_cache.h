@@ -29,6 +29,7 @@
 #include <cstdint>
 #include <list>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -103,13 +104,16 @@ class ViewCache {
   size_t EnforceBudget();
 
   /// [exclusive] Maintenance sweep after a graph-update batch, two-phased
-  /// per materialized view (core/maintenance.h):
+  /// per materialized view (core/maintenance.h), with the cache's one
+  /// DeltaScratch lent to every routine of the sweep:
   ///
   ///  * deletions (against `after_deletions`, the snapshot frozen after the
   ///    batch's deletions and before its insertions; null when the batch
-  ///    deleted nothing): decremental seeded refresh, with the
-  ///    constant-time prescreen skipping plain simulation views untouched
-  ///    by every edge of `deleted`;
+  ///    deleted nothing): the ball prescreen DeletionMayAffectView skips
+  ///    every view — plain or bounded — that no deleted edge can affect;
+  ///    the rest are repaired locally by DeltaBoundedDelete, with the
+  ///    seeded full refresh only as its fallback (dirty area over the cap,
+  ///    a relation that empties, delta disabled);
   ///  * insertions (against `final_snap`, the batch's final snapshot):
   ///    localized delta-insert — plain views via DeltaSimulationInsert,
   ///    bounded views via DeltaBoundedInsert + the bounded ball merge —
@@ -120,14 +124,15 @@ class ViewCache {
   /// The distance index rides along: deletions dirty the affected-ball
   /// sources (repaired against `final_snap` at the end of the sweep),
   /// insertions min-update tracked entries and absorb the bounded merges'
-  /// fresh pairs. Byte accounting is rebuilt per entry; `delta_stats`
-  /// (optional) accumulates the insert-path counters.
+  /// fresh pairs. Byte accounting is updated per touched entry in
+  /// O(#view edges); `delta_stats` (optional) accumulates the counters of
+  /// both phases.
   Status RefreshForUpdates(const GraphSnapshot* after_deletions,
                            const GraphSnapshot& final_snap,
                            const std::vector<NodePair>& deleted,
                            const std::vector<NodePair>& inserted,
-                           const InsertMaintenanceOptions& opts,
-                           InsertMaintenanceStats* delta_stats = nullptr);
+                           const MaintenanceOptions& opts,
+                           MaintenanceStats* delta_stats = nullptr);
 
   /// [shared] Is `v` currently materialized? (Racy snapshot — use
   /// TryPinMaterialized to act on the answer.)
@@ -149,7 +154,8 @@ class ViewCache {
   const DistanceIndex& distance_index() const { return dindex_; }
 
   /// [exclusive] Test/debug invariant check: bytes_cached equals the
-  /// recomputed footprint of the materialized entries, the LRU list holds
+  /// recomputed footprint of the materialized entries (each extension's
+  /// running snapshot total equal to a full recount), the LRU list holds
   /// exactly the materialized views, stats_.materialized matches, and —
   /// when `expect_unpinned` — every pin has been released.
   bool CheckConsistency(bool expect_unpinned) const;
@@ -180,6 +186,9 @@ class ViewCache {
   ViewSet views_;
   std::vector<ViewExtension> exts_;
   DistanceIndex dindex_;
+  /// Traversal buffers lent to every maintenance routine (exclusive use,
+  /// like the extensions); sized to the last refreshed snapshot.
+  std::optional<DeltaScratch> scratch_;
 
   mutable std::mutex meta_mu_;
   std::vector<Entry> entries_;

@@ -15,6 +15,7 @@
 #ifndef GPMV_SIMULATION_MATCH_RESULT_H_
 #define GPMV_SIMULATION_MATCH_RESULT_H_
 
+#include <cstdint>
 #include <string>
 #include <utility>
 #include <vector>
@@ -27,6 +28,17 @@ namespace gpmv {
 /// One match of a pattern edge: a data node pair (for simulation patterns
 /// always an actual data edge).
 using NodePair = std::pair<NodeId, NodeId>;
+
+/// Matches of one (view) pattern edge in G as parallel sorted columns — the
+/// layout a materialized view extension stores (core/view.h) and the
+/// deletion delta (simulation/delta.h) patches in place.
+struct ViewEdgeExtension {
+  /// Matching node pairs, sorted ascending.
+  std::vector<NodePair> pairs;
+  /// Parallel to `pairs`: exact shortest-path distance realizing the match
+  /// (1 for plain simulation views).
+  std::vector<uint32_t> distances;
+};
 
 /// Result of Q(G); see file comment.
 class MatchResult {

@@ -1,4 +1,4 @@
-/// Randomized property suite for PR 7's incremental bounded simulation:
+/// Randomized property suite for incremental bounded simulation:
 ///
 ///  * DeltaBoundedInsert must agree with ComputeBoundedSimulationRelation
 ///    from scratch across random insert streams, DAG and cyclic patterns,
@@ -12,13 +12,21 @@
 ///    contract against BFS ground truth after random update streams;
 ///  * the engine end-to-end: a bounded-view engine under update batches
 ///    answers exactly like a view-less direct engine, while the bounded
-///    delta counters and the distance index advance.
+///    delta counters and the distance index advance;
+///  * DeltaBoundedDelete (bounds 1, 2, 3 and `*`; one-edge, DAG and cyclic
+///    patterns; delete batches of 1, 4 and 32 with absent edges,
+///    self-loops and delete-then-reinsert) must leave the relation, the
+///    match columns, the snapshot key set and the distance index equal to
+///    a fresh materialization, and each of its three fallbacks must fire
+///    and stay exact.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <iterator>
 #include <memory>
 #include <optional>
+#include <string>
 #include <vector>
 
 #include "common/random.h"
@@ -90,12 +98,13 @@ void CheckBoundedDeltaAgainstScratch(uint64_t graph_seed,
     }
     std::shared_ptr<const GraphSnapshot> snap = g.Freeze();
 
-    DeltaInsertOptions opts;
+    DeltaScratch bufs(snap->num_nodes());
+    DeltaOptions opts;
     opts.max_area_fraction = 1.0;  // never fall back on area size
     DeltaInsertStats stats;
     std::vector<std::vector<NodeId>> added;
     std::vector<std::vector<NodeId>> delta_rel = rel;
-    ASSERT_TRUE(DeltaBoundedInsert(qb, *snap, batch, opts, &delta_rel,
+    ASSERT_TRUE(DeltaBoundedInsert(qb, *snap, batch, opts, &bufs, &delta_rel,
                                    &added, &stats)
                     .ok());
 
@@ -181,7 +190,7 @@ TEST(BoundedDeltaTest, MaintainedBoundedViewMixedStreamStaysExact) {
   go.seed = 33;
   Graph g = GenerateRandomGraph(go);
   ViewDefinition def{"vb", BoundedChainPattern()};
-  InsertMaintenanceOptions opts;
+  MaintenanceOptions opts;
   opts.max_area_fraction = 1.0;
   testutil::CachedView mv(def, opts);
   ASSERT_TRUE(mv.Install(g).ok());
@@ -203,8 +212,8 @@ TEST(BoundedDeltaTest, MaintainedBoundedViewMixedStreamStaysExact) {
     ASSERT_TRUE(SameExtension(mv.extension(), *fresh)) << "step " << step;
   }
   // The walk exercised the bounded delta path, not just fallbacks.
-  EXPECT_GT(mv.insert_stats().bounded_delta_refreshes, 0u);
-  EXPECT_GT(mv.insert_stats().bounded_matches_added, 0u);
+  EXPECT_GT(mv.maintenance_stats().bounded_delta_refreshes, 0u);
+  EXPECT_GT(mv.maintenance_stats().bounded_matches_added, 0u);
 }
 
 /// Forced fallbacks stay exact for bounded views: the area cap (0.0 trips
@@ -218,7 +227,7 @@ TEST(BoundedDeltaTest, ForcedFallbacksStayExactForBoundedViews) {
     go.seed = 9;
     Graph g = GenerateRandomGraph(go);
     ViewDefinition def{"vb", BoundedChainPattern()};
-    InsertMaintenanceOptions opts;
+    MaintenanceOptions opts;
     if (disable_delta) {
       opts.enable_delta = false;
     } else {
@@ -240,8 +249,8 @@ TEST(BoundedDeltaTest, ForcedFallbacksStayExactForBoundedViews) {
       ASSERT_TRUE(SameExtension(mv.extension(), *fresh))
           << "step " << step << " disable_delta=" << disable_delta;
     }
-    EXPECT_EQ(mv.insert_stats().bounded_delta_refreshes, 0u);
-    EXPECT_EQ(mv.insert_stats().rematerialize_fallbacks, inserts);
+    EXPECT_EQ(mv.maintenance_stats().bounded_delta_refreshes, 0u);
+    EXPECT_EQ(mv.maintenance_stats().rematerialize_fallbacks, inserts);
   }
 }
 
@@ -501,6 +510,394 @@ TEST(BoundedDeltaTest, EngineBoundedViewStaysExactUnderUpdates) {
   // the distance index is live.
   EXPECT_GT(m.CounterValue("delta.bounded_refreshes"), 0u);
   EXPECT_GT(m.GaugeValue("distance_index.entries"), 0.0);
+  EXPECT_TRUE(with_views.CheckCacheConsistency());
+}
+
+
+// ---------------------------------------------------------------------------
+// Deletions: DeltaBoundedDelete and the maintained view under delete batches
+// ---------------------------------------------------------------------------
+
+/// Sorted distinct pair endpoints of `edges`.
+std::vector<NodeId> Endpoints(const std::vector<ViewEdgeExtension>& edges) {
+  std::vector<NodeId> out;
+  for (const ViewEdgeExtension& vee : edges) {
+    for (const NodePair& p : vee.pairs) {
+      out.push_back(p.first);
+      out.push_back(p.second);
+    }
+  }
+  std::sort(out.begin(), out.end());
+  out.erase(std::unique(out.begin(), out.end()), out.end());
+  return out;
+}
+
+/// Delete-test patterns over labels L0..L2 with every edge bounded by `k`:
+/// 0 = one edge, 1 = multi-edge DAG, 2 = cyclic.
+Pattern DeletePattern(int shape, uint32_t k) {
+  PatternBuilder b;
+  b.Node("L0").Node("L1").Node("L2");
+  switch (shape) {
+    case 0:
+      b.Edge("L0", "L1", k);
+      break;
+    case 1:
+      b.Edge("L0", "L1", k).Edge("L1", "L2", k).Edge("L0", "L2", k);
+      break;
+    default:
+      b.Edge("L0", "L1", k).Edge("L1", "L2", k).Edge("L2", "L0", k);
+      break;
+  }
+  return b.Build();
+}
+
+/// One delete batch of `size` ops on `g`: mostly existing edges, plus (in
+/// larger batches) an absent edge and a self-loop; with `reinsert`, the
+/// first existing edge comes back in the same batch.
+void MakeDeleteBatch(const Graph& g, size_t size, bool reinsert, Rng* rng,
+                     std::vector<NodePair>* deleted,
+                     std::vector<NodePair>* inserted) {
+  deleted->clear();
+  inserted->clear();
+  for (size_t tries = 0; deleted->size() < size && tries < size * 20;
+       ++tries) {
+    const NodeId u = static_cast<NodeId>(rng->NextBounded(g.num_nodes()));
+    const size_t kind = deleted->size() % 8;
+    if (kind == 5 && size > 1) {  // absent edge
+      const NodeId v = static_cast<NodeId>(rng->NextBounded(g.num_nodes()));
+      if (!g.HasEdge(u, v)) deleted->emplace_back(u, v);
+      continue;
+    }
+    if (kind == 6 && size > 1) {  // self-loop, present or not
+      deleted->emplace_back(u, u);
+      continue;
+    }
+    if (g.out_degree(u) == 0) continue;
+    const NodeId v = g.out_neighbors(u)[rng->NextBounded(g.out_degree(u))];
+    if (std::find(deleted->begin(), deleted->end(), NodePair{u, v}) ==
+        deleted->end()) {
+      deleted->emplace_back(u, v);
+    }
+  }
+  if (reinsert) {
+    for (const NodePair& p : *deleted) {
+      if (g.HasEdge(p.first, p.second)) {
+        inserted->push_back(p);
+        break;
+      }
+    }
+  }
+}
+
+/// Random small graph (the balls cover much of it) with a few self-loops.
+Graph SmallDeleteGraph(uint64_t seed) {
+  RandomGraphOptions go;
+  go.num_nodes = 40;
+  go.num_edges = 130;
+  go.num_labels = 3;
+  go.seed = seed;
+  Graph g = GenerateRandomGraph(go);
+  for (NodeId v = 0; v < g.num_nodes(); v += 7) (void)g.AddEdgeIfAbsent(v, v);
+  return g;
+}
+
+/// Totals across a delete-stream run, for the "paths were exercised"
+/// assertions.
+struct DeleteRunTotals {
+  size_t applied = 0;
+  size_t emptied = 0;
+  size_t refreshes = 0;
+  size_t skips = 0;
+};
+
+/// Differential core: the identical delete-batch stream runs through
+/// DeltaBoundedDelete on a bare (relation, columns) pair and through a
+/// maintained CachedView. After every batch both must equal a fresh
+/// materialization: relation, columns (pairs and distances), orphan set,
+/// SameExtension (snapshot key set included), byte accounting, and the
+/// distance index on every fresh pair.
+void CheckDeleteStream(const Pattern& qb, uint64_t graph_seed, size_t batch,
+                       size_t steps, DeleteRunTotals* totals) {
+  SCOPED_TRACE(testing::Message() << "graph_seed=" << graph_seed
+                                  << " batch=" << batch);
+  Graph g = SmallDeleteGraph(graph_seed);
+  Graph g_view = g;
+  ViewDefinition def{"vd", qb};
+  bool star = false;
+  for (uint32_t e = 0; e < qb.num_edges(); ++e) {
+    star = star || qb.edge(e).bound == kUnbounded;
+  }
+  MaintenanceOptions mopts;
+  mopts.max_area_fraction = 1.0;  // the test targets the delta path
+  testutil::CachedView mv(def, mopts);
+  ASSERT_TRUE(mv.Install(g_view).ok());
+
+  std::vector<std::vector<NodeId>> rel;
+  Result<ViewExtension> start =
+      ViewExtension::Materialize(def, *g.Freeze(), nullptr, &rel);
+  ASSERT_TRUE(start.ok());
+  std::vector<ViewEdgeExtension> edges;
+  for (uint32_t e = 0; e < start->num_view_edges(); ++e) {
+    edges.push_back(start->edge(e));
+  }
+
+  DeltaOptions dopts;
+  dopts.max_area_fraction = 1.0;
+  Rng rng(graph_seed * 131 + batch);
+  std::vector<NodePair> deleted, inserted;
+  for (size_t step = 0; step < steps; ++step) {
+    SCOPED_TRACE(testing::Message() << "step=" << step);
+    MakeDeleteBatch(g, batch, /*reinsert=*/step % 3 == 2, &rng, &deleted,
+                    &inserted);
+    if (deleted.empty()) break;
+
+    // Bare delta against the post-delete snapshot.
+    for (const NodePair& p : deleted) (void)g.RemoveEdge(p.first, p.second);
+    std::shared_ptr<const GraphSnapshot> after = g.Freeze();
+    std::vector<std::vector<NodeId>> fresh_rel;
+    Result<ViewExtension> fresh =
+        ViewExtension::Materialize(def, *after, nullptr, &fresh_rel);
+    ASSERT_TRUE(fresh.ok());
+    DeltaScratch bufs(after->num_nodes());
+    const std::vector<NodeId> endpoints_before = Endpoints(edges);
+    std::vector<NodeId> orphaned;
+    DeltaDeleteStats dstats;
+    ASSERT_TRUE(DeltaBoundedDelete(qb, *after, deleted, dopts, &bufs, &rel,
+                                   &edges, &orphaned, &dstats)
+                    .ok());
+    if (dstats.applied) {
+      ++totals->applied;
+      ASSERT_EQ(rel, fresh_rel);
+      for (uint32_t e = 0; e < edges.size(); ++e) {
+        ASSERT_EQ(edges[e].pairs, fresh->edge(e).pairs) << "edge " << e;
+        ASSERT_EQ(edges[e].distances, fresh->edge(e).distances)
+            << "edge " << e;
+      }
+      std::vector<NodeId> gone;
+      const std::vector<NodeId> endpoints_after = Endpoints(edges);
+      std::set_difference(endpoints_before.begin(), endpoints_before.end(),
+                          endpoints_after.begin(), endpoints_after.end(),
+                          std::back_inserter(gone));
+      ASSERT_EQ(orphaned, gone);
+    } else {
+      // Only an emptied relation may decline here (the area cap is off).
+      ASSERT_EQ(dstats.fallback, DeltaDeleteFallback::kRelationEmptied);
+      ASSERT_FALSE(fresh->matched());
+      ++totals->emptied;
+    }
+    // The bare side re-materializes around insertions (insert deltas are
+    // covered above); the maintained side runs the whole batch.
+    for (const NodePair& p : inserted) {
+      (void)g.AddEdgeIfAbsent(p.first, p.second);
+    }
+    std::shared_ptr<const GraphSnapshot> final_snap = g.Freeze();
+    Result<ViewExtension> fresh_final =
+        ViewExtension::Materialize(def, *final_snap, nullptr, &rel);
+    ASSERT_TRUE(fresh_final.ok());
+    edges.clear();
+    for (uint32_t e = 0; e < fresh_final->num_view_edges(); ++e) {
+      edges.push_back(fresh_final->edge(e));
+    }
+
+    ASSERT_TRUE(mv.Batch(g_view, deleted, inserted).ok());
+    ASSERT_TRUE(SameExtension(mv.extension(), *fresh_final));
+    ASSERT_TRUE(mv.CheckConsistency());
+    // I(V) (which tracks bounded views only) answers every fresh pair as
+    // DistanceIndex::Build would. A `*` view's pair can outgrow the index
+    // budget after a deletion and drop out of I(V) for good, so there only
+    // tracked entries must be exact.
+    if (qb.IsSimulationPattern()) continue;
+    const DistanceIndex truth = DistanceIndex::Build({*fresh_final});
+    const DistanceIndex& index = mv.distance_index();
+    for (uint32_t e = 0; e < fresh_final->num_view_edges(); ++e) {
+      for (const NodePair& p : fresh_final->edge(e).pairs) {
+        const std::optional<uint32_t> got = index.Distance(p.first, p.second);
+        if (star && !got.has_value()) continue;
+        ASSERT_EQ(got, truth.Distance(p.first, p.second))
+            << "pair (" << p.first << "," << p.second << ")";
+      }
+    }
+  }
+  totals->refreshes += mv.maintenance_stats().delete_refreshes;
+  totals->skips += mv.maintenance_stats().delete_skips;
+}
+
+TEST(BoundedDeltaTest, DeleteBatchesMatchFreshMaterialization) {
+  DeleteRunTotals totals;
+  for (uint32_t k : {1u, 2u, 3u, kUnbounded}) {
+    for (int shape = 0; shape < 3; ++shape) {
+      SCOPED_TRACE(testing::Message() << "k=" << k << " shape=" << shape);
+      const Pattern qb = DeletePattern(shape, k);
+      CheckDeleteStream(qb, 101 + shape, /*batch=*/1, /*steps=*/24, &totals);
+      CheckDeleteStream(qb, 201 + shape, /*batch=*/4, /*steps=*/10, &totals);
+      CheckDeleteStream(qb, 301 + shape, /*batch=*/32, /*steps=*/3, &totals);
+    }
+  }
+  // Every path ran: local repairs, emptied relations, prescreen skips.
+  EXPECT_GT(totals.applied, 0u);
+  EXPECT_GT(totals.emptied, 0u);
+  EXPECT_GT(totals.refreshes, 0u);
+  EXPECT_GT(totals.skips, 0u);
+}
+
+/// Mixed bounds in one pattern: the prescreen and the seeds pick the plain
+/// test for the k = 1 edge and the ball test for the others.
+TEST(BoundedDeltaTest, DeleteBatchesMixedBoundsStayExact) {
+  const Pattern qb = PatternBuilder()
+                         .Node("L0")
+                         .Node("L1")
+                         .Node("L2")
+                         .Edge("L0", "L1", 1)
+                         .Edge("L1", "L2", 3)
+                         .Edge("L2", "L1", 2)
+                         .Build();
+  DeleteRunTotals totals;
+  CheckDeleteStream(qb, 401, /*batch=*/1, /*steps=*/24, &totals);
+  CheckDeleteStream(qb, 402, /*batch=*/4, /*steps=*/10, &totals);
+  CheckDeleteStream(qb, 403, /*batch=*/32, /*steps=*/3, &totals);
+  EXPECT_GT(totals.applied, 0u);
+}
+
+/// Fallback 1: the dirty area over the cap (0 trips on any seed) takes the
+/// seeded full refresh, and stays exact.
+TEST(BoundedDeltaTest, DeleteAreaCapFallbackStaysExact) {
+  Graph g = SmallDeleteGraph(501);
+  ViewDefinition def{"vd", DeletePattern(1, 2)};
+  MaintenanceOptions opts;
+  opts.max_area_fraction = 0.0;
+  testutil::CachedView mv(def, opts);
+  ASSERT_TRUE(mv.Install(g).ok());
+  Rng rng(5);
+  std::vector<NodePair> deleted, inserted;
+  for (int step = 0; step < 12; ++step) {
+    MakeDeleteBatch(g, 1, /*reinsert=*/false, &rng, &deleted, &inserted);
+    ASSERT_TRUE(mv.Batch(g, deleted, inserted).ok());
+    auto fresh = ViewExtension::Materialize(def, *g.Freeze());
+    ASSERT_TRUE(fresh.ok());
+    ASSERT_TRUE(SameExtension(mv.extension(), *fresh)) << "step " << step;
+  }
+  EXPECT_EQ(mv.maintenance_stats().delete_refreshes, 0u);
+  EXPECT_GT(mv.maintenance_stats().delete_fallbacks, 0u);
+  EXPECT_TRUE(mv.CheckConsistency());
+}
+
+/// Fallback 2: a relation that empties (the view stops matching) declines
+/// the delta; the seeded refresh yields the unmatched extension.
+TEST(BoundedDeltaTest, DeleteEmptiedRelationFallsBack) {
+  Graph g = testutil::ChainGraph({"A", "X", "B"});
+  Pattern p;
+  const uint32_t a = p.AddNode("A"), b = p.AddNode("B");
+  ASSERT_TRUE(p.AddEdge(a, b, 2).ok());
+  ViewDefinition def{"v", p};
+
+  std::vector<std::vector<NodeId>> rel;
+  Result<ViewExtension> ext =
+      ViewExtension::Materialize(def, *g.Freeze(), nullptr, &rel);
+  ASSERT_TRUE(ext.ok());
+  ASSERT_TRUE(g.RemoveEdge(1, 2).ok());
+  std::shared_ptr<const GraphSnapshot> snap = g.Freeze();
+  DeltaScratch bufs(snap->num_nodes());
+  std::vector<ViewEdgeExtension> edges = {ext->edge(0)};
+  const std::vector<std::vector<NodeId>> rel_before = rel;
+  std::vector<NodeId> orphaned;
+  DeltaDeleteStats dstats;
+  DeltaOptions dopts;
+  dopts.max_area_fraction = 1.0;  // three nodes: any cap below |V| trips
+  ASSERT_TRUE(DeltaBoundedDelete(p, *snap, {{1, 2}}, dopts, &bufs, &rel,
+                                 &edges, &orphaned, &dstats)
+                  .ok());
+  EXPECT_FALSE(dstats.applied);
+  EXPECT_EQ(dstats.fallback, DeltaDeleteFallback::kRelationEmptied);
+  EXPECT_EQ(rel, rel_before);  // untouched on fallback
+
+  Graph g2 = testutil::ChainGraph({"A", "X", "B"});
+  MaintenanceOptions mopts;
+  mopts.max_area_fraction = 1.0;
+  testutil::CachedView mv(def, mopts);
+  ASSERT_TRUE(mv.Install(g2).ok());
+  ASSERT_TRUE(mv.Batch(g2, {{1, 2}}, {}).ok());
+  EXPECT_FALSE(mv.extension().matched());
+  EXPECT_EQ(mv.extension().num_snapshots(), 0u);
+  EXPECT_EQ(mv.maintenance_stats().delete_fallbacks, 1u);
+  EXPECT_EQ(mv.maintenance_stats().delete_refreshes, 0u);
+}
+
+/// Fallback 3: with the delta disabled every affected view takes the
+/// seeded full refresh — bench/update_latency's baseline — and stays exact.
+TEST(BoundedDeltaTest, DeleteDisabledDeltaFallsBackAndStaysExact) {
+  Graph g = SmallDeleteGraph(601);
+  ViewDefinition def{"vd", DeletePattern(2, 2)};
+  MaintenanceOptions opts;
+  opts.enable_delta = false;
+  testutil::CachedView mv(def, opts);
+  ASSERT_TRUE(mv.Install(g).ok());
+  Rng rng(6);
+  std::vector<NodePair> deleted, inserted;
+  for (int step = 0; step < 8; ++step) {
+    MakeDeleteBatch(g, 4, /*reinsert=*/false, &rng, &deleted, &inserted);
+    ASSERT_TRUE(mv.Batch(g, deleted, inserted).ok());
+    auto fresh = ViewExtension::Materialize(def, *g.Freeze());
+    ASSERT_TRUE(fresh.ok());
+    ASSERT_TRUE(SameExtension(mv.extension(), *fresh)) << "step " << step;
+  }
+  EXPECT_EQ(mv.maintenance_stats().delete_refreshes, 0u);
+  EXPECT_GT(mv.maintenance_stats().delete_fallbacks, 0u);
+}
+
+/// Engine end-to-end under a delete-heavy stream: plain, bounded and
+/// cyclic views maintained by the deletion delta answer every view query
+/// exactly like a view-less engine evaluating directly.
+TEST(BoundedDeltaTest, EngineDeleteHeavyStreamMatchesDirect) {
+  RandomGraphOptions go;
+  go.num_nodes = 120;
+  go.num_edges = 480;
+  go.num_labels = 3;
+  go.seed = 19;
+  Graph g = GenerateRandomGraph(go);
+
+  EngineOptions opts;
+  opts.pool.num_threads = 1;
+  opts.maintenance.max_area_fraction = 1.0;
+  QueryEngine with_views(g, opts);
+  QueryEngine direct(g, opts);
+  const std::vector<Pattern> patterns = {
+      DeletePattern(0, 1), DeletePattern(0, 2), DeletePattern(1, 2),
+      DeletePattern(2, 3), BoundedChainPattern()};
+  for (size_t i = 0; i < patterns.size(); ++i) {
+    ASSERT_TRUE(
+        with_views.RegisterView("v" + std::to_string(i), patterns[i]).ok());
+  }
+  ASSERT_TRUE(with_views.WarmViews().ok());
+
+  Rng rng(808);
+  std::vector<NodePair> deleted, inserted;
+  for (int round = 0; round < 16; ++round) {
+    for (size_t i = 0; i < patterns.size(); ++i) {
+      QueryResponse a = with_views.Query(patterns[i]);
+      QueryResponse b = direct.Query(patterns[i]);
+      ASSERT_TRUE(a.status.ok());
+      ASSERT_TRUE(b.status.ok());
+      ASSERT_TRUE(a.result == b.result)
+          << "round " << round << " pattern " << i;
+    }
+    MakeDeleteBatch(g, 1 + round % 5, /*reinsert=*/round % 4 == 3, &rng,
+                    &deleted, &inserted);
+    std::vector<EdgeUpdate> batch;
+    for (const NodePair& p : deleted) {
+      batch.push_back(EdgeUpdate::Delete(p.first, p.second));
+      (void)g.RemoveEdge(p.first, p.second);
+    }
+    for (const NodePair& p : inserted) {
+      batch.push_back(EdgeUpdate::Insert(p.first, p.second));
+      (void)g.AddEdgeIfAbsent(p.first, p.second);
+    }
+    ASSERT_TRUE(with_views.ApplyUpdates(batch).ok());
+    ASSERT_TRUE(direct.ApplyUpdates(batch).ok());
+  }
+
+  const obs::MetricsSnapshot m = with_views.metrics()->TakeSnapshot();
+  EXPECT_GT(m.CounterValue("delta.delete_refreshes"), 0u);
+  EXPECT_GT(m.CounterValue("delta.delete_skips"), 0u);
   EXPECT_TRUE(with_views.CheckCacheConsistency());
 }
 

@@ -70,12 +70,13 @@ void CheckDeltaAgainstScratch(uint64_t graph_seed, uint64_t pattern_seed,
     for (const NodePair& p : batch) ASSERT_TRUE(g.AddEdge(p.first, p.second).ok());
     std::shared_ptr<const GraphSnapshot> snap = g.Freeze();
 
-    DeltaInsertOptions opts;
+    DeltaScratch bufs(snap->num_nodes());
+    DeltaOptions opts;
     opts.max_area_fraction = 1.0;  // never fall back on area size
     DeltaInsertStats stats;
     std::vector<std::vector<NodeId>> added;
     std::vector<std::vector<NodeId>> delta_rel = rel;
-    ASSERT_TRUE(DeltaSimulationInsert(q, *snap, batch, opts, &delta_rel,
+    ASSERT_TRUE(DeltaSimulationInsert(q, *snap, batch, opts, &bufs, &delta_rel,
                                       &added, &stats)
                     .ok());
 
@@ -128,7 +129,7 @@ TEST(DeltaInsertTest, CachedViewMixedBatchesStayExact) {
   go.seed = 21;
   Graph g = GenerateRandomGraph(go);
   ViewDefinition def{"v", testutil::ChainPattern({"L0", "L1", "L2"})};
-  InsertMaintenanceOptions opts;
+  MaintenanceOptions opts;
   opts.max_area_fraction = 1.0;
   testutil::CachedView mv(def, opts);
   ASSERT_TRUE(mv.Install(g).ok());
@@ -151,7 +152,7 @@ TEST(DeltaInsertTest, CachedViewMixedBatchesStayExact) {
   }
   // The walk must actually have exercised the delta path, not just the
   // re-materialization fallbacks.
-  EXPECT_GT(mv.insert_stats().delta_refreshes, 0u);
+  EXPECT_GT(mv.maintenance_stats().delta_refreshes, 0u);
 }
 
 TEST(DeltaInsertTest, ForcedAreaFallbackStaysExact) {
@@ -162,7 +163,7 @@ TEST(DeltaInsertTest, ForcedAreaFallbackStaysExact) {
   go.seed = 5;
   Graph g = GenerateRandomGraph(go);
   ViewDefinition def{"v", testutil::ChainPattern({"L0", "L1"})};
-  InsertMaintenanceOptions opts;
+  MaintenanceOptions opts;
   opts.max_area_fraction = 0.0;  // the area cap always trips
   testutil::CachedView mv(def, opts);
   ASSERT_TRUE(mv.Install(g).ok());
@@ -178,8 +179,8 @@ TEST(DeltaInsertTest, ForcedAreaFallbackStaysExact) {
     auto fresh = ViewExtension::Materialize(def, *g.Freeze());
     ASSERT_TRUE(SameExtension(mv.extension(), *fresh)) << "step " << step;
   }
-  EXPECT_EQ(mv.insert_stats().delta_refreshes, 0u);
-  EXPECT_EQ(mv.insert_stats().rematerialize_fallbacks, inserts);
+  EXPECT_EQ(mv.maintenance_stats().delta_refreshes, 0u);
+  EXPECT_EQ(mv.maintenance_stats().rematerialize_fallbacks, inserts);
 }
 
 TEST(DeltaInsertTest, BoundedViewTakesDeltaPathAndStaysExact) {
@@ -196,10 +197,10 @@ TEST(DeltaInsertTest, BoundedViewTakesDeltaPathAndStaysExact) {
   NodeId y = g.AddNode("A");
   ASSERT_TRUE(g.AddEdge(y, 1).ok());  // y -> X -> B
   ASSERT_TRUE(mv.Inserted(g, y, 1).ok());
-  EXPECT_EQ(mv.insert_stats().delta_refreshes, 1u);
-  EXPECT_EQ(mv.insert_stats().bounded_delta_refreshes, 1u);
-  EXPECT_EQ(mv.insert_stats().rematerialize_fallbacks, 0u);
-  EXPECT_GT(mv.insert_stats().bounded_matches_added, 0u);
+  EXPECT_EQ(mv.maintenance_stats().delta_refreshes, 1u);
+  EXPECT_EQ(mv.maintenance_stats().bounded_delta_refreshes, 1u);
+  EXPECT_EQ(mv.maintenance_stats().rematerialize_fallbacks, 0u);
+  EXPECT_GT(mv.maintenance_stats().bounded_matches_added, 0u);
   auto fresh = ViewExtension::Materialize(mv.definition(), *g.Freeze());
   ASSERT_TRUE(fresh.ok());
   EXPECT_TRUE(SameExtension(mv.extension(), *fresh));
@@ -210,7 +211,7 @@ TEST(DeltaInsertTest, RenotifiedInsertionIsIdempotent) {
   // old re-materializing path was idempotent; the merge guard keeps it so).
   Graph g = testutil::ChainGraph({"A", "B"});
   NodeId c = g.AddNode("A");
-  InsertMaintenanceOptions opts;
+  MaintenanceOptions opts;
   opts.max_area_fraction = 1.0;
   testutil::CachedView mv(
       ViewDefinition{
@@ -220,7 +221,7 @@ TEST(DeltaInsertTest, RenotifiedInsertionIsIdempotent) {
 
   ASSERT_TRUE(g.AddEdge(c, 1).ok());
   ASSERT_TRUE(mv.Inserted(g, c, 1).ok());
-  EXPECT_EQ(mv.insert_stats().delta_refreshes, 1u);
+  EXPECT_EQ(mv.maintenance_stats().delta_refreshes, 1u);
   ASSERT_TRUE(mv.Inserted(g, c, 1).ok());  // re-notified, edge exists
   auto fresh = ViewExtension::Materialize(mv.definition(), *g.Freeze());
   ASSERT_TRUE(fresh.ok());
@@ -241,7 +242,7 @@ TEST(DeltaInsertTest, UnmatchedViewFallsBackWhenInsertionCreatesMatch) {
   ASSERT_TRUE(mv.Inserted(g, a, b).ok());
   EXPECT_TRUE(mv.extension().matched());
   EXPECT_EQ(mv.extension().TotalPairs(), 1u);
-  EXPECT_GE(mv.insert_stats().rematerialize_fallbacks, 1u);
+  EXPECT_GE(mv.maintenance_stats().rematerialize_fallbacks, 1u);
 }
 
 /// Engine-level equivalence: random mixed batches through ApplyUpdates,

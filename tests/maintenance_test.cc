@@ -154,5 +154,80 @@ TEST(MaintenanceTest, MixedInsertionsAndDeletions) {
   }
 }
 
+
+TEST(MaintenanceTest, BoundedDeletionOutsideSourceBallsSkipsRefresh) {
+  // View A ->(2) B over A -> X -> B, plus an unrelated edge C -> D. No
+  // member of rel(A) lies within one reverse hop of C, so the deletion
+  // cannot shorten any witness path: the prescreen skips the refresh.
+  Graph g = testutil::ChainGraph({"A", "X", "B", "C", "D"});
+  ASSERT_TRUE(g.RemoveEdge(2, 3).ok());  // chain B -> C gone: C is isolated
+  Pattern p;
+  uint32_t a = p.AddNode("A"), b = p.AddNode("B");
+  ASSERT_TRUE(p.AddEdge(a, b, 2).ok());
+  ViewDefinition def{"v", std::move(p)};
+  testutil::CachedView mv(def);
+  ASSERT_TRUE(mv.Install(g).ok());
+  const ViewExtension before = mv.extension();
+  const size_t skipped = mv.stats().refreshes_skipped;
+  const size_t refreshes = mv.stats().refreshes;
+
+  ASSERT_TRUE(g.RemoveEdge(3, 4).ok());
+  ASSERT_TRUE(mv.Removed(g, 3, 4).ok());
+  EXPECT_EQ(mv.stats().refreshes_skipped, skipped + 1);
+  EXPECT_EQ(mv.stats().refreshes, refreshes);
+  EXPECT_EQ(mv.maintenance_stats().delete_skips, 1u);
+  EXPECT_TRUE(SameExtension(mv.extension(), before));
+  auto fresh = ViewExtension::Materialize(def, *g.Freeze());
+  ASSERT_TRUE(fresh.ok());
+  EXPECT_TRUE(SameExtension(mv.extension(), *fresh));
+
+  // Deleting the interior edge X -> B is inside A's ball: not skipped.
+  ASSERT_TRUE(g.RemoveEdge(1, 2).ok());
+  ASSERT_TRUE(mv.Removed(g, 1, 2).ok());
+  EXPECT_EQ(mv.stats().refreshes, refreshes + 1);
+  EXPECT_FALSE(mv.extension().matched());
+}
+
+TEST(MaintenanceTest, SnapshotByteTotalMatchesRecountUnderMixedStream) {
+  RandomGraphOptions go;
+  go.num_nodes = 70;
+  go.num_edges = 200;
+  go.num_labels = 3;
+  go.seed = 12;
+  Graph g = GenerateRandomGraph(go);
+  Pattern bounded;
+  uint32_t a = bounded.AddNode("L0"), b = bounded.AddNode("L1"),
+           c = bounded.AddNode("L2");
+  ASSERT_TRUE(bounded.AddEdge(a, b, 2).ok());
+  ASSERT_TRUE(bounded.AddEdge(b, c, 3).ok());
+  MaintenanceOptions opts;
+  opts.max_area_fraction = 1.0;
+  for (Pattern q : {bounded, testutil::ChainPattern({"L0", "L1", "L2"})}) {
+    Graph gv = g;
+    ViewDefinition def{"v", std::move(q)};
+    testutil::CachedView mv(def, opts);
+    ASSERT_TRUE(mv.Install(gv).ok());
+    Rng rng(31);
+    for (int step = 0; step < 40; ++step) {
+      std::vector<NodePair> deleted, inserted;
+      for (int i = 0; i < 3; ++i) {
+        NodeId u = static_cast<NodeId>(rng.NextBounded(gv.num_nodes()));
+        NodeId v = static_cast<NodeId>(rng.NextBounded(gv.num_nodes()));
+        if (u == v) continue;
+        (gv.HasEdge(u, v) ? deleted : inserted).emplace_back(u, v);
+      }
+      ASSERT_TRUE(mv.Batch(gv, deleted, inserted).ok());
+      const ViewExtension& ext = mv.extension();
+      ASSERT_EQ(ext.ApproxBytes(), ext.RecountApproxBytes()) << "step " << step;
+      ASSERT_TRUE(mv.CheckConsistency()) << "step " << step;
+      auto fresh = ViewExtension::Materialize(def, *gv.Freeze());
+      ASSERT_TRUE(fresh.ok());
+      ASSERT_TRUE(SameExtension(ext, *fresh)) << "step " << step;
+      ASSERT_EQ(ext.ApproxBytes(), fresh->ApproxBytes()) << "step " << step;
+    }
+    EXPECT_GT(mv.maintenance_stats().delete_refreshes, 0u);
+  }
+}
+
 }  // namespace
 }  // namespace gpmv

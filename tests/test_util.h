@@ -143,8 +143,28 @@ inline Pattern ChainPattern(const std::vector<std::string>& labels) {
   return p;
 }
 
-/// Exact equality of two extensions: matched flag, and per view edge the
-/// pairs and their distances.
+/// True iff `ext` snapshots exactly its pair endpoints: every endpoint has
+/// a snapshot and there are no others.
+inline bool SnapshotsMatchEndpoints(const ViewExtension& ext) {
+  std::vector<NodeId> endpoints;
+  for (uint32_t e = 0; e < ext.num_view_edges(); ++e) {
+    for (const NodePair& p : ext.edge(e).pairs) {
+      endpoints.push_back(p.first);
+      endpoints.push_back(p.second);
+    }
+  }
+  std::sort(endpoints.begin(), endpoints.end());
+  endpoints.erase(std::unique(endpoints.begin(), endpoints.end()),
+                  endpoints.end());
+  for (NodeId v : endpoints) {
+    if (ext.snapshot(v) == nullptr) return false;
+  }
+  return ext.num_snapshots() == endpoints.size();
+}
+
+/// Exact equality of two extensions: matched flag, per view edge the pairs
+/// and their distances, and — on both sides — a snapshot key set equal to
+/// the pair endpoints (so the key sets agree too).
 inline bool SameExtension(const ViewExtension& a, const ViewExtension& b) {
   if (a.matched() != b.matched()) return false;
   if (a.num_view_edges() != b.num_view_edges()) return false;
@@ -152,7 +172,7 @@ inline bool SameExtension(const ViewExtension& a, const ViewExtension& b) {
     if (a.edge(e).pairs != b.edge(e).pairs) return false;
     if (a.edge(e).distances != b.edge(e).distances) return false;
   }
-  return true;
+  return SnapshotsMatchEndpoints(a) && SnapshotsMatchEndpoints(b);
 }
 
 /// One view kept fresh the way the engine keeps its cached views: a
@@ -162,7 +182,7 @@ inline bool SameExtension(const ViewExtension& a, const ViewExtension& b) {
 /// (incrementally re-)frozen snapshot.
 class CachedView {
  public:
-  explicit CachedView(ViewDefinition def, InsertMaintenanceOptions opts = {})
+  explicit CachedView(ViewDefinition def, MaintenanceOptions opts = {})
       : opts_(opts) {
     cache_.Register(std::move(def));
   }
@@ -182,26 +202,56 @@ class CachedView {
   Status Removed(Graph& g, NodeId u, NodeId v) {
     std::shared_ptr<const GraphSnapshot> snap = g.Freeze();
     return cache_.RefreshForUpdates(snap.get(), *snap, {{u, v}}, {}, opts_,
-                                    &insert_stats_);
+                                    &maintenance_stats_);
   }
 
   /// Refreshes after edge (u, v) was inserted into `g`.
   Status Inserted(Graph& g, NodeId u, NodeId v) {
     return cache_.RefreshForUpdates(nullptr, *g.Freeze(), {}, {{u, v}}, opts_,
-                                    &insert_stats_);
+                                    &maintenance_stats_);
+  }
+
+  /// Applies one batch the way the engine does — every `deleted` edge
+  /// removed (absent ones skipped), a freeze, every `inserted` edge added
+  /// (present ones skipped), a freeze — and refreshes. The lists are
+  /// reported as given, so absent deletions and present insertions reach
+  /// maintenance as over-approximations.
+  Status Batch(Graph& g, const std::vector<NodePair>& deleted,
+               const std::vector<NodePair>& inserted) {
+    for (const NodePair& p : deleted) (void)g.RemoveEdge(p.first, p.second);
+    std::shared_ptr<const GraphSnapshot> after_deletions;
+    if (!deleted.empty()) after_deletions = g.Freeze();
+    for (const NodePair& p : inserted) {
+      (void)g.AddEdgeIfAbsent(p.first, p.second);
+    }
+    std::shared_ptr<const GraphSnapshot> final_snap = g.Freeze();
+    return cache_.RefreshForUpdates(after_deletions.get(), *final_snap,
+                                    deleted, inserted, opts_,
+                                    &maintenance_stats_);
   }
 
   const ViewDefinition& definition() const { return cache_.views().view(0); }
   const ViewExtension& extension() const { return cache_.extensions()[0]; }
   /// Refresh and prescreen-skip counts (`refreshes`, `refreshes_skipped`).
   ViewCacheStats stats() const { return cache_.stats(); }
-  /// Insert-path delta and fallback counts, summed over every refresh.
-  const InsertMaintenanceStats& insert_stats() const { return insert_stats_; }
+  /// The cache's maintained distance index I(V).
+  const DistanceIndex& distance_index() const {
+    return cache_.distance_index();
+  }
+  /// The cache's accounting invariants (ViewCache::CheckConsistency).
+  bool CheckConsistency() const {
+    return cache_.CheckConsistency(/*expect_unpinned=*/true);
+  }
+  /// Delta, fallback and skip counts of both phases, summed over every
+  /// refresh.
+  const MaintenanceStats& maintenance_stats() const {
+    return maintenance_stats_;
+  }
 
  private:
-  InsertMaintenanceOptions opts_;
+  MaintenanceOptions opts_;
   ViewCache cache_;
-  InsertMaintenanceStats insert_stats_;
+  MaintenanceStats maintenance_stats_;
 };
 
 // ---------------------------------------------------------------------------

@@ -10,9 +10,8 @@
 ///       [--json path]
 ///
 /// Two view families run the full matrix: plain simulation views (the
-/// original delta path) and bounded views (DeltaBoundedInsert + the
-/// distance-index merge, new in PR 7 — before which every bounded view
-/// re-materialized per batch). Every (family, stream kind, batch size)
+/// original delta path) and bounded views (DeltaBoundedInsert + the merge
+/// of pairs and exact distances into the extension's columns). Every (family, stream kind, batch size)
 /// configuration generates one update stream and applies the *identical*
 /// stream through two engines with the same materialized views; per-batch
 /// ApplyUpdates latency gives p50/p99, and edges-applied-per-second gives
@@ -157,7 +156,7 @@ std::vector<Pattern> ViewPatterns() {
 
 std::vector<Pattern> BoundedViewPatterns() {
   // Bounded views (path bounds 2/3): maintained by DeltaBoundedInsert and
-  // the distance-index merge since PR 7; re-materialized per batch before.
+  // the merge into the extension's (pair, distance) columns.
   std::vector<Pattern> views;
   views.push_back(
       PatternBuilder().Node("L0").Node("L1").Edge("L0", "L1", 2).Build());
@@ -328,10 +327,6 @@ bool RunMatrix(const Graph& base, const std::vector<Pattern>& views,
         row.push_back({"bounded_matches_added",
                        static_cast<double>(
                            dm.CounterValue("delta.bounded_matches_added"))});
-        row.push_back({"distance_entries",
-                       dm.GaugeValue("distance_index.entries")});
-        row.push_back({"distance_repairs",
-                       dm.GaugeValue("distance_index.repairs")});
       }
       report->Add(std::string(label) + "_delta", row);
       report->Add(std::string(label) + "_rematerialize",

@@ -1,7 +1,5 @@
 #include "core/bmatch_join.h"
 
-#include "graph/traversal.h"  // kUnbounded
-
 namespace gpmv {
 
 Result<MatchResult> BMatchJoin(const Pattern& qb, const ViewSet& views,
@@ -10,29 +8,6 @@ Result<MatchResult> BMatchJoin(const Pattern& qb, const ViewSet& views,
                                const MatchJoinOptions& opts,
                                MatchJoinStats* stats) {
   return MatchJoin(qb, views, exts, mapping, opts, stats);
-}
-
-Result<MatchResult> BMatchJoin(const Pattern& qb, const ViewSet& views,
-                               const std::vector<ViewExtension>& exts,
-                               const ContainmentMapping& mapping,
-                               const DistanceIndex& index,
-                               const MatchJoinOptions& opts,
-                               MatchJoinStats* stats) {
-  Result<MatchResult> r = MatchJoin(qb, views, exts, mapping, opts, stats);
-  GPMV_RETURN_NOT_OK(r.status());
-  if (!r->matched()) return r;
-  for (uint32_t e = 0; e < qb.num_edges(); ++e) {
-    const uint32_t bound = qb.edge(e).bound;
-    if (bound == kUnbounded) continue;
-    for (const NodePair& p : r->edge_matches(e)) {
-      std::optional<uint32_t> d = index.Distance(p.first, p.second);
-      if (!d.has_value() || *d > bound) {
-        return Status::Internal(
-            "distance index disagrees with materialized view distances");
-      }
-    }
-  }
-  return r;
 }
 
 }  // namespace gpmv

@@ -5,48 +5,26 @@
 /// BMatchJoin is MatchJoin plus the distance index I(V): view extensions
 /// materialize, for every pair (v, v'), the exact shortest distance d from
 /// v to v' in G, and the merge step keeps a pair for query edge e only when
-/// d ≤ fe(e). The shared engine in match_join.cc performs exactly that
-/// lookup in columnar form — ViewEdgeExtension stores the distances
-/// parallel to the pairs, so the merge reads d without any hashing; that is
-/// why the plain forwarding overload suffices for correctness (the Fig. 8
-/// bounded benchmarks run through it).
-///
-/// The second overload additionally consults the paper's explicit
-/// 〈(v, v'), d〉 table (distance_index.h): every merged pair of every
-/// bounded query edge is re-checked against I(V) with an O(1) lookup.
-/// Because materialized distances are exact shortest-path lengths in G,
-/// the table and the columnar data must agree; a pair whose indexed
-/// distance violates the query bound (or which the index does not know)
-/// means the index was built over different extensions than the join is
-/// reading, and the join fails with Internal rather than return matches
-/// that violate fe(e).
+/// d ≤ fe(e). In this library I(V) *is* the distance column of each
+/// ViewEdgeExtension, stored parallel to the pairs, so the shared engine in
+/// match_join.cc reads d without any hashing or a second table. The view
+/// cache keeps the column exact under updates (MergeBoundedInsertDelta for
+/// insertions, DeltaBoundedDelete for deletions; core/maintenance.h).
 
 #ifndef GPMV_CORE_BMATCH_JOIN_H_
 #define GPMV_CORE_BMATCH_JOIN_H_
 
-#include "core/distance_index.h"
 #include "core/match_join.h"
 
 namespace gpmv {
 
 /// Computes Qb(G) from view extensions only; `qb` may carry arbitrary edge
 /// bounds (a plain pattern is accepted as the fe(e) = 1 special case).
-/// Bound checking uses the distances materialized inside the extensions —
-/// the columnar equivalent of the I(V) lookup (see file comment).
+/// Bound checking reads the distances materialized inside the extensions,
+/// i.e. the I(V) lookup (see file comment).
 Result<MatchResult> BMatchJoin(const Pattern& qb, const ViewSet& views,
                                const std::vector<ViewExtension>& exts,
                                const ContainmentMapping& mapping,
-                               const MatchJoinOptions& opts = {},
-                               MatchJoinStats* stats = nullptr);
-
-/// As above, but additionally bound-checks every result pair of every
-/// bounded query edge against the explicit distance index (built over the
-/// same `exts`, e.g. via DistanceIndex::Build). Fails with Internal when
-/// the index disagrees with the materialized distances.
-Result<MatchResult> BMatchJoin(const Pattern& qb, const ViewSet& views,
-                               const std::vector<ViewExtension>& exts,
-                               const ContainmentMapping& mapping,
-                               const DistanceIndex& index,
                                const MatchJoinOptions& opts = {},
                                MatchJoinStats* stats = nullptr);
 

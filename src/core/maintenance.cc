@@ -91,14 +91,12 @@ size_t MergeInsertDelta(const ViewDefinition& def, const GraphSnapshot& g,
 ///       shortest path crosses the insertions.
 /// Candidates add-or-min into the sorted (pairs, distances) columns, which
 /// keeps every stored distance an exact shortest nonempty path length.
-/// A non-null `dindex` sees each added/updated pair via AddOrShorten.
 size_t MergeBoundedInsertDelta(const ViewDefinition& def,
                                const GraphSnapshot& g,
                                const std::vector<NodePair>& inserted,
                                const std::vector<std::vector<NodeId>>& relation,
                                const std::vector<std::vector<NodeId>>& added,
-                               DeltaScratch* bfs, ViewExtension* ext,
-                               DistanceIndex* dindex) {
+                               DeltaScratch* bfs, ViewExtension* ext) {
   size_t pairs_changed = 0;
   auto contains = [](const std::vector<NodeId>& sorted, NodeId v) {
     return std::binary_search(sorted.begin(), sorted.end(), v);
@@ -176,10 +174,6 @@ size_t MergeBoundedInsertDelta(const ViewDefinition& def,
         merged_dists.push_back(fresh[j].second);
         ext->EnsureSnapshot(g, fresh[j].first.first);
         ext->EnsureSnapshot(g, fresh[j].first.second);
-        if (dindex != nullptr) {
-          dindex->AddOrShorten(fresh[j].first.first, fresh[j].first.second,
-                               fresh[j].second);
-        }
         ++pairs_changed;
         edge_changed = true;
         ++j;
@@ -187,10 +181,6 @@ size_t MergeBoundedInsertDelta(const ViewDefinition& def,
         merged_pairs.push_back(vee.pairs[i]);
         if (fresh[j].second < vee.distances[i]) {
           merged_dists.push_back(fresh[j].second);
-          if (dindex != nullptr) {
-            dindex->AddOrShorten(fresh[j].first.first, fresh[j].first.second,
-                                 fresh[j].second);
-          }
           ++pairs_changed;
           edge_changed = true;
         } else {
@@ -216,8 +206,7 @@ Status RefreshViewExtensionInserted(const ViewDefinition& def,
                                     const MaintenanceOptions& opts,
                                     DeltaScratch* scratch, ViewExtension* ext,
                                     std::vector<std::vector<NodeId>>* relation,
-                                    MaintenanceStats* stats,
-                                    DistanceIndex* dindex) {
+                                    MaintenanceStats* stats) {
   MaintenanceStats local;
   if (stats == nullptr) stats = &local;
   if (opts.enable_delta) {
@@ -238,7 +227,7 @@ Status RefreshViewExtensionInserted(const ViewDefinition& def,
       } else {
         ++stats->bounded_delta_refreshes;
         const size_t changed = MergeBoundedInsertDelta(
-            def, g, inserted, *relation, added, scratch, ext, dindex);
+            def, g, inserted, *relation, added, scratch, ext);
         stats->delta_matches_added += changed;
         stats->bounded_matches_added += changed;
       }

@@ -42,6 +42,9 @@
 /// against its own frozen snapshot); a view that would re-materialize for
 /// the insert phase anyway skips the deletion refresh entirely.
 ///
+/// The distance columns both directions keep exact are the paper's distance
+/// index I(V) (core/bmatch_join.h); no separate table is maintained.
+///
 /// The engine's view cache drives these routines once per update batch
 /// (ViewCache::RefreshForUpdates): callers mutate the Graph, freeze it, and
 /// hand the frozen snapshots in, plus the one DeltaScratch it lends to
@@ -53,7 +56,6 @@
 #include <vector>
 
 #include "common/status.h"
-#include "core/distance_index.h"
 #include "core/view.h"
 #include "simulation/delta.h"
 
@@ -122,27 +124,21 @@ struct MaintenanceStats {
 /// the extension in place; falls back to a full unseeded
 /// ViewExtension::Materialize when the delta cannot apply (see file
 /// comment).
-/// `stats` (optional) accumulates — callers zero it per batch. For bounded
-/// views a non-null `dindex` receives every added or shortened
-/// (pair, distance) via AddOrShorten, keeping the engine's distance index
-/// in lockstep without a rebuild; on the re-materialize fallback the caller
-/// must refresh `dindex` itself (the merge never ran).
+/// `stats` (optional) accumulates — callers zero it per batch.
 Status RefreshViewExtensionInserted(const ViewDefinition& def,
                                     const GraphSnapshot& g,
                                     const std::vector<NodePair>& inserted,
                                     const MaintenanceOptions& opts,
                                     DeltaScratch* scratch, ViewExtension* ext,
                                     std::vector<std::vector<NodeId>>* relation,
-                                    MaintenanceStats* stats = nullptr,
-                                    DistanceIndex* dindex = nullptr);
+                                    MaintenanceStats* stats = nullptr);
 
 /// Deletion-path refresh for a view that passed DeletionMayAffectView:
 /// brings `ext`/`relation` up to date with `g`, the frozen snapshot after
 /// the deletions, through DeltaBoundedDelete, pruning the snapshots of
 /// nodes left in no pair; falls back to ViewExtension::Materialize seeded
-/// from `relation` (see file comment). Distances only grow under
-/// deletions, so the distance index is repaired by its owner
-/// (DistanceIndex::InvalidateForDeletions + RepairDirty), not here.
+/// from `relation` (see file comment). Either way the surviving pairs'
+/// distance columns stay exact shortest-path lengths.
 Status RefreshViewExtensionDeleted(const ViewDefinition& def,
                                    const GraphSnapshot& g,
                                    const std::vector<NodePair>& deleted,

@@ -80,26 +80,13 @@ double EstimateDirectCostWithCounts(const Pattern& q,
 }
 
 /// Estimated pairs a cold view edge materializes: candidate sources times
-/// the per-candidate ball size, never more than |E| for unit bounds. For
-/// bounded edges, distance-index coverage discounts the estimate: pairs
-/// whose exact distance I(V) already tracks re-verify in O(1) lookups
-/// instead of fresh ball walks, so the more entries the index holds
-/// relative to the node universe, the cheaper the bounded view plan —
-/// never below the one-unit-per-candidate merge floor.
+/// the per-candidate ball size, never more than |E| for unit bounds.
 double EstimateViewEdgePairs(const Pattern& view, uint32_t e,
                              const std::vector<double>& cand,
-                             const GraphStatistics& gs,
-                             size_t dindex_entries) {
+                             const GraphStatistics& gs) {
   const PatternEdge& pe = view.edge(e);
-  double pairs = cand[pe.src] * BallEdges(pe.bound, gs);
-  if (pe.bound == 1) {
-    pairs = std::min(pairs, static_cast<double>(gs.num_edges));
-  } else if (dindex_entries > 0) {
-    const double coverage =
-        std::min(1.0, static_cast<double>(dindex_entries) /
-                          std::max(1.0, static_cast<double>(gs.num_nodes)));
-    pairs = std::max(cand[pe.src], pairs * (1.0 - 0.5 * coverage));
-  }
+  const double pairs = cand[pe.src] * BallEdges(pe.bound, gs);
+  if (pe.bound == 1) return std::min(pairs, static_cast<double>(gs.num_edges));
   return pairs;
 }
 
@@ -208,8 +195,7 @@ Result<QueryPlan> PlanQueryImpl(const Pattern& q, const ViewSet& views,
     }
     const Pattern& vp = views.view(ref.view).pattern;
     std::vector<double> cand = EstimateCandidates(vp, gs, label_count);
-    return EstimateViewEdgePairs(vp, ref.edge, cand, gs,
-                                 opts.distance_index_entries);
+    return EstimateViewEdgePairs(vp, ref.edge, cand, gs);
   };
 
   Result<ContainmentMapping> mapping = MinimumContainment(mq, views);

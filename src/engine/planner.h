@@ -67,13 +67,6 @@ struct PlannerOptions {
   /// slices describe only the head, so a time-travel query always walks
   /// its pinned snapshot directly (kDirect, no fan-out).
   bool historical = false;
-  /// Live (v, v') pairs tracked by the engine's distance index I(V)
-  /// (ViewCacheStats::distance_entries; set by the engine per plan call).
-  /// Bounded view edges re-verify tracked pairs through O(1) index lookups
-  /// instead of fresh ball walks, so index coverage — entries relative to
-  /// the node universe — discounts the estimated bounded view cost. 0
-  /// means no index and no discount.
-  size_t distance_index_entries = 0;
 };
 
 /// The chosen plan plus everything the engine needs to execute it.

@@ -156,6 +156,7 @@ void QueryEngine::InitMetrics() {
   h_.query_exec_us = m.FindOrCreateHistogram("query.exec_us");
   h_.query_queue_wait_us = m.FindOrCreateHistogram("query.queue_wait_us");
   h_.update_apply_us = m.FindOrCreateHistogram("update.apply_us");
+  h_.update_lock_wait_us = m.FindOrCreateHistogram("update.lock_wait_us");
   h_.update_delete_phase_us =
       m.FindOrCreateHistogram("update.delete_phase_us");
   h_.update_insert_phase_us =
@@ -218,12 +219,6 @@ void QueryEngine::InitMetrics() {
     const double cache_lookups = static_cast<double>(cs.hits + cs.misses);
     s->AddGauge("cache.hit_rate",
                 cache_lookups == 0.0 ? 0.0 : cs.hits / cache_lookups);
-    s->AddGauge("distance_index.entries",
-                static_cast<double>(cs.distance_entries));
-    s->AddGauge("distance_index.repairs",
-                static_cast<double>(cs.distance_repairs));
-    s->AddGauge("distance_index.shortened",
-                static_cast<double>(cs.distance_shortened));
     const ResultCacheStats rs = result_cache_.stats();
     s->AddGauge("result_cache.hits", static_cast<double>(rs.hits));
     s->AddGauge("result_cache.misses", static_cast<double>(rs.misses));
@@ -422,13 +417,9 @@ QueryResponse QueryEngine::Execute(const Pattern& q, const QueryOptions& qopts,
     Stopwatch sw;
     obs::SpanScope plan_span(tr, "plan");
     const std::vector<uint8_t> live = cache_.MaterializedSnapshot();
-    // The distance index's current size feeds the bounded-view cost
-    // discount (tracked pairs re-verify via I(V) instead of ball walks).
-    PlannerOptions popts = opts_.planner;
-    popts.distance_index_entries = cache_.stats().distance_entries;
     Result<QueryPlan> planned = PlanQuery(q, cache_.views(),
                                           cache_.extensions(), gstats_,
-                                          popts, &live);
+                                          opts_.planner, &live);
     if (!planned.ok()) {
       resp.status = planned.status();
       plan_span.AttrBool("ok", false);
@@ -976,9 +967,11 @@ Status QueryEngine::ApplyStreamBatchSlice(const std::vector<EdgeUpdate>& batch,
   MaintenanceStats delta_stats;
   double delete_phase_ms = 0.0;
   double insert_phase_ms = 0.0;
+  double lock_wait_ms = 0.0;
   Stopwatch apply_sw;
   {
     std::unique_lock<std::shared_mutex> lk(mu_);
+    lock_wait_ms = apply_sw.ElapsedMillis();
     Stopwatch phase_sw;
     for (const EdgeUpdate& up : batch) {
       if (up.u >= graph_.num_nodes() || up.v >= graph_.num_nodes()) {
@@ -1091,6 +1084,7 @@ Status QueryEngine::ApplyStreamBatchSlice(const std::vector<EdgeUpdate>& batch,
     h_.delta_delete_fallbacks->Add(delta_stats.delete_fallbacks);
     h_.delta_delete_skips->Add(delta_stats.delete_skips);
     h_.update_apply_us->Record(ToMicros(apply_sw.ElapsedMillis()));
+    h_.update_lock_wait_us->Record(ToMicros(lock_wait_ms));
     h_.update_delete_phase_us->Record(ToMicros(delete_phase_ms));
     h_.update_insert_phase_us->Record(ToMicros(insert_phase_ms));
   }

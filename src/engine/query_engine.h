@@ -537,6 +537,7 @@ class QueryEngine {
     obs::Histogram* query_exec_us;
     obs::Histogram* query_queue_wait_us;
     obs::Histogram* update_apply_us;
+    obs::Histogram* update_lock_wait_us;
     obs::Histogram* update_delete_phase_us;
     obs::Histogram* update_insert_phase_us;
   };

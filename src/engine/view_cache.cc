@@ -57,7 +57,6 @@ bool ViewCache::Install(uint32_t v, ViewExtension ext,
   e.relation = std::move(relation);
   e.bytes = EntryBytes(exts_[v], e.relation);
   e.materialized = true;
-  IndexBoundedExtensionLocked(v);
   if (pin) ++e.pin_count;
   lru_.push_front(v);
   e.lru_pos = lru_.begin();
@@ -120,16 +119,6 @@ Status ViewCache::RefreshForUpdates(const GraphSnapshot* after_deletions,
   std::lock_guard<std::mutex> lk(meta_mu_);
   const GraphSnapshot& del_snap =
       after_deletions != nullptr ? *after_deletions : final_snap;
-  // Deletions can only lengthen indexed distances: dirty the tracked
-  // sources inside the post-delete balls now, repair against the final
-  // snapshot once the sweep is done (the entries stay untouched meanwhile,
-  // so the per-view refreshes below never read through them).
-  if (!deleted.empty()) dindex_.InvalidateForDeletions(del_snap, deleted);
-  // Insertions can only shorten them: min-update every tracked entry whose
-  // shortest path improved through an inserted edge.
-  if (!inserted.empty()) {
-    stats_.distance_shortened += dindex_.ApplyInsertions(final_snap, inserted);
-  }
   // One set of |V|-sized traversal buffers for every sweep (edge updates
   // never change the node count, so both snapshots fit).
   const size_t num_nodes = final_snap.num_nodes();
@@ -166,18 +155,9 @@ Status ViewCache::RefreshForUpdates(const GraphSnapshot* after_deletions,
       }
     }
     if (!inserted.empty()) {
-      // Track whether this view's insert phase fell back to a full
-      // re-materialization: the bounded merge (which feeds the distance
-      // index in lockstep) never ran then, so the fresh extension's pairs
-      // are re-indexed wholesale below.
-      MaintenanceStats view_stats;
       GPMV_RETURN_NOT_OK(RefreshViewExtensionInserted(
           def, final_snap, inserted, opts, &scratch, &exts_[v], &e.relation,
-          &view_stats, &dindex_));
-      batch_stats.Merge(view_stats);
-      if (view_stats.rematerialize_fallbacks > 0) {
-        IndexBoundedExtensionLocked(v);
-      }
+          &batch_stats));
       touched = true;
     }
     if (touched) {
@@ -192,10 +172,6 @@ Status ViewCache::RefreshForUpdates(const GraphSnapshot* after_deletions,
     }
   }
   if (delta_stats != nullptr) delta_stats->Merge(batch_stats);
-  // On-demand repair: one forward BFS per dirty source against the final
-  // snapshot restores the exact-or-absent contract before the new graph
-  // version becomes queryable.
-  dindex_.RepairDirty(final_snap);
   EnforceBudgetLocked();
   return Status::OK();
 }
@@ -242,22 +218,7 @@ bool ViewCache::CheckConsistency(bool expect_unpinned) const {
 
 ViewCacheStats ViewCache::stats() const {
   std::lock_guard<std::mutex> lk(meta_mu_);
-  ViewCacheStats out = stats_;
-  out.distance_entries = dindex_.size();
-  out.distance_repairs = dindex_.repairs();
-  return out;
-}
-
-void ViewCache::IndexBoundedExtensionLocked(uint32_t v) {
-  if (views_.view(v).pattern.IsSimulationPattern()) return;
-  const ViewExtension& ext = exts_[v];
-  for (uint32_t e = 0; e < ext.num_view_edges(); ++e) {
-    const ViewEdgeExtension& vee = ext.edge(e);
-    for (size_t i = 0; i < vee.pairs.size(); ++i) {
-      dindex_.AddOrShorten(vee.pairs[i].first, vee.pairs[i].second,
-                           vee.distances[i]);
-    }
-  }
+  return stats_;
 }
 
 size_t ViewCache::EntryBytes(const ViewExtension& ext,

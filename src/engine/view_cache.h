@@ -59,11 +59,6 @@ struct ViewCacheStats {
   size_t bytes_cached = 0;        ///< current footprint
   size_t materialized = 0;        ///< currently live extensions
   size_t registered = 0;          ///< view definitions in the registry
-
-  /// Distance-index I(V) health (see distance_index()):
-  size_t distance_entries = 0;    ///< tracked (v, v') pairs
-  size_t distance_repairs = 0;    ///< dirty sources repaired after deletions
-  size_t distance_shortened = 0;  ///< entries shortened by insert maintenance
 };
 
 /// Registry of view definitions + LRU-evicted materialized extensions.
@@ -121,12 +116,10 @@ class ViewCache {
   ///    re-materialize anyway (delta disabled) skips its deletion refresh
   ///    and re-materializes once against `final_snap`.
   ///
-  /// The distance index rides along: deletions dirty the affected-ball
-  /// sources (repaired against `final_snap` at the end of the sweep),
-  /// insertions min-update tracked entries and absorb the bounded merges'
-  /// fresh pairs. Byte accounting is updated per touched entry in
-  /// O(#view edges); `delta_stats` (optional) accumulates the counters of
-  /// both phases.
+  /// Both phases keep every bounded extension's distance column — the
+  /// paper's distance index I(V) — exact shortest-path lengths in the new
+  /// graph. Byte accounting is updated per touched entry in O(#view edges);
+  /// `delta_stats` (optional) accumulates the counters of both phases.
   Status RefreshForUpdates(const GraphSnapshot* after_deletions,
                            const GraphSnapshot& final_snap,
                            const std::vector<NodePair>& deleted,
@@ -144,14 +137,6 @@ class ViewCache {
 
   ViewCacheStats stats() const;
   size_t budget_bytes() const { return opts_.budget_bytes; }
-
-  /// [exclusive] The paper's distance index I(V) over every bounded pair
-  /// ever materialized, maintained incrementally by Install +
-  /// RefreshForUpdates (core/distance_index.h). Contract: a superset of
-  /// the live bounded extensions' pairs, each entry an exact shortest
-  /// nonempty distance in the current graph — eviction never prunes it
-  /// (extra exact entries are harmless to BMatchJoin's lenient check).
-  const DistanceIndex& distance_index() const { return dindex_; }
 
   /// [exclusive] Test/debug invariant check: bytes_cached equals the
   /// recomputed footprint of the materialized entries (each extension's
@@ -178,14 +163,10 @@ class ViewCache {
   /// unlinked from lru_.
   void EvictLocked(uint32_t v);
   size_t EnforceBudgetLocked();
-  /// Feeds every (pair, distance) of bounded view `v`'s extension into the
-  /// distance index. Caller holds meta_mu_.
-  void IndexBoundedExtensionLocked(uint32_t v);
 
   ViewCacheOptions opts_;
   ViewSet views_;
   std::vector<ViewExtension> exts_;
-  DistanceIndex dindex_;
   /// Traversal buffers lent to every maintenance routine (exclusive use,
   /// like the extensions); sized to the last refreshed snapshot.
   std::optional<DeltaScratch> scratch_;

@@ -6,8 +6,8 @@
 ///  * multi-source *reverse* bounded BFS — "which nodes can reach the set T
 ///    within k hops?" (used to prune candidate matches), and
 ///  * single-source *forward* bounded BFS — "which nodes does v reach within
-///    k hops, and at what distance?" (used to extract match sets and the
-///    distance index I(V)).
+///    k hops, and at what distance?" (used to extract match sets and their
+///    distance columns, the paper's distance index I(V)).
 ///
 /// `kUnbounded` encodes the paper's `*` bound (reachability at any length).
 /// The scratch object reuses its O(|V|) buffers across calls so that the

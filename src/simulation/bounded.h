@@ -7,8 +7,8 @@
 /// computed by a fixpoint that prunes candidates using multi-source reverse
 /// bounded BFS; match sets (node pairs with their exact shortest distances)
 /// are extracted with forward bounded BFS per candidate source. The
-/// extraction distances also feed the distance index I(V) used by
-/// BMatchJoin (Section VI-A).
+/// extraction distances become the view extensions' distance columns,
+/// which are the distance index I(V) that BMatchJoin reads (Section VI-A).
 ///
 /// All traversals run over a frozen CSR snapshot (freeze once with
 /// `Graph::Freeze` and reuse it). Only `MatchBoundedSimulationNaive` and its

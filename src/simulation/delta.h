@@ -43,8 +43,7 @@
 /// witness of x left sim(t). In the first case the prefix of that path up
 /// to its first deleted edge (a, b) survives, so x lies in the
 /// post-deletion reverse (k-1)-ball of a (for k = 1: x = a, and b was a
-/// member of sim(t)) — the argument DistanceIndex::InvalidateForDeletions
-/// already relies on. DeltaBoundedDelete seeds a worklist with exactly
+/// member of sim(t)). DeltaBoundedDelete seeds a worklist with exactly
 /// those sources, re-checks each with one forward bounded BFS, cascades
 /// every removal to the sources within the removed node's reverse k'-ball,
 /// and patches the cached match columns row by row. Its cost is the dirty

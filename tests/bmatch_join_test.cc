@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include "core/containment.h"
-#include "core/distance_index.h"
 #include "pattern/pattern_builder.h"
 #include "simulation/bounded.h"
 #include "test_util.h"
@@ -53,7 +52,7 @@ TEST(BMatchJoinTest, TwoHopQueryViaLooserView) {
 TEST(BMatchJoinTest, ExplicitDistanceIndexCrossChecksStricterBound) {
   // Same topology as TwoHopQueryViaLooserView: the view's bound (3) is
   // looser than the query's (2), so the merge must drop the distance-3 pair
-  // — and the explicit I(V) table must agree with the columnar distances.
+  // that I(V) — the extension's distance column — records.
   Graph g;
   NodeId a = g.AddNode("A"), x = g.AddNode("X"), b1 = g.AddNode("B");
   NodeId y = g.AddNode("Y"), z = g.AddNode("Z"), b2 = g.AddNode("B");
@@ -68,9 +67,9 @@ TEST(BMatchJoinTest, ExplicitDistanceIndexCrossChecksStricterBound) {
             PatternBuilder().Node("A").Node("B").Edge("A", "B", 3).Build());
   auto exts = MaterializeAll(views, *g.Freeze());
   ASSERT_TRUE(exts.ok());
-  DistanceIndex idx = DistanceIndex::Build(*exts);
-  ASSERT_TRUE(idx.Distance(a, b2).has_value());
-  EXPECT_EQ(*idx.Distance(a, b2), 3u);
+  const ViewEdgeExtension& vee = (*exts)[0].edge(0);
+  ASSERT_EQ(vee.pairs, (std::vector<NodePair>{{a, b1}, {a, b2}}));
+  EXPECT_EQ(vee.distances, (std::vector<uint32_t>{2, 3}));
 
   Pattern qb =
       PatternBuilder().Node("A").Node("B").Edge("A", "B", 2).Build();
@@ -79,18 +78,12 @@ TEST(BMatchJoinTest, ExplicitDistanceIndexCrossChecksStricterBound) {
   ASSERT_TRUE(mapping->contained);
 
   MatchJoinStats stats;
-  Result<MatchResult> r = BMatchJoin(qb, views, *exts, *mapping, idx,
+  Result<MatchResult> r = BMatchJoin(qb, views, *exts, *mapping,
                                      MatchJoinOptions{}, &stats);
   ASSERT_TRUE(r.ok());
   ASSERT_TRUE(r->matched());
   EXPECT_EQ(r->edge_matches(0), (std::vector<NodePair>{{a, b1}}));
   EXPECT_EQ(stats.filtered_by_distance, 1u);
-
-  // An index built over different extensions cannot certify the result.
-  DistanceIndex unrelated;
-  Result<MatchResult> bad = BMatchJoin(qb, views, *exts, *mapping, unrelated);
-  ASSERT_FALSE(bad.ok());
-  EXPECT_EQ(bad.status().code(), Status::Code::kInternal);
 }
 
 TEST(BMatchJoinTest, Fig6QueryOnConcreteGraph) {
@@ -155,12 +148,11 @@ TEST(DistanceIndexTest, BuildsFromExtensionsAndAnswersLookups) {
             PatternBuilder().Node("A").Node("B").Edge("A", "B", 3).Build());
   auto exts = MaterializeAll(views, *g.Freeze());
   ASSERT_TRUE(exts.ok());
-  DistanceIndex idx = DistanceIndex::Build(*exts);
-  EXPECT_EQ(idx.size(), 1u);
-  auto d = idx.Distance(0, 2);
-  ASSERT_TRUE(d.has_value());
-  EXPECT_EQ(*d, 2u);
-  EXPECT_FALSE(idx.Distance(0, 1).has_value());
+  // I(V) is the distance column parallel to the pairs: one pair, (A, B) at
+  // distance 2; the intermediate X is not a match and has no entry.
+  const ViewEdgeExtension& vee = (*exts)[0].edge(0);
+  EXPECT_EQ(vee.pairs, (std::vector<NodePair>{{0, 2}}));
+  EXPECT_EQ(vee.distances, (std::vector<uint32_t>{2}));
 }
 
 TEST(DistanceIndexTest, DistancesMatchBfs) {
@@ -174,10 +166,10 @@ TEST(DistanceIndexTest, DistancesMatchBfs) {
   views.Add("v",
             PatternBuilder().Node("A").Node("B").Edge("A", "B", 5).Build());
   auto exts = MaterializeAll(views, *g.Freeze());
-  DistanceIndex idx = DistanceIndex::Build(*exts);
-  auto d = idx.Distance(a, b);
-  ASSERT_TRUE(d.has_value());
-  EXPECT_EQ(*d, 1u);  // shortest, not the 2-hop detour
+  ASSERT_TRUE(exts.ok());
+  const ViewEdgeExtension& vee = (*exts)[0].edge(0);
+  ASSERT_EQ(vee.pairs, (std::vector<NodePair>{{a, b}}));
+  EXPECT_EQ(vee.distances, (std::vector<uint32_t>{1}));  // not the detour
 }
 
 }  // namespace

@@ -7,17 +7,14 @@
 ///    distances — to from-scratch re-materialization across mixed
 ///    insert/delete streams, on the delta path and on every forced
 ///    fallback;
-///  * the DistanceIndex maintained through ApplyInsertions /
-///    InvalidateForDeletions / RepairDirty must keep its exact-or-absent
-///    contract against BFS ground truth after random update streams;
 ///  * the engine end-to-end: a bounded-view engine under update batches
 ///    answers exactly like a view-less direct engine, while the bounded
-///    delta counters and the distance index advance;
+///    delta counters advance;
 ///  * DeltaBoundedDelete (bounds 1, 2, 3 and `*`; one-edge, DAG and cyclic
 ///    patterns; delete batches of 1, 4 and 32 with absent edges,
 ///    self-loops and delete-then-reinsert) must leave the relation, the
-///    match columns, the snapshot key set and the distance index equal to
-///    a fresh materialization, and each of its three fallbacks must fire
+///    match columns (pairs and distances — the distance index I(V)) and the
+///    snapshot key set equal to a fresh materialization, and each of its three fallbacks must fire
 ///    and stay exact.
 
 #include <gtest/gtest.h>
@@ -25,12 +22,10 @@
 #include <algorithm>
 #include <iterator>
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
 #include "common/random.h"
-#include "core/distance_index.h"
 #include "core/maintenance.h"
 #include "engine/query_engine.h"
 #include "graph/traversal.h"
@@ -254,215 +249,10 @@ TEST(BoundedDeltaTest, ForcedFallbacksStayExactForBoundedViews) {
   }
 }
 
-/// Exact shortest *nonempty* v -> v2 distance within `budget` hops on
-/// `snap`, or nullopt — the BFS ground truth the index contract is pinned
-/// against.
-std::optional<uint32_t> GroundTruthDistance(const GraphSnapshot& snap,
-                                            BfsScratch* scratch, NodeId v,
-                                            NodeId v2, uint32_t budget) {
-  if (budget == 0) return std::nullopt;
-  scratch->Run(snap, snap.out_neighbors(v), budget - 1, /*forward=*/true);
-  if (!scratch->Reached(v2)) return std::nullopt;
-  return scratch->dist(v2) + 1;
-}
-
-/// DistanceIndex incremental maintenance vs. BFS ground truth: after every
-/// mixed update step (invalidate -> apply-insertions -> repair, the
-/// ViewCache order), each tracked entry answers the exact current shortest
-/// nonempty distance; entries only leave the index when their distance
-/// outgrows the budget, and once gone they stay gone (insertions shorten
-/// existing entries, they never resurrect dropped pairs).
-TEST(BoundedDeltaTest, DistanceIndexMaintainMatchesGroundTruth) {
-  RandomGraphOptions go;
-  go.num_nodes = 70;
-  go.num_edges = 210;
-  go.num_labels = 3;
-  go.seed = 41;
-  Graph g = GenerateRandomGraph(go);
-  ViewDefinition def{"vb", BoundedChainPattern()};
-  auto ext = ViewExtension::Materialize(def, *g.Freeze());
-  ASSERT_TRUE(ext.ok());
-  DistanceIndex index = DistanceIndex::Build({*ext});
-  ASSERT_GT(index.size(), 0u);
-  const uint32_t budget = index.budget();
-  ASSERT_GT(budget, 0u);
-
-  // `alive` = pairs the contract still obliges the index to answer: the
-  // initially tracked set, minus any pair whose exact distance outgrew the
-  // budget at some step (legitimately dropped, never re-added).
-  std::vector<NodePair> alive;
-  for (uint32_t e = 0; e < ext->num_view_edges(); ++e) {
-    for (const NodePair& p : ext->edge(e).pairs) alive.push_back(p);
-  }
-  std::sort(alive.begin(), alive.end());
-  alive.erase(std::unique(alive.begin(), alive.end()), alive.end());
-
-  Rng rng(4242);
-  std::vector<NodePair> insertable;  // edges we added and may delete again
-  BfsScratch scratch(g.num_nodes());
-  for (int step = 0; step < 12; ++step) {
-    // Random deletions from previously inserted edges.
-    std::vector<NodePair> deleted;
-    while (!insertable.empty() && rng.NextBounded(2) == 0) {
-      NodePair p = insertable.back();
-      insertable.pop_back();
-      ASSERT_TRUE(g.RemoveEdge(p.first, p.second).ok());
-      deleted.push_back(p);
-    }
-    std::shared_ptr<const GraphSnapshot> after_del;
-    if (!deleted.empty()) {
-      after_del = g.Freeze();
-    }
-    // Random insertions.
-    std::vector<NodePair> inserted =
-        RandomNewEdges(g, 1 + rng.NextBounded(4), &rng);
-    for (const NodePair& p : inserted) {
-      ASSERT_TRUE(g.AddEdge(p.first, p.second).ok());
-      insertable.push_back(p);
-    }
-    std::shared_ptr<const GraphSnapshot> final_snap = g.Freeze();
-
-    if (!deleted.empty()) index.InvalidateForDeletions(*after_del, deleted);
-    if (!inserted.empty()) index.ApplyInsertions(*final_snap, inserted);
-    index.RepairDirty(*final_snap);
-    EXPECT_EQ(index.dirty_count(), 0u);
-
-    std::vector<NodePair> still_alive;
-    for (const NodePair& p : alive) {
-      std::optional<uint32_t> truth =
-          GroundTruthDistance(*final_snap, &scratch, p.first, p.second,
-                              budget);
-      std::optional<uint32_t> got = index.Distance(p.first, p.second);
-      if (truth.has_value()) {
-        ASSERT_TRUE(got.has_value())
-            << "step " << step << " pair (" << p.first << "," << p.second
-            << ") reachable at " << *truth << " but untracked";
-        EXPECT_EQ(*got, *truth) << "step " << step << " pair (" << p.first
-                                << "," << p.second << ")";
-        still_alive.push_back(p);
-      } else {
-        // Outgrew the budget (or became unreachable): must be dropped, and
-        // it stays out of the obliged set from here on.
-        EXPECT_FALSE(got.has_value())
-            << "step " << step << " pair (" << p.first << "," << p.second
-            << ") beyond budget but still tracked at " << *got;
-      }
-    }
-    alive.swap(still_alive);
-  }
-  // Deletions actually dirtied and repaired sources along the way.
-  EXPECT_GT(index.repairs(), 0u);
-}
-
-/// Insert-only stream: nothing is ever dropped, so every initially tracked
-/// pair must answer its exact (possibly shortened) distance — the
-/// min-update path of ApplyInsertions alone keeps the contract.
-TEST(BoundedDeltaTest, DistanceIndexInsertOnlyStreamStaysExact) {
-  RandomGraphOptions go;
-  go.num_nodes = 60;
-  go.num_edges = 150;
-  go.num_labels = 3;
-  go.seed = 55;
-  Graph g = GenerateRandomGraph(go);
-  ViewDefinition def{"vb", BoundedChainPattern()};
-  auto ext = ViewExtension::Materialize(def, *g.Freeze());
-  ASSERT_TRUE(ext.ok());
-  DistanceIndex index = DistanceIndex::Build({*ext});
-  ASSERT_GT(index.size(), 0u);
-  const uint32_t budget = index.budget();
-
-  std::vector<NodePair> tracked;
-  for (uint32_t e = 0; e < ext->num_view_edges(); ++e) {
-    for (const NodePair& p : ext->edge(e).pairs) tracked.push_back(p);
-  }
-
-  Rng rng(77);
-  BfsScratch scratch(g.num_nodes());
-  size_t shortened_total = 0;
-  for (int step = 0; step < 10; ++step) {
-    std::vector<NodePair> inserted =
-        RandomNewEdges(g, 1 + rng.NextBounded(4), &rng);
-    if (inserted.empty()) break;
-    for (const NodePair& p : inserted) {
-      ASSERT_TRUE(g.AddEdge(p.first, p.second).ok());
-    }
-    std::shared_ptr<const GraphSnapshot> snap = g.Freeze();
-    shortened_total += index.ApplyInsertions(*snap, inserted);
-    EXPECT_EQ(index.dirty_count(), 0u);  // insertions never dirty
-    for (const NodePair& p : tracked) {
-      std::optional<uint32_t> truth =
-          GroundTruthDistance(*snap, &scratch, p.first, p.second, budget);
-      std::optional<uint32_t> got = index.Distance(p.first, p.second);
-      ASSERT_TRUE(got.has_value());
-      ASSERT_TRUE(truth.has_value());  // insertions only shorten
-      EXPECT_EQ(*got, *truth) << "step " << step << " pair (" << p.first
-                              << "," << p.second << ")";
-    }
-  }
-  (void)shortened_total;
-}
-
-/// RepairAll is the rebuild oracle for the maintained index: after an
-/// arbitrary stream, maintain-then-compare against a full repair must be a
-/// no-op (every entry already exact).
-TEST(BoundedDeltaTest, DistanceIndexMaintainEqualsRebuild) {
-  RandomGraphOptions go;
-  go.num_nodes = 60;
-  go.num_edges = 180;
-  go.num_labels = 3;
-  go.seed = 91;
-  Graph g = GenerateRandomGraph(go);
-  ViewDefinition def{"vb", BoundedChainPattern()};
-  auto ext = ViewExtension::Materialize(def, *g.Freeze());
-  ASSERT_TRUE(ext.ok());
-  DistanceIndex maintained = DistanceIndex::Build({*ext});
-
-  Rng rng(123);
-  std::vector<NodePair> insertable;
-  for (int step = 0; step < 8; ++step) {
-    std::vector<NodePair> deleted;
-    if (!insertable.empty() && rng.NextBounded(2) == 0) {
-      deleted.push_back(insertable.back());
-      insertable.pop_back();
-      ASSERT_TRUE(g.RemoveEdge(deleted[0].first, deleted[0].second).ok());
-    }
-    std::shared_ptr<const GraphSnapshot> after_del;
-    if (!deleted.empty()) after_del = g.Freeze();
-    std::vector<NodePair> inserted = RandomNewEdges(g, 2, &rng);
-    for (const NodePair& p : inserted) {
-      ASSERT_TRUE(g.AddEdge(p.first, p.second).ok());
-      insertable.push_back(p);
-    }
-    std::shared_ptr<const GraphSnapshot> final_snap = g.Freeze();
-    if (!deleted.empty()) {
-      maintained.InvalidateForDeletions(*after_del, deleted);
-    }
-    if (!inserted.empty()) maintained.ApplyInsertions(*final_snap, inserted);
-    maintained.RepairDirty(*final_snap);
-  }
-
-  std::shared_ptr<const GraphSnapshot> snap = g.Freeze();
-  // Snapshot the maintained answers, force a full repair, compare: if
-  // maintenance kept every entry exact, the full repair changes nothing.
-  std::vector<std::pair<NodePair, std::optional<uint32_t>>> before;
-  for (uint32_t e = 0; e < ext->num_view_edges(); ++e) {
-    for (const NodePair& p : ext->edge(e).pairs) {
-      before.emplace_back(p, maintained.Distance(p.first, p.second));
-    }
-  }
-  const size_t size_before = maintained.size();
-  maintained.RepairAll(*snap);
-  EXPECT_EQ(maintained.size(), size_before);
-  for (const auto& [p, d] : before) {
-    EXPECT_EQ(maintained.Distance(p.first, p.second), d)
-        << "pair (" << p.first << "," << p.second << ")";
-  }
-}
-
 /// Engine end-to-end: a bounded-view engine under random update batches
 /// answers bounded queries exactly like a view-less direct engine, while
-/// the bounded-delta counters and distance-index stats advance (no
-/// unconditional re-materialization anymore).
+/// the bounded-delta counters advance (no unconditional
+/// re-materialization anymore).
 TEST(BoundedDeltaTest, EngineBoundedViewStaysExactUnderUpdates) {
   RandomGraphOptions go;
   go.num_nodes = 100;
@@ -507,9 +297,9 @@ TEST(BoundedDeltaTest, EngineBoundedViewStaysExactUnderUpdates) {
 
   const obs::MetricsSnapshot m = with_views.metrics()->TakeSnapshot();
   // The bounded view refreshed through the delta path at least once, and
-  // the distance index is live.
+  // its extension is still cached.
   EXPECT_GT(m.CounterValue("delta.bounded_refreshes"), 0u);
-  EXPECT_GT(m.GaugeValue("distance_index.entries"), 0.0);
+  EXPECT_GT(m.GaugeValue("cache.bytes_cached"), 0.0);
   EXPECT_TRUE(with_views.CheckCacheConsistency());
 }
 
@@ -614,8 +404,8 @@ struct DeleteRunTotals {
 /// DeltaBoundedDelete on a bare (relation, columns) pair and through a
 /// maintained CachedView. After every batch both must equal a fresh
 /// materialization: relation, columns (pairs and distances), orphan set,
-/// SameExtension (snapshot key set included), byte accounting, and the
-/// distance index on every fresh pair.
+/// SameExtension (snapshot key set and distance columns included) and byte
+/// accounting.
 void CheckDeleteStream(const Pattern& qb, uint64_t graph_seed, size_t batch,
                        size_t steps, DeleteRunTotals* totals) {
   SCOPED_TRACE(testing::Message() << "graph_seed=" << graph_seed
@@ -623,10 +413,6 @@ void CheckDeleteStream(const Pattern& qb, uint64_t graph_seed, size_t batch,
   Graph g = SmallDeleteGraph(graph_seed);
   Graph g_view = g;
   ViewDefinition def{"vd", qb};
-  bool star = false;
-  for (uint32_t e = 0; e < qb.num_edges(); ++e) {
-    star = star || qb.edge(e).bound == kUnbounded;
-  }
   MaintenanceOptions mopts;
   mopts.max_area_fraction = 1.0;  // the test targets the delta path
   testutil::CachedView mv(def, mopts);
@@ -702,21 +488,6 @@ void CheckDeleteStream(const Pattern& qb, uint64_t graph_seed, size_t batch,
     ASSERT_TRUE(mv.Batch(g_view, deleted, inserted).ok());
     ASSERT_TRUE(SameExtension(mv.extension(), *fresh_final));
     ASSERT_TRUE(mv.CheckConsistency());
-    // I(V) (which tracks bounded views only) answers every fresh pair as
-    // DistanceIndex::Build would. A `*` view's pair can outgrow the index
-    // budget after a deletion and drop out of I(V) for good, so there only
-    // tracked entries must be exact.
-    if (qb.IsSimulationPattern()) continue;
-    const DistanceIndex truth = DistanceIndex::Build({*fresh_final});
-    const DistanceIndex& index = mv.distance_index();
-    for (uint32_t e = 0; e < fresh_final->num_view_edges(); ++e) {
-      for (const NodePair& p : fresh_final->edge(e).pairs) {
-        const std::optional<uint32_t> got = index.Distance(p.first, p.second);
-        if (star && !got.has_value()) continue;
-        ASSERT_EQ(got, truth.Distance(p.first, p.second))
-            << "pair (" << p.first << "," << p.second << ")";
-      }
-    }
   }
   totals->refreshes += mv.maintenance_stats().delete_refreshes;
   totals->skips += mv.maintenance_stats().delete_skips;

@@ -186,30 +186,5 @@ TEST(PlannerTest, ShardFanoutMarksBoundedDirectPlans) {
   EXPECT_TRUE(plan->shard_fanout);
 }
 
-TEST(PlannerTest, DistanceIndexCoverageDiscountsBoundedViewCost) {
-  Graph g = ChainABCGraph();
-  GraphStatistics gs = ComputeStatistics(g);
-  ViewSet views;
-  views.Add("v_ab2",
-            PatternBuilder().Node("A").Node("B").Edge("A", "B", 2).Build());
-  std::vector<ViewExtension> exts(views.card());  // cold
-  Pattern qb =
-      PatternBuilder().Node("A").Node("B").Edge("A", "B", 2).Build();
-
-  PlannerOptions cold;
-  Result<QueryPlan> no_index = PlanQuery(qb, views, exts, gs, cold);
-  ASSERT_TRUE(no_index.ok());
-
-  PlannerOptions covered = cold;
-  covered.distance_index_entries = 10 * gs.num_nodes;  // full coverage
-  Result<QueryPlan> indexed = PlanQuery(qb, views, exts, gs, covered);
-  ASSERT_TRUE(indexed.ok());
-
-  // Tracked pairs re-verify through I(V) instead of ball walks: the view
-  // plan gets strictly cheaper, the direct estimate is untouched.
-  EXPECT_LT(indexed->est_view_cost, no_index->est_view_cost);
-  EXPECT_DOUBLE_EQ(indexed->est_direct_cost, no_index->est_direct_cost);
-}
-
 }  // namespace
 }  // namespace gpmv

@@ -436,6 +436,11 @@ TEST(EngineMetricsTest, RegistryInvariantsHoldAfterQueriesAndUpdates) {
   MetricsSnapshot snap = engine.metrics()->TakeSnapshot();
   EXPECT_EQ(snap.CounterValue("engine.queries"), 5u);
   EXPECT_EQ(snap.CounterValue("engine.update_batches"), 1u);
+  // The commit-lock wait is recorded once per committed batch.
+  const HistogramSnapshot* lock_wait =
+      snap.FindHistogram("update.lock_wait_us");
+  ASSERT_NE(lock_wait, nullptr);
+  EXPECT_EQ(lock_wait->count, snap.CounterValue("engine.update_batches"));
   EXPECT_EQ(snap.CounterValue("engine.edges_inserted"), 1u);
   EXPECT_EQ(snap.CounterValue("engine.edges_deleted"), 1u);
   // The fallback-reason breakdown sums to the fallback total.
@@ -446,7 +451,7 @@ TEST(EngineMetricsTest, RegistryInvariantsHoldAfterQueriesAndUpdates) {
                 snap.CounterValue("delta.fallback_disabled"));
   // Every component's collector gauges are in the snapshot.
   for (const char* name :
-       {"cache.hits", "distance_index.entries", "result_cache.misses",
+       {"cache.hits", "cache.bytes_cached", "result_cache.misses",
         "pool.submitted", "mvcc.chain_depth", "mvcc.pinned_cuts",
         "mvcc.gc_collected"}) {
     bool present = false;

@@ -234,10 +234,6 @@ class CachedView {
   const ViewExtension& extension() const { return cache_.extensions()[0]; }
   /// Refresh and prescreen-skip counts (`refreshes`, `refreshes_skipped`).
   ViewCacheStats stats() const { return cache_.stats(); }
-  /// The cache's maintained distance index I(V).
-  const DistanceIndex& distance_index() const {
-    return cache_.distance_index();
-  }
   /// The cache's accounting invariants (ViewCache::CheckConsistency).
   bool CheckConsistency() const {
     return cache_.CheckConsistency(/*expect_unpinned=*/true);

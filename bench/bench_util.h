@@ -5,7 +5,7 @@
 ///
 /// The JSON section has no dependencies beyond the standard library so the
 /// standalone harnesses (engine_throughput, fixpoint_microbench,
-/// shard_scaling, update_latency) can include this header without linking
+/// update_latency) can include this header without linking
 /// google-benchmark; the gbench-only fixture section below is guarded by
 /// GPMV_BENCH_HAVE_GBENCH, which CMake defines for the fig8*/ablation
 /// binaries (the ones that link the library).

@@ -9,14 +9,11 @@ namespace {
 
 thread_local bool tl_deadline_active = false;
 thread_local std::chrono::steady_clock::time_point tl_deadline;
-thread_local FaultInjector* tl_fault = nullptr;
 
 }  // namespace
 
-Scope::Scope(double deadline_ms, FaultInjector* fault)
-    : prev_active_(tl_deadline_active),
-      prev_deadline_(tl_deadline),
-      prev_fault_(tl_fault) {
+Scope::Scope(double deadline_ms)
+    : prev_active_(tl_deadline_active), prev_deadline_(tl_deadline) {
   if (deadline_ms > 0.0) {
     tl_deadline_active = true;
     tl_deadline = std::chrono::steady_clock::now() +
@@ -25,13 +22,11 @@ Scope::Scope(double deadline_ms, FaultInjector* fault)
   } else {
     tl_deadline_active = false;
   }
-  tl_fault = fault;
 }
 
 Scope::~Scope() {
   tl_deadline_active = prev_active_;
   tl_deadline = prev_deadline_;
-  tl_fault = prev_fault_;
 }
 
 bool DeadlineActive() { return tl_deadline_active; }
@@ -54,8 +49,6 @@ double DeadlineRemainingMs() {
                         .count();
   return ms > 0.0 ? ms : 0.0;
 }
-
-FaultInjector* CurrentFault() { return tl_fault; }
 
 }  // namespace exec
 }  // namespace gpmv

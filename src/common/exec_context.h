@@ -1,18 +1,17 @@
 /// \file exec_context.h
 /// \brief Per-thread execution context for cooperative cancellation:
-/// a query deadline (QueryOptions::deadline_ms) plus the engine's fault
-/// injector, installed RAII-style for the duration of one Execute call.
+/// a query deadline (QueryOptions::deadline_ms), installed RAII-style for
+/// the duration of one Execute call.
 ///
 /// Why thread-local instead of parameter plumbing: the cancellation
 /// checkpoints live deep inside the simulation fixpoints
-/// (simulation/refinement.cc, simulation/bounded.cc) and the sharded
-/// merge-round barriers (shard/shard_sim.cc), several layers below any
-/// signature that could reasonably carry a deadline. All of those loops run
-/// on the thread that called Execute — ParallelInvoke runs fan-out *tasks*
-/// on pool workers, but every round barrier and every unsharded fixpoint
-/// executes in the caller — so a thread-local installed at Execute entry is
-/// visible at exactly the checkpoints that need it, with zero signature
-/// churn and zero cost for code paths that never look.
+/// (simulation/refinement.cc, simulation/bounded.cc), several layers below
+/// any signature that could reasonably carry a deadline. Those loops run on
+/// the thread that called Execute, so a thread-local installed at Execute
+/// entry is visible at exactly the checkpoints that need it, with zero
+/// signature churn and zero cost for code paths that never look. (The
+/// edge-cut library in shard/ checks the same deadline at its merge-round
+/// barriers, which also run on the calling thread.)
 ///
 /// Contract for checkpoints: expiry is advisory — a loop that observes
 /// `DeadlineExpired()` abandons work *early* and unwinds; the caller that
@@ -30,15 +29,13 @@
 
 namespace gpmv {
 
-class FaultInjector;
-
 namespace exec {
 
 /// RAII install/restore of the calling thread's execution context.
-/// `deadline_ms <= 0` installs "no deadline"; `fault` may be null.
+/// `deadline_ms <= 0` installs "no deadline".
 class Scope {
  public:
-  explicit Scope(double deadline_ms, FaultInjector* fault = nullptr);
+  explicit Scope(double deadline_ms);
   ~Scope();
 
   Scope(const Scope&) = delete;
@@ -47,7 +44,6 @@ class Scope {
  private:
   bool prev_active_;
   std::chrono::steady_clock::time_point prev_deadline_;
-  FaultInjector* prev_fault_;
 };
 
 /// True when the current thread has a deadline installed.
@@ -65,10 +61,6 @@ Status CheckDeadline();
 /// with none installed. Bounds secondary waits (read-your-writes) so a
 /// deadlined query never sleeps past its budget.
 double DeadlineRemainingMs();
-
-/// The fault injector installed for this thread (null outside a Scope or
-/// when the engine has none wired).
-FaultInjector* CurrentFault();
 
 }  // namespace exec
 }  // namespace gpmv

@@ -21,8 +21,6 @@
 ///   snapshot.refreeze — drop the incremental re-freeze fast path for one
 ///                       commit (degradation to a full rebuild, not an
 ///                       error)
-///   shard.merge_round — fail a sharded evaluation at a merge-round
-///                       barrier (exercises the unsharded failover)
 ///   executor.task     — reject a pool submission with kResourceExhausted
 ///   exporter.write    — fail one metrics-snapshot write
 ///   net.accept        — drop a just-accepted client connection

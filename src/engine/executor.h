@@ -122,8 +122,7 @@ class ThreadPool {
 /// `pool == nullptr`, tasks run serially in the caller. Tasks must not
 /// throw. Safe to call from a worker of a *different* pool; calling it with
 /// the pool the caller runs on can deadlock once every worker is blocked in
-/// a ParallelInvoke (the sharded query path therefore uses a dedicated
-/// fan-out pool — see query_engine.h).
+/// a ParallelInvoke.
 void ParallelInvoke(ThreadPool* pool, std::vector<std::function<void()>> tasks);
 
 }  // namespace gpmv

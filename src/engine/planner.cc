@@ -119,38 +119,11 @@ double EstimateDirectCost(const Pattern& q, const GraphStatistics& gs) {
   return EstimateDirectCostWithCounts(q, gs, BuildLabelCounts(gs));
 }
 
-namespace {
-
-Result<QueryPlan> PlanQueryImpl(const Pattern& q, const ViewSet& views,
-                                const std::vector<ViewExtension>& exts,
-                                const GraphStatistics& gs,
-                                const PlannerOptions& opts,
-                                const std::vector<uint8_t>* materialized);
-
-}  // namespace
-
 Result<QueryPlan> PlanQuery(const Pattern& q, const ViewSet& views,
                             const std::vector<ViewExtension>& exts,
                             const GraphStatistics& gs,
                             const PlannerOptions& opts,
                             const std::vector<uint8_t>* materialized) {
-  Result<QueryPlan> planned =
-      PlanQueryImpl(q, views, exts, gs, opts, materialized);
-  GPMV_RETURN_NOT_OK(planned.status());
-  QueryPlan plan = std::move(planned).value();
-  const Pattern& mq = plan.minimized.pattern;
-  plan.shard_fanout = opts.shard_fanout && !opts.historical &&
-                      plan.kind != PlanKind::kMatchJoin && mq.num_edges() > 0;
-  return plan;
-}
-
-namespace {
-
-Result<QueryPlan> PlanQueryImpl(const Pattern& q, const ViewSet& views,
-                                const std::vector<ViewExtension>& exts,
-                                const GraphStatistics& gs,
-                                const PlannerOptions& opts,
-                                const std::vector<uint8_t>* materialized) {
   if (exts.size() != views.card()) {
     return Status::InvalidArgument("one extension slot per view required");
   }
@@ -270,7 +243,5 @@ Result<QueryPlan> PlanQueryImpl(const Pattern& q, const ViewSet& views,
   }
   return plan;
 }
-
-}  // namespace
 
 }  // namespace gpmv

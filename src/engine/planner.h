@@ -54,18 +54,10 @@ struct PlannerOptions {
   /// > 1 biases toward views (they also spare G's memory bandwidth);
   /// 0 disables view plans entirely (cost-model kill switch).
   double view_cost_advantage = 4.0;
-  /// Mark graph-walking plans for sharded fan-out (set by the engine when
-  /// it runs with a ShardedSnapshot). The planner flags kDirect and
-  /// kPartialViews plans — the plans whose cost is the G-walk that shard
-  /// slices split K ways: unit-bound patterns through the decrement
-  /// exchange, bounded patterns through the BFS frontier hand-off
-  /// (shard/shard_sim.h). kMatchJoin never touches G, so it stays global.
-  bool shard_fanout = false;
   /// Plan for a *historical* (`AS OF`) cut: the query still minimizes (the
-  /// quotient is state-independent), but containment/view plans and the
-  /// sharded fan-out are skipped — materialized extensions and shard
-  /// slices describe only the head, so a time-travel query always walks
-  /// its pinned snapshot directly (kDirect, no fan-out).
+  /// quotient is state-independent), but containment/view plans are
+  /// skipped — materialized extensions describe only the head, so a
+  /// time-travel query always walks its pinned snapshot directly (kDirect).
   bool historical = false;
 };
 
@@ -82,10 +74,6 @@ struct QueryPlan {
   std::vector<std::vector<ViewEdgeRef>> partial_lambda;
   /// Distinct views the plan reads, ascending (empty for kDirect).
   std::vector<uint32_t> views_needed;
-  /// Execute the plan's graph walk as a per-shard fan-out (see
-  /// PlannerOptions::shard_fanout). The engine still falls back to the
-  /// global snapshot when its sharded snapshot is mid-rebuild.
-  bool shard_fanout = false;
   /// Cost estimates (abstract units; comparable within one plan call).
   double est_direct_cost = 0.0;
   double est_view_cost = 0.0;

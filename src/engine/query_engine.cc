@@ -71,23 +71,6 @@ QueryEngine::QueryEngine(Graph g, EngineOptions opts)
   cut.max_applied_ts = 0;
   cut.snapshot = snapshot_;
   chain_.Publish(std::move(cut));
-  if (opts_.sharding.num_shards > 1) {
-    // Let the planner mark fan-out-eligible plans (it cannot see the
-    // engine's sharded state otherwise).
-    opts_.planner.shard_fanout = true;
-    ThreadPoolOptions po;
-    po.fault = opts_.fault;
-    po.num_threads = opts_.sharding.num_shards;
-    if (opts_.obs.enabled) {
-      po.obs.queue_wait_us =
-          metrics_.FindOrCreateHistogram("shard_exec.queue_wait_us");
-      po.obs.run_us = metrics_.FindOrCreateHistogram("shard_exec.run_us");
-    }
-    shard_pool_ = std::make_unique<ThreadPool>(po);
-    sharded_ =
-        ShardedSnapshot::Build(snapshot_, opts_.sharding, shard_pool_.get());
-    shard_parent_ = snapshot_;
-  }
 }
 
 void QueryEngine::InitMetrics() {
@@ -95,16 +78,12 @@ void QueryEngine::InitMetrics() {
   h_.queries = m.FindOrCreateCounter("engine.queries");
   h_.queries_failed = m.FindOrCreateCounter("engine.queries_failed");
   h_.queries_warm = m.FindOrCreateCounter("engine.queries_warm");
-  h_.queries_sharded = m.FindOrCreateCounter("engine.queries_sharded");
-  h_.shard_fallbacks = m.FindOrCreateCounter("engine.shard_fallbacks");
   h_.plans_match_join = m.FindOrCreateCounter("engine.plans.match_join");
   h_.plans_partial = m.FindOrCreateCounter("engine.plans.partial");
   h_.plans_direct = m.FindOrCreateCounter("engine.plans.direct");
   h_.update_batches = m.FindOrCreateCounter("engine.update_batches");
   h_.edges_inserted = m.FindOrCreateCounter("engine.edges_inserted");
   h_.edges_deleted = m.FindOrCreateCounter("engine.edges_deleted");
-  h_.slices_rebuilt = m.FindOrCreateCounter("engine.slices_rebuilt");
-  h_.slices_reused = m.FindOrCreateCounter("engine.slices_reused");
   h_.slow_queries = m.FindOrCreateCounter("engine.slow_queries");
   h_.join_initial_pairs = m.FindOrCreateCounter("join.initial_pairs");
   h_.join_removed_pairs = m.FindOrCreateCounter("join.removed_pairs");
@@ -117,11 +96,6 @@ void QueryEngine::InitMetrics() {
       m.FindOrCreateCounter("join.fixpoint_iterations");
   h_.join_counters_zeroed = m.FindOrCreateCounter("join.counters_zeroed");
   h_.join_candidate_ranks = m.FindOrCreateCounter("join.candidate_ranks");
-  h_.shard_rounds = m.FindOrCreateCounter("shard.rounds");
-  h_.shard_removals = m.FindOrCreateCounter("shard.removals");
-  h_.shard_messages = m.FindOrCreateCounter("shard.messages");
-  h_.shard_frontier_msgs = m.FindOrCreateCounter("shard.frontier_msgs");
-  h_.shard_fanout_width = m.FindOrCreateGauge("shard.fanout_width");
   h_.delta_refreshes = m.FindOrCreateCounter("delta.refreshes");
   h_.delta_fallbacks = m.FindOrCreateCounter("delta.fallbacks");
   h_.delta_affected_nodes = m.FindOrCreateCounter("delta.affected_nodes");
@@ -256,10 +230,7 @@ void QueryEngine::InitMetrics() {
   }
 }
 
-QueryEngine::~QueryEngine() {
-  pool_.Shutdown();
-  if (shard_pool_ != nullptr) shard_pool_->Shutdown();
-}
+QueryEngine::~QueryEngine() { pool_.Shutdown(); }
 
 Result<uint32_t> QueryEngine::RegisterView(const std::string& name,
                                            Pattern pattern) {
@@ -334,11 +305,9 @@ Status QueryEngine::WaitForWatermark(uint64_t ts, double timeout_ms) {
 QueryResponse QueryEngine::Execute(const Pattern& q, const QueryOptions& qopts,
                                    double queue_wait_ms) {
   // Thread-local execution context for this query: the deadline the
-  // cooperative checkpoints (here, the fixpoints, the shard merge rounds)
-  // test, and the fault injector. Works without plumbing because the
-  // unsharded fixpoints run on this thread and the sharded path's merge-
-  // round barriers serialize back onto it.
-  exec::Scope exec_scope(qopts.deadline_ms, opts_.fault);
+  // cooperative checkpoints (here and in the fixpoints) test. Works without
+  // plumbing because the fixpoints run on this thread.
+  exec::Scope exec_scope(qopts.deadline_ms);
   bool degraded = false;
   // Read-your-writes floor: block (bounded) until the published cut covers
   // the caller's last submitted op, before any lock is taken.
@@ -392,8 +361,6 @@ QueryResponse QueryEngine::Execute(const Pattern& q, const QueryOptions& qopts,
   QueryResponse resp;
   resp.trace_id = next_trace_id_.fetch_add(1, std::memory_order_relaxed);
   MatchJoinStats join_stats;
-  ShardSimStats shard_stats;
-  bool shard_fallback = false;
 
   // Tracing is on when asked for explicitly or when the slow-query log
   // might need the span tree; the trace is private to this thread until
@@ -432,7 +399,6 @@ QueryResponse QueryEngine::Execute(const Pattern& q, const QueryOptions& qopts,
       plan_span.Attr("kind", std::string(PlanKindName(plan.kind)));
       plan_span.Attr("views_needed",
                      static_cast<uint64_t>(plan.views_needed.size()));
-      plan_span.AttrBool("shard_fanout", plan.shard_fanout);
       plan_span.Close();
 
       // The version pair the response reports: re-read below if pinning
@@ -480,23 +446,7 @@ QueryResponse QueryEngine::Execute(const Pattern& q, const QueryOptions& qopts,
         const GraphSnapshot& snap = *snapshot_;
         resp.snapshot_version = snap.version();
         resp.applied_through_ts = applied_through_ts();
-        // Fan-out-marked plans run per shard when the published slice set
-        // matches the registry's version; mid-rebuild they fall back to the
-        // (already current) global snapshot rather than mixing versions.
-        std::shared_ptr<const ShardedSnapshot> ss;
-        if (plan.shard_fanout && shard_pool_ != nullptr) {
-          {
-            std::lock_guard<std::mutex> slk(sharded_mu_);
-            ss = sharded_;
-          }
-          if (ss != nullptr && ss->version() != snap.version()) {
-            ss.reset();
-            shard_fallback = true;
-          }
-        }
-        resp.sharded = ss != nullptr;
         obs::SpanScope fix_span(tr, "fixpoint");
-        fix_span.AttrBool("sharded", resp.sharded);
         // Evaluate in the minimized shape; the memo stores that shape (so
         // all queries with the same quotient share it) and expansion back
         // to q's shape happens once at the end.
@@ -507,35 +457,12 @@ QueryResponse QueryEngine::Execute(const Pattern& q, const QueryOptions& qopts,
                                cache_.extensions(), plan.mapping, {},
                                &join_stats);
             case PlanKind::kPartialViews:
-              return ExecutePartial(plan, snap, ss.get(), &shard_stats);
+              return ExecutePartial(plan, snap);
             case PlanKind::kDirect:
               break;
           }
-          // ShardedMatchBoundedSimulation routes unit-bound patterns to the
-          // decrement-exchange engine and bounded ones to the BFS frontier
-          // hand-off; both are bit-identical to the unsharded path.
-          return ss != nullptr
-                     ? ShardedMatchBoundedSimulation(plan.minimized.pattern,
-                                                     *ss, shard_pool_.get(),
-                                                     /*seed=*/nullptr,
-                                                     &shard_stats)
-                     : MatchBoundedSimulation(plan.minimized.pattern, snap);
+          return MatchBoundedSimulation(plan.minimized.pattern, snap);
         }();
-        if (!r.ok() && resp.sharded &&
-            r.status().code() != Status::Code::kDeadlineExceeded) {
-          // Failure-domain failover: a merge round that died (e.g. the
-          // `shard.merge_round` fault point) retries unsharded on the
-          // global snapshot this query already holds — same answer,
-          // smaller blast radius. A deadline failure propagates instead:
-          // re-running an expired query would only overshoot further.
-          shard_fallback = true;
-          resp.sharded = false;
-          if (plan.kind == PlanKind::kPartialViews) {
-            r = ExecutePartial(plan, snap, nullptr, &shard_stats);
-          } else {
-            r = MatchBoundedSimulation(plan.minimized.pattern, snap);
-          }
-        }
         if (r.ok()) {
           // The fixpoints exit early on advisory expiry; whatever they
           // returned is then incomplete — convert it here, at the edge.
@@ -547,26 +474,6 @@ QueryResponse QueryEngine::Execute(const Pattern& q, const QueryOptions& qopts,
                         static_cast<uint64_t>(join_stats.fixpoint_iterations));
           fix_span.Attr("candidate_ranks",
                         static_cast<uint64_t>(join_stats.candidate_ranks));
-        }
-        if (tr != nullptr && resp.sharded) {
-          // The shard sim reports its per-phase timings through the stats
-          // struct; synthesize the fan-out subtree from them so the slow-
-          // query log shows where a sharded query spent its time.
-          obs::SpanScope fan(tr, "shard.fanout");
-          fan.Attr("shards", static_cast<uint64_t>(shard_stats.shards));
-          fan.Attr("rounds", static_cast<uint64_t>(shard_stats.rounds));
-          fan.Attr("messages", static_cast<uint64_t>(shard_stats.messages));
-          fan.Attr("frontier_msgs",
-                   static_cast<uint64_t>(shard_stats.frontier_msgs));
-          for (size_t i = 0; i < shard_stats.shard_ms.size(); ++i) {
-            obs::SpanScope s(tr, ("shard." + std::to_string(i)).c_str());
-            s.Attr("fixpoint_ms", shard_stats.shard_ms[i]);
-          }
-          for (size_t j = 1; j < shard_stats.round_ms.size(); ++j) {
-            obs::SpanScope s(tr,
-                             ("merge_round." + std::to_string(j)).c_str());
-            s.Attr("phase_ms", shard_stats.round_ms[j]);
-          }
         }
         fix_span.Close();
         if (r.ok()) {
@@ -602,15 +509,6 @@ QueryResponse QueryEngine::Execute(const Pattern& q, const QueryOptions& qopts,
       h_.deadline_exceeded->Add(1);
     }
     if (resp.warm) h_.queries_warm->Add(1);
-    if (resp.sharded) {
-      h_.queries_sharded->Add(1);
-      h_.shard_rounds->Add(shard_stats.rounds);
-      h_.shard_removals->Add(shard_stats.removals);
-      h_.shard_messages->Add(shard_stats.messages);
-      h_.shard_frontier_msgs->Add(shard_stats.frontier_msgs);
-      h_.shard_fanout_width->SetMax(static_cast<double>(shard_stats.shards));
-    }
-    if (shard_fallback) h_.shard_fallbacks->Add(1);
     switch (resp.plan) {
       case PlanKind::kMatchJoin:
         h_.plans_match_join->Add(1);
@@ -748,7 +646,6 @@ void QueryEngine::FinishTrace(obs::Trace* trace, QueryResponse* resp) {
   root->Attr("snapshot_version", resp->snapshot_version);
   root->AttrBool("ok", resp->status.ok());
   root->AttrBool("warm", resp->warm);
-  root->AttrBool("sharded", resp->sharded);
   root->AttrBool("result_cached", resp->result_cached);
   const double total_ms = trace->ElapsedMs();
   std::shared_ptr<const obs::TraceSpan> tree = trace->Finish();
@@ -822,9 +719,7 @@ Status QueryEngine::PinOrMaterialize(const std::vector<uint32_t>& needed,
 }
 
 Result<MatchResult> QueryEngine::ExecutePartial(const QueryPlan& plan,
-                                                const GraphSnapshot& snap,
-                                                const ShardedSnapshot* sharded,
-                                                ShardSimStats* shard_stats) {
+                                                const GraphSnapshot& snap) {
   const Pattern& mq = plan.minimized.pattern;
   std::vector<std::vector<NodeId>> seed;
   GPMV_RETURN_NOT_OK(ComputeCandidateSets(mq, snap, &seed));
@@ -852,14 +747,6 @@ Result<MatchResult> QueryEngine::ExecutePartial(const QueryPlan& plan,
                     sources.end());
       seed[u] = Intersect(seed[u], sources);
     }
-  }
-  if (sharded != nullptr) {
-    // Same seeds, same fixpoint — just partitioned by data-node ownership;
-    // the parity property tests pin the results to the unsharded path.
-    // Bounded seeds take the frontier hand-off engine, unit-bound ones the
-    // decrement exchange (routed inside ShardedMatchBoundedSimulation).
-    return ShardedMatchBoundedSimulation(mq, *sharded, shard_pool_.get(),
-                                         &seed, shard_stats);
   }
   return MatchBoundedSimulation(mq, snap, /*distances=*/nullptr, &seed);
 }
@@ -984,14 +871,12 @@ Status QueryEngine::ApplyStreamBatchSlice(const std::vector<EdgeUpdate>& batch,
     // of the batch's insertions; it is never published to queries.
     std::vector<NodePair> deleted;
     std::vector<NodePair> inserted;
-    std::vector<NodePair> touched;
     for (const EdgeUpdate& up : batch) {
       if (up.kind != EdgeUpdate::Kind::kDelete) continue;
       Status st = graph_.RemoveEdge(up.u, up.v);
       if (st.ok()) {
         deleted.emplace_back(up.u, up.v);
         ++deleted_count;
-        touched.emplace_back(up.u, up.v);
       } else if (st.code() != Status::Code::kNotFound) {
         return st;
       }
@@ -1006,7 +891,6 @@ Status QueryEngine::ApplyStreamBatchSlice(const std::vector<EdgeUpdate>& batch,
       if (graph_.AddEdgeIfAbsent(up.u, up.v)) {
         inserted.emplace_back(up.u, up.v);
         ++inserted_count;
-        touched.emplace_back(up.u, up.v);
       }
     }
     ++graph_version_;
@@ -1020,16 +904,6 @@ Status QueryEngine::ApplyStreamBatchSlice(const std::vector<EdgeUpdate>& batch,
     // batch touched) and publish the new snapshot version to queries before
     // refreshing cached extensions from it.
     snapshot_ = graph_.Freeze();
-    if (shard_pool_ != nullptr) {
-      // Hand the endpoints (of both phases) and the frozen parent to the
-      // slice-rebuild phase; it runs after this exclusive section so
-      // queries are not blocked on slice re-freezing (they fall back to
-      // the global snapshot until the new ShardedSnapshot publishes).
-      std::lock_guard<std::mutex> slk(shard_pending_mu_);
-      shard_pending_.insert(shard_pending_.end(), touched.begin(),
-                            touched.end());
-      shard_parent_ = snapshot_;
-    }
     GPMV_RETURN_NOT_OK(cache_.RefreshForUpdates(after_deletions.get(),
                                                 *snapshot_, deleted, inserted,
                                                 opts_.maintenance,
@@ -1061,7 +935,6 @@ Status QueryEngine::ApplyStreamBatchSlice(const std::vector<EdgeUpdate>& batch,
     // heartbeat republish races resolve by version inside the chain.
     PublishCut();
   }
-  if (shard_pool_ != nullptr) RefreshSharded();
   if (opts_.obs.enabled) {
     auto group = metrics_.Group();
     h_.update_batches->Add(1);
@@ -1089,49 +962,6 @@ Status QueryEngine::ApplyStreamBatchSlice(const std::vector<EdgeUpdate>& batch,
     h_.update_insert_phase_us->Record(ToMicros(insert_phase_ms));
   }
   return Status::OK();
-}
-
-void QueryEngine::RefreshSharded() {
-  std::lock_guard<std::mutex> phase(shard_rebuild_mu_);
-  std::vector<NodePair> pending;
-  std::shared_ptr<const GraphSnapshot> parent;
-  {
-    std::lock_guard<std::mutex> plk(shard_pending_mu_);
-    pending.swap(shard_pending_);
-    parent = shard_parent_;
-  }
-  std::shared_ptr<const ShardedSnapshot> base;
-  {
-    std::lock_guard<std::mutex> slk(sharded_mu_);
-    base = sharded_;
-  }
-  if (parent == nullptr || base->version() == parent->version()) {
-    return;  // a concurrent batch's phase already covered our endpoints
-  }
-  std::vector<uint32_t> affected;
-  if (parent->num_nodes() != base->parent().num_nodes()) {
-    for (uint32_t s = 0; s < base->num_shards(); ++s) affected.push_back(s);
-  } else {
-    affected = base->AffectedShards(pending);
-  }
-  // Only the affected slices rebuild (in parallel on the fan-out pool);
-  // the rest stay shared with `base` untouched.
-  std::shared_ptr<const ShardedSnapshot> next =
-      ShardedSnapshot::Rebuild(parent, *base, affected, shard_pool_.get());
-  {
-    std::lock_guard<std::mutex> slk(sharded_mu_);
-    sharded_ = next;
-  }
-  if (opts_.obs.enabled) {
-    auto group = metrics_.Group();
-    h_.slices_rebuilt->Add(affected.size());
-    h_.slices_reused->Add(base->num_shards() - affected.size());
-  }
-}
-
-std::shared_ptr<const ShardedSnapshot> QueryEngine::sharded_snapshot() const {
-  std::lock_guard<std::mutex> lk(sharded_mu_);
-  return sharded_;
 }
 
 Result<size_t> QueryEngine::AdmitFromWorkload(size_t max_views) {

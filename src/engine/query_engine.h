@@ -51,33 +51,10 @@
 /// `QueryOptions::min_applied_ts` blocks the query (bounded by
 /// `ryw_timeout_ms`) until the published watermark covers the caller's last
 /// submitted op.
-///
-/// Sharded execution (EngineOptions::sharding, shard/sharded_snapshot.h):
-/// with K > 1 shards the engine additionally keeps a `ShardedSnapshot` —
-/// per-shard CSR slices of the current frozen version — and a dedicated
-/// fan-out pool. The planner marks graph-walking plans (kDirect /
-/// kPartialViews) for fan-out, and Execute runs them as per-shard tasks
-/// with cross-shard merge rounds (shard/shard_sim.h): unit-bound patterns
-/// through the decrement exchange, bounded patterns through the BFS
-/// frontier hand-off; results are bit-identical to the unsharded path. Slice
-/// maintenance is per-shard at the *data* granularity, not the exclusive
-/// registry lock: an update batch rebuilds only the slices owning a
-/// touched endpoint (in parallel on the fan-out pool), shares the rest
-/// with the previous ShardedSnapshot, and runs *outside* the exclusive
-/// registry section — queries keep executing against the last published
-/// slice set while the rebuild runs, and the snapshot-version consistency
-/// token makes any mid-rebuild query fall back to the (already current)
-/// global snapshot instead of mixing versions. Rebuild phases of racing
-/// batches are serialized on one rebuild mutex and coalesce through a
-/// pending-endpoint hand-off; each rebuilt slice is stamped with the
-/// parent version it was built against, so the published assembly is a
-/// per-slice version vector whose consistency the parity suite checks
-/// against the chain head.
 
 #ifndef GPMV_ENGINE_QUERY_ENGINE_H_
 #define GPMV_ENGINE_QUERY_ENGINE_H_
 
-#include <algorithm>
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
@@ -105,8 +82,6 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "pattern/pattern.h"
-#include "shard/shard_sim.h"
-#include "shard/sharded_snapshot.h"
 #include "simulation/match_result.h"
 
 namespace gpmv {
@@ -149,9 +124,6 @@ struct EngineOptions {
   ThreadPoolOptions pool;
   ViewCacheOptions cache;
   PlannerOptions planner;
-  /// Snapshot sharding; num_shards > 1 enables per-shard query fan-out and
-  /// per-shard slice maintenance (see file comment).
-  ShardingOptions sharding;
   /// Maintenance knobs for insertions and deletions (delta kill switch +
   /// affected-area fallback threshold); see core/maintenance.h.
   MaintenanceOptions maintenance;
@@ -164,8 +136,8 @@ struct EngineOptions {
   SnapshotChainOptions mvcc;
   /// Fault injector threaded through every failure domain (common/fault.h):
   /// streamed applies (`stream.apply`), incremental re-freeze
-  /// (`snapshot.refreeze`), shard merge rounds (`shard.merge_round`) and —
-  /// propagated into both pools — task admission (`executor.task`). Not
+  /// (`snapshot.refreeze`) and — propagated into the worker pool — task
+  /// admission (`executor.task`). Not
   /// owned; nullptr (the default) compiles the checks down to a null test.
   FaultInjector* fault = nullptr;
 };
@@ -182,13 +154,13 @@ struct QueryOptions {
   double ryw_timeout_ms = 2000.0;
   /// Time-travel: answer against the newest retained prefix-consistent cut
   /// whose watermark is <= as_of_ts (0 = head). Historical queries plan
-  /// direct (views and the sharded fan-out reflect only the head), read
+  /// direct (views reflect only the head), read
   /// the pinned immutable cut outside the registry lock, and memoize under
   /// the historical cut's version.
   uint64_t as_of_ts = 0;
   /// Query deadline (0 = none): cooperative cancellation checkpoints in the
-  /// read-your-writes wait, the planner hand-off, the fixpoint loops and
-  /// the shard merge rounds fail the query with a *clean* kDeadlineExceeded
+  /// read-your-writes wait, the planner hand-off and the fixpoint loops
+  /// fail the query with a *clean* kDeadlineExceeded
   /// — pins unwound, nothing partial memoized, caches undisturbed. The
   /// expiry is advisory inside the loops; Execute converts it at the edge,
   /// so a result returned OK is always complete.
@@ -202,7 +174,6 @@ struct QueryResponse {
   PlanKind plan = PlanKind::kDirect;
   std::vector<uint32_t> views_used;  ///< view ids the plan read
   bool warm = false;    ///< view plan with every needed extension cached
-  bool sharded = false;  ///< executed as a per-shard fan-out
   bool result_cached = false;  ///< answered from the full-result cache
   bool as_of = false;  ///< answered against a pinned historical cut
   /// A stream slice was quarantined when this query read: the answer comes
@@ -286,10 +257,7 @@ class QueryEngine {
   /// perspective — the graph mutation, version bump, incremental re-freezes
   /// and extension maintenance happen under the exclusive registry lock, so
   /// every query sees either the whole batch or none of it (the mid-batch
-  /// post-deletion snapshot is never published). In sharded mode, only the
-  /// slices owning a touched endpoint re-freeze, *after* the exclusive
-  /// section; until the new ShardedSnapshot publishes, fan-out plans fall
-  /// back to the (already updated) global snapshot.
+  /// post-deletion snapshot is never published).
   Status ApplyUpdates(const std::vector<EdgeUpdate>& batch) {
     return ApplyStreamBatchSlice(batch, /*through_ts=*/0, /*slice=*/0);
   }
@@ -395,14 +363,6 @@ class QueryEngine {
   size_t num_graph_nodes() const;
   size_t num_graph_edges() const;
 
-  /// Fan-out width (1 = sharding disabled).
-  uint32_t num_shards() const {
-    return std::max<uint32_t>(1, opts_.sharding.num_shards);
-  }
-  /// The last published sharded snapshot (nullptr when sharding is
-  /// disabled). May lag snapshot() by one in-flight update batch.
-  std::shared_ptr<const ShardedSnapshot> sharded_snapshot() const;
-
  private:
   /// `queue_wait_ms >= 0` is the Submit-to-execution delay of a pooled
   /// query (recorded as query.queue_wait_us + a queue.wait span); direct
@@ -411,7 +371,7 @@ class QueryEngine {
                         double queue_wait_ms = -1.0);
 
   /// Time-travel execution: pins the AS OF cut, plans in historical mode
-  /// (direct only — views/shards reflect the head), evaluates the pinned
+  /// (direct only — views reflect the head), evaluates the pinned
   /// immutable snapshot *outside* the registry lock, and memoizes under
   /// the cut's version with an AS OF-segregated cache key (so historical
   /// probes never stale-drop the head's memo entry).
@@ -432,22 +392,9 @@ class QueryEngine {
                           std::vector<uint32_t>* pinned, bool* warm);
 
   /// kPartialViews execution: merge covering view pairs into per-node
-  /// candidate seeds, then direct evaluation restricted to them — fanned
-  /// out per shard when `sharded` is non-null (plans whose sharded
-  /// snapshot matches the registry version; bounded seeds take the BFS
-  /// frontier hand-off engine).
+  /// candidate seeds, then direct evaluation restricted to them.
   Result<MatchResult> ExecutePartial(const QueryPlan& plan,
-                                     const GraphSnapshot& snap,
-                                     const ShardedSnapshot* sharded,
-                                     ShardSimStats* shard_stats);
-
-  /// Sharded-mode update tail: re-freezes the slices owning a touched
-  /// endpoint (in parallel on the fan-out pool) against the newest frozen
-  /// parent and publishes the assembled ShardedSnapshot. Runs *outside*
-  /// the exclusive registry section; rebuild phases serialize on
-  /// shard_rebuild_mu_ and drain shard_pending_, so racing batches
-  /// coalesce instead of clobbering.
-  void RefreshSharded();
+                                     const GraphSnapshot& snap);
 
   /// Maps a minimized-query result back to the original query's shape.
   static MatchResult ExpandMinimized(const MinimizedPattern& min,
@@ -477,18 +424,12 @@ class QueryEngine {
     obs::Counter* queries;
     obs::Counter* queries_failed;
     obs::Counter* queries_warm;
-    obs::Counter* queries_sharded;  // executed as per-shard fan-outs
-    // Fan-out plans run on the global snapshot because the sharded one was
-    // mid-rebuild (version mismatch) or a merge round failed over.
-    obs::Counter* shard_fallbacks;
     obs::Counter* plans_match_join;
     obs::Counter* plans_partial;
     obs::Counter* plans_direct;
     obs::Counter* update_batches;
     obs::Counter* edges_inserted;
     obs::Counter* edges_deleted;
-    obs::Counter* slices_rebuilt;  // shard slices re-frozen by update batches
-    obs::Counter* slices_reused;   // slices shared across an update unchanged
     obs::Counter* slow_queries;
     // MatchJoin fixpoint (join.*)
     obs::Counter* join_initial_pairs;
@@ -499,12 +440,6 @@ class QueryEngine {
     obs::Counter* join_fixpoint_iterations;
     obs::Counter* join_counters_zeroed;
     obs::Counter* join_candidate_ranks;
-    // sharded fan-out (shard.*)
-    obs::Counter* shard_rounds;
-    obs::Counter* shard_removals;
-    obs::Counter* shard_messages;
-    obs::Counter* shard_frontier_msgs;
-    obs::Gauge* shard_fanout_width;  // SetMax
     // maintenance (delta.*): insert path, then the deletion path
     obs::Counter* delta_refreshes;
     obs::Counter* delta_fallbacks;
@@ -594,29 +529,6 @@ class QueryEngine {
   static constexpr size_t kWorkloadHistoryLimit = 256;
   mutable std::mutex agg_mu_;
   std::deque<Pattern> workload_;
-
-  /// --- Sharded-mode state (unused when sharding.num_shards <= 1) ---
-  /// The last published consistent slice set; queries copy the pointer
-  /// under sharded_mu_ and never lock again (slices are immutable).
-  std::shared_ptr<const ShardedSnapshot> sharded_;
-  mutable std::mutex sharded_mu_;
-  /// Serializes rebuild phases so concurrent update batches compose (each
-  /// phase rebuilds against the newest frozen parent with every pending
-  /// endpoint accounted for; see the file comment on why phases are not
-  /// concurrent per shard).
-  std::mutex shard_rebuild_mu_;
-  /// Pending hand-off from the exclusive registry section to the rebuild
-  /// phase. Its own (tiny-critical-section) mutex, so an update batch
-  /// holding the registry lock never waits behind a running rebuild.
-  std::mutex shard_pending_mu_;
-  std::vector<NodePair> shard_pending_;               // guarded by shard_pending_mu_
-  std::shared_ptr<const GraphSnapshot> shard_parent_;  // guarded by shard_pending_mu_
-
-  /// Dedicated fan-out pool, one worker per shard. Separate from pool_ so
-  /// a sharded query running on a query worker never waits on its own pool
-  /// for shard tasks; declared before pool_ so query workers drain before
-  /// it dies.
-  std::unique_ptr<ThreadPool> shard_pool_;
 
   /// Last member: destroyed (and joined) first, while the rest is alive.
   ThreadPool pool_;

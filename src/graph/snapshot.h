@@ -31,8 +31,8 @@
 ///    versions of the same graph are interchangeable. Snapshot versions
 ///    are strictly increasing along a graph's mutation history — they are
 ///    the system-wide consistency token (the engine keys its view-install
-///    race detection, the sharded slices, and the full-result cache on
-///    them; see docs/ARCHITECTURE.md).
+///    race detection and the full-result cache on them; see
+///    docs/ARCHITECTURE.md).
 ///  * `Graph::Freeze()` is idempotent between mutations (returns the
 ///    cached snapshot) and incremental across edge-only mutations (shares
 ///    the node section, rebuilds only dirty adjacency rows). It must be

@@ -1,7 +1,7 @@
 /// \file metrics.h
 /// \brief The unified metrics registry: named counters, gauges and
 /// log-bucketed latency histograms shared by every runtime layer (engine,
-/// executor, stream, shard, maintenance) and read by the exporters
+/// executor, stream, maintenance) and read by the exporters
 /// (obs/exporter.h), the CLI summary table, the benches and the tests —
 /// each by metric name, off one MetricsSnapshot.
 ///

@@ -14,13 +14,10 @@
 ///
 ///   query                      — root; plan kind, snapshot version, warm
 ///     queue.wait               — Submit-to-execution delay (Submit only)
-///     plan                     — planner run; chosen kind, views, fanout
+///     plan                     — planner run; chosen kind, views
 ///     result_cache.lookup      — full-result memo probe; hit + bytes
 ///     view_cache.pin           — per-plan pin/materialize; hits, colds
 ///     fixpoint                 — the evaluation itself; iterations, ranks
-///       shard.fanout           — sharded plans only; rounds, messages
-///         shard.<i>            — per-shard fixpoint timing
-///         merge_round.<j>      — per merge-round barrier timing
 ///
 /// The slow-query log (SlowQueryLog below) appends one self-contained JSON
 /// object per line: {"trace_id":N,"total_ms":..,"span":{...}} with spans

@@ -7,8 +7,6 @@
 
 #include "common/bitset.h"
 #include "common/exec_context.h"
-#include "common/fault.h"
-#include "common/stopwatch.h"
 #include "engine/executor.h"     // ParallelInvoke
 #include "simulation/bounded.h"  // ComputeCandidateSet
 #include "simulation/refinement.h"
@@ -35,9 +33,9 @@ struct Decrement {
 
 /// Per-shard private fixpoint state. Counters and bitsets span the *global*
 /// rank domain (only owned entries are initialized/meaningful; `owned_mask`
-/// guards every local decrement), which keeps indexing uniform across range
-/// and hash partitioning at the cost of K× word storage — fine for the rank
-/// counts real queries produce.
+/// guards every local decrement), which keeps indexing uniform across
+/// shards at the cost of K× word storage — fine for the rank counts real
+/// queries produce.
 struct ShardState {
   const ShardSlice* slice = nullptr;
   std::vector<std::vector<uint32_t>> owned_ranks;  ///< u -> ascending ranks
@@ -74,9 +72,8 @@ class ShardSim {
   void CollectSim(std::vector<std::vector<NodeId>>* sim) const;
 
   /// Why Run returned false: OK for the ordinary all-empty result, or the
-  /// abort that fired at a merge-round barrier (deadline checkpoint or the
-  /// `shard.merge_round` fault point). Callers must propagate a non-OK
-  /// status instead of reporting an empty relation.
+  /// deadline checkpoint that fired at a merge-round barrier. Callers must
+  /// propagate a non-OK status instead of reporting an empty relation.
   const Status& run_status() const { return run_status_; }
 
  private:
@@ -96,20 +93,6 @@ class ShardSim {
   std::vector<DenseBitset> final_alive_;  ///< u -> rank, after Run
   Status run_status_;
 };
-
-/// Barrier-point abort check shared by the sharded engines: the round
-/// barriers are the natural cooperative-cancellation checkpoints (the
-/// parallel phase between two barriers is bounded work), and the
-/// `shard.merge_round` fault point models a round that dies mid-exchange.
-/// The caller abandons the partial fixpoint — per-shard state is private
-/// and dropped wholesale, so an aborted round can never leak into results.
-Status MergeRoundAbortCheck() {
-  GPMV_RETURN_NOT_OK(exec::CheckDeadline());
-  if (GPMV_FAULT_POINT(exec::CurrentFault(), "shard.merge_round")) {
-    return FaultInjector::InjectedFault("shard.merge_round");
-  }
-  return Status::OK();
-}
 
 void ShardSim::RemoveLocal(ShardState& st, uint32_t u, uint32_t rank) {
   if (!st.alive[u].test(rank)) return;
@@ -254,31 +237,21 @@ bool ShardSim::Run(ThreadPool* pool, ShardSimStats* stats) {
   std::vector<size_t> global_alive(np);
   for (uint32_t u = 0; u < np; ++u) global_alive[u] = space_.size(u);
 
-  // Per-shard wall times: distinct slots, so the parallel tasks never race.
-  std::vector<double> shard_ms(k, 0.0);
   std::vector<std::function<void()>> tasks;
   tasks.reserve(k);
   for (uint32_t s = 0; s < k; ++s) {
-    tasks.push_back([this, s, &shard_ms] {
-      Stopwatch sw;
-      InitShard(s);
-      shard_ms[s] = sw.ElapsedMillis();
-    });
+    tasks.push_back([this, s] { InitShard(s); });
   }
-  Stopwatch phase_sw;
   ParallelInvoke(pool, std::move(tasks));
-  if (stats != nullptr) {
-    ++stats->rounds;
-    stats->round_ms.push_back(phase_sw.ElapsedMillis());
-    stats->shard_ms = std::move(shard_ms);
-  }
+  if (stats != nullptr) ++stats->rounds;
 
   std::vector<std::vector<Decrement>> inbox(k);
   for (;;) {
-    // Each round barrier is a cancellation checkpoint: the deadline and the
-    // `shard.merge_round` fault point are only consulted here, where no
-    // shard task is in flight and the partial state can be dropped whole.
-    run_status_ = MergeRoundAbortCheck();
+    // Each round barrier is a cancellation checkpoint: the deadline is only
+    // consulted here, where no shard task is in flight and the partial
+    // state can be dropped whole (per-shard state is private, so an
+    // aborted round never leaks into results).
+    run_status_ = exec::CheckDeadline();
     if (!run_status_.ok()) return false;
     // Barrier: settle the emptiness accounting and route every shard's
     // outgoing decrements to their destination inboxes.
@@ -312,12 +285,8 @@ bool ShardSim::Run(ThreadPool* pool, ShardSimStats* stats) {
     for (uint32_t s = 0; s < k; ++s) {
       round.push_back([this, s, &inbox] { ProcessInbox(s, inbox[s]); });
     }
-    phase_sw.Restart();
     ParallelInvoke(pool, std::move(round));
-    if (stats != nullptr) {
-      ++stats->rounds;
-      stats->round_ms.push_back(phase_sw.ElapsedMillis());
-    }
+    if (stats != nullptr) ++stats->rounds;
   }
 }
 
@@ -460,8 +429,7 @@ Result<MatchResult> ShardedMatchSimulation(
   }
 
   // Stitch per-shard owned-source matches; shards partition the sources,
-  // so concatenation is duplicate-free and Normalize() canonicalizes the
-  // order regardless of partitioning mode.
+  // so concatenation is duplicate-free and in ascending source order.
   std::vector<std::vector<std::vector<NodePair>>> pairs;
   engine.ExtractShardMatches(pool, &pairs);
   for (uint32_t e = 0; e < q.num_edges(); ++e) {
@@ -475,10 +443,10 @@ Result<MatchResult> ShardedMatchSimulation(
     // The maximum relation guarantees non-empty match sets, but mirror the
     // unsharded extraction's guard.
     if (se->empty()) return MatchResult::Empty(q);
-    // Shards partition the sources, so the stitched set is duplicate-free;
-    // range partitioning even concatenates in ascending order (each shard
-    // emits ascending sources over sorted CSR rows), making this sort a
-    // no-op check. Together this equals Normalize() on the same set.
+    // Shards partition the sources into ascending intervals and each emits
+    // ascending sources over sorted CSR rows, so the stitched set is
+    // duplicate-free and sorted, making this sort a no-op check. Together
+    // this equals Normalize() on the same set.
     if (!std::is_sorted(se->begin(), se->end())) {
       std::sort(se->begin(), se->end());
     }
@@ -635,9 +603,9 @@ Status ShardedComputeBoundedRelation(const Pattern& qb,
 
   const uint32_t k = ss.num_shards();
   ShardedBoundedBfs bfs(ss, pool);
-  // Survivor marks are bytes, not bits: shards of a hash partition own
-  // interleaved node ids, and byte stores from different threads never
-  // tear (a shared bitset word would).
+  // Survivor marks are bytes, not bits: range cut points need not fall on
+  // word boundaries, and byte stores from different threads never tear (a
+  // shared bitset word would).
   std::vector<uint8_t> keep(g.num_nodes(), 0);
   bool changed = true;
   while (changed) {
@@ -645,7 +613,7 @@ Status ShardedComputeBoundedRelation(const Pattern& qb,
     for (uint32_t e = 0; e < qb.num_edges(); ++e) {
       // Per-edge pass = one merge round here: BFS + fan-out filter between
       // two serial points, same checkpoint granularity as ShardSim::Run.
-      GPMV_RETURN_NOT_OK(MergeRoundAbortCheck());
+      GPMV_RETURN_NOT_OK(exec::CheckDeadline());
       const PatternEdge& pe = qb.edge(e);
       auto& su = (*sim)[pe.src];
       const auto& st = (*sim)[pe.dst];

@@ -28,16 +28,16 @@
 /// eventually witnessed by the owner of the violating candidate, the rounds
 /// converge to the unique maximum (dual-)simulation relation — *bit
 /// identical* to RefineSimulation on the parent snapshot, for every shard
-/// count and partitioning (the shard parity property tests assert this).
+/// count (the shard parity property tests assert this).
 /// Per-shard work is deterministic, so counters and results do not depend
 /// on thread scheduling.
 ///
 /// Wall-clock: counter initialization and cascade work — the bulk of a
 /// direct evaluation — split K ways and run concurrently; the serial
 /// residue is candidate-set construction plus the per-round exchange
-/// (proportional to removals crossing shard boundaries). `bench/
-/// shard_scaling.cc` measures the resulting fan-out speedup on the
-/// 1k-query workload.
+/// (proportional to removals crossing shard boundaries). perfbench's replay
+/// measures it (`shard.direct_us`) against the one-thread fixpoint
+/// (`simulation.direct_us`); the query engine does not shard.
 
 #ifndef GPMV_SHARD_SHARD_SIM_H_
 #define GPMV_SHARD_SHARD_SIM_H_
@@ -55,9 +55,8 @@ namespace gpmv {
 
 class ThreadPool;
 
-/// Observability counters for one sharded evaluation (summed into the
-/// `shard.*` metrics by the query engine). Deterministic for a given
-/// (pattern, sharded snapshot, seed) triple.
+/// Observability counters for one sharded evaluation. Deterministic for a
+/// given (pattern, sharded snapshot, seed) triple.
 struct ShardSimStats {
   size_t shards = 0;    ///< fan-out width K
   size_t rounds = 0;    ///< parallel phases run (1 = no cross-shard work)
@@ -71,13 +70,6 @@ struct ShardSimStats {
   /// evaluation's level-synchronized BFS (one entry per cross-shard edge
   /// whose head was expanded) — the bounded analogue of `messages`.
   size_t frontier_msgs = 0;
-
-  /// Per-call detail for trace spans (obs/trace.h), not summed into the
-  /// metrics: wall time of each parallel phase (index 0 is the
-  /// local-fixpoint fan-out, the rest are merge rounds) and of each
-  /// shard's local fixpoint within that first phase.
-  std::vector<double> round_ms;
-  std::vector<double> shard_ms;
 };
 
 /// Refines `space` to the maximum (dual-)simulation relation of `q` over
@@ -93,8 +85,8 @@ Status ShardedRefineSimulation(const Pattern& q, const ShardedSnapshot& ss,
                                ShardSimStats* stats = nullptr);
 
 /// Computes Q(G) under (dual-)simulation by sharded fan-out: candidate
-/// space from the parent snapshot (restricted to `seed` when non-null —
-/// the engine's partial-views path), sharded refinement, then per-shard
+/// space from the parent snapshot (restricted to `seed` when non-null),
+/// sharded refinement, then per-shard
 /// edge-match extraction stitched into one normalized MatchResult. For
 /// unit-bound patterns the result equals MatchBoundedSimulation /
 /// MatchDualSimulation on the parent snapshot; non-unit bounds are
@@ -119,9 +111,8 @@ Result<MatchResult> ShardedMatchSimulation(
 /// order, same filter), and per-shard forward-BFS extraction over owned
 /// sources stitches into the same canonical MatchResult: the output is
 /// bit-identical to MatchBoundedSimulation on the parent snapshot for
-/// every shard count and partitioning (shard_parity_test asserts this).
-/// Plain patterns delegate to ShardedMatchSimulation (non-dual), making
-/// this the engine's one sharded direct/partial entry point.
+/// every shard count (shard_parity_test asserts this).
+/// Plain patterns delegate to ShardedMatchSimulation (non-dual).
 Result<MatchResult> ShardedMatchBoundedSimulation(
     const Pattern& qb, const ShardedSnapshot& ss, ThreadPool* pool,
     const std::vector<std::vector<NodeId>>* seed = nullptr,

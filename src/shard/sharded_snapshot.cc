@@ -35,26 +35,14 @@ std::vector<NodeId> ComputeRangeBounds(const GraphSnapshot& parent,
 
 }  // namespace
 
-std::shared_ptr<const ShardSlice> ShardSlice::Build(
-    const GraphSnapshot& parent, const ShardingOptions& opts,
-    const std::vector<NodeId>& range_bounds, uint32_t shard) {
+std::shared_ptr<const ShardSlice> ShardSlice::Build(const GraphSnapshot& parent,
+                                                   NodeId begin, NodeId end,
+                                                   uint32_t shard) {
   auto slice = std::make_shared<ShardSlice>();
-  const uint32_t k = std::max<uint32_t>(1, opts.num_shards);
   slice->shard_ = shard;
-  slice->built_version_ = parent.version();
-  slice->num_shards_ = k;
-  slice->partition_ = opts.partition;
-
-  const size_t n = parent.num_nodes();
-  if (opts.partition == ShardingOptions::Partition::kRange) {
-    slice->node_begin_ = range_bounds[shard];
-    slice->node_end_ = range_bounds[shard + 1];
-    slice->num_owned_ = slice->node_end_ - slice->node_begin_;
-  } else {
-    slice->num_owned_ =
-        shard < n ? static_cast<uint32_t>((n - shard + k - 1) / k) : 0;
-  }
-  const uint32_t owned = slice->num_owned_;
+  slice->node_begin_ = begin;
+  slice->node_end_ = end;
+  const uint32_t owned = slice->num_owned();
 
   // Pass 1: copy the full rows of every owned node and collect boundary
   // references.
@@ -104,88 +92,27 @@ size_t ShardSlice::ApproxBytes() const {
 std::shared_ptr<const ShardedSnapshot> ShardedSnapshot::Build(
     std::shared_ptr<const GraphSnapshot> parent, ShardingOptions opts,
     ThreadPool* pool) {
-  opts.num_shards = std::max<uint32_t>(1, opts.num_shards);
+  const uint32_t k = std::max<uint32_t>(1, opts.num_shards);
   auto out = std::make_shared<ShardedSnapshot>();
   out->parent_ = std::move(parent);
-  out->opts_ = opts;
-  if (opts.partition == ShardingOptions::Partition::kRange) {
-    out->bounds_ = ComputeRangeBounds(*out->parent_, opts.num_shards);
-  }
-  out->slices_.resize(opts.num_shards);
+  out->bounds_ = ComputeRangeBounds(*out->parent_, k);
+  out->slices_.resize(k);
   std::vector<std::function<void()>> tasks;
-  tasks.reserve(opts.num_shards);
-  for (uint32_t s = 0; s < opts.num_shards; ++s) {
+  tasks.reserve(k);
+  for (uint32_t s = 0; s < k; ++s) {
     tasks.push_back([&, s] {
-      out->slices_[s] =
-          ShardSlice::Build(*out->parent_, opts, out->bounds_, s);
+      out->slices_[s] = ShardSlice::Build(*out->parent_, out->bounds_[s],
+                                          out->bounds_[s + 1], s);
     });
   }
   ParallelInvoke(pool, std::move(tasks));
   return out;
-}
-
-std::shared_ptr<const ShardedSnapshot> ShardedSnapshot::Rebuild(
-    std::shared_ptr<const GraphSnapshot> parent, const ShardedSnapshot& prev,
-    const std::vector<uint32_t>& affected, ThreadPool* pool) {
-  // Ownership is defined over the node set; a changed node count (or a
-  // snapshot that no longer shares its node section lineage) invalidates
-  // the partition wholesale.
-  if (parent->num_nodes() != prev.parent().num_nodes()) {
-    return Build(std::move(parent), prev.opts_, pool);
-  }
-  auto out = std::make_shared<ShardedSnapshot>();
-  out->parent_ = std::move(parent);
-  out->opts_ = prev.opts_;
-  out->bounds_ = prev.bounds_;
-  out->slices_ = prev.slices_;  // share untouched slices
-  std::vector<std::function<void()>> tasks;
-  tasks.reserve(affected.size());
-  for (uint32_t s : affected) {
-    tasks.push_back([&, s] {
-      out->slices_[s] =
-          ShardSlice::Build(*out->parent_, out->opts_, out->bounds_, s);
-    });
-  }
-  ParallelInvoke(pool, std::move(tasks));
-  return out;
-}
-
-VersionVector ShardedSnapshot::slice_versions() const {
-  VersionVector vv(slices_.size());
-  for (size_t s = 0; s < slices_.size(); ++s) {
-    vv.set_slice(s, slices_[s]->built_version());
-  }
-  return vv;
 }
 
 uint32_t ShardedSnapshot::owner(NodeId v) const {
-  if (opts_.partition == ShardingOptions::Partition::kHash) {
-    return v % opts_.num_shards;
-  }
   // First cut point strictly greater than v, minus one interval.
   auto it = std::upper_bound(bounds_.begin() + 1, bounds_.end(), v);
   return static_cast<uint32_t>(it - (bounds_.begin() + 1));
-}
-
-std::vector<uint32_t> ShardedSnapshot::AffectedShards(
-    const std::vector<NodePair>& touched) const {
-  std::vector<NodeId> nodes;
-  nodes.reserve(touched.size() * 2);
-  for (const NodePair& e : touched) {
-    nodes.push_back(e.first);
-    nodes.push_back(e.second);
-  }
-  return AffectedShards(nodes);
-}
-
-std::vector<uint32_t> ShardedSnapshot::AffectedShards(
-    const std::vector<NodeId>& nodes) const {
-  std::vector<uint32_t> shards;
-  shards.reserve(nodes.size());
-  for (NodeId v : nodes) shards.push_back(owner(v));
-  std::sort(shards.begin(), shards.end());
-  shards.erase(std::unique(shards.begin(), shards.end()), shards.end());
-  return shards;
 }
 
 size_t ShardedSnapshot::total_replicas() const {

@@ -1,6 +1,6 @@
 /// \file sharded_snapshot.h
-/// \brief Per-shard CSR slices of a frozen `GraphSnapshot` — the scale-out
-/// substrate of the query engine.
+/// \brief Per-shard CSR slices of a frozen `GraphSnapshot` — the substrate
+/// of the edge-cut sharded simulation (shard_sim.h).
 ///
 /// A `ShardedSnapshot` partitions the node set of one frozen graph version
 /// into K shards (edge-cut, Galois-style: every node has exactly one owner)
@@ -13,34 +13,22 @@
 ///    touching the parent arrays;
 ///  * a *boundary replica table*: the sorted set of non-owned nodes the
 ///    owned rows reference — the shard's cross-coupling surface. Its size
-///    bounds the fixpoint's cross-shard message volume, the bench and CLI
-///    report it as the partitioning-quality metric, and it is why an edge
-///    batch invalidates exactly the slices owning an endpoint;
-///  * the partition parameters, so ownership tests are O(1) (hash) or
-///    O(log K) (range).
+///    bounds the fixpoint's cross-shard message volume (the
+///    partitioning-quality metric);
+///  * the node interval it owns, so ownership tests are O(1) per slice and
+///    O(log K) across the snapshot.
 ///
 /// Consistency contract: a `ShardedSnapshot` is immutable and stamped with
 /// its parent snapshot's `version()` — the slices of one `ShardedSnapshot`
 /// always describe one frozen graph version, so a query that fans out
-/// across shards reads one consistent graph no matter how many update
-/// batches land meanwhile. After an edge batch, `Rebuild` re-slices only
-/// the shards owning a touched endpoint (every copy of an edge (u, v)
-/// lives in the slices of owner(u) and owner(v)) and shares the remaining
-/// slices with the previous `ShardedSnapshot` — the sharded analogue of
-/// `GraphSnapshot::Rebuild`'s dirty-row re-freeze. Each slice additionally
-/// carries the parent version it was (re)built against (`slice_version`),
-/// so the assembly is itself a version vector: reused slices keep their
-/// older build stamp while the consistency token (`version()`) still names
-/// the one frozen parent every slice describes — a reused slice's rows are
-/// bit-identical under both versions, which is exactly what makes the
-/// sharing sound, and what the parity suite checks against the MVCC chain
-/// head (graph/mvcc.h).
+/// across shards reads one consistent graph.
 ///
-/// Partitioning: `kRange` cuts node ids into K contiguous intervals
-/// balanced by degree sum (good locality, contiguous candidate-rank
-/// ranges); `kHash` assigns owner(v) = v mod K (robust to id-correlated
-/// hot spots). Both are stable across `Rebuild`, which is what makes slice
-/// reuse and the engine's slice-granular invalidation sound.
+/// Partitioning: node ids are cut into K contiguous intervals balanced by
+/// degree sum (good locality, contiguous candidate-rank ranges).
+///
+/// The query engine does not shard: it evaluates every graph walk on the
+/// one frozen `GraphSnapshot`. This library remains as the measured
+/// edge-cut baseline of perfbench's replay (`shard.*` rows).
 
 #ifndef GPMV_SHARD_SHARDED_SNAPSHOT_H_
 #define GPMV_SHARD_SHARDED_SNAPSHOT_H_
@@ -49,9 +37,7 @@
 #include <memory>
 #include <vector>
 
-#include "graph/mvcc.h"  // VersionVector
 #include "graph/snapshot.h"
-#include "simulation/match_result.h"  // NodePair
 
 namespace gpmv {
 
@@ -62,11 +48,6 @@ struct ShardingOptions {
   /// Number of shards K; 0 and 1 both mean "one shard" (useful as the
   /// fan-out baseline — a single slice replicating the whole graph).
   uint32_t num_shards = 1;
-  enum class Partition {
-    kRange,  ///< contiguous node-id intervals balanced by degree sum
-    kHash,   ///< owner(v) = v mod K
-  };
-  Partition partition = Partition::kRange;
 };
 
 /// One shard's immutable CSR slice; see file comment. Obtained from
@@ -75,40 +56,21 @@ class ShardSlice {
  public:
   static constexpr uint32_t kNoReplica = static_cast<uint32_t>(-1);
 
-  /// Builds shard `shard`'s slice of `parent` under `opts` with the given
-  /// range boundaries (ignored for kHash). Exposed so the engine can
-  /// rebuild affected slices in parallel; prefer ShardedSnapshot::Build.
-  static std::shared_ptr<const ShardSlice> Build(
-      const GraphSnapshot& parent, const ShardingOptions& opts,
-      const std::vector<NodeId>& range_bounds, uint32_t shard);
+  /// Builds the slice of `parent` owning node ids [begin, end) as shard
+  /// `shard`; ShardedSnapshot::Build chooses the intervals.
+  static std::shared_ptr<const ShardSlice> Build(const GraphSnapshot& parent,
+                                                 NodeId begin, NodeId end,
+                                                 uint32_t shard);
 
   uint32_t shard() const { return shard_; }
 
-  /// Parent snapshot version this slice was (re)built against. A slice
-  /// reused across `ShardedSnapshot::Rebuild` keeps its original stamp —
-  /// valid because reuse implies its owned rows are unchanged between the
-  /// two versions.
-  uint64_t built_version() const { return built_version_; }
-
   /// Owned nodes, exposed as local indices 0..num_owned()-1 in ascending
   /// global node id order.
-  uint32_t num_owned() const { return num_owned_; }
-  NodeId owned_node(uint32_t local) const {
-    return partition_ == ShardingOptions::Partition::kRange
-               ? node_begin_ + local
-               : shard_ + local * num_shards_;
-  }
-  bool Owns(NodeId v) const {
-    return partition_ == ShardingOptions::Partition::kRange
-               ? (v >= node_begin_ && v < node_end_)
-               : (v % num_shards_ == shard_);
-  }
+  uint32_t num_owned() const { return node_end_ - node_begin_; }
+  NodeId owned_node(uint32_t local) const { return node_begin_ + local; }
+  bool Owns(NodeId v) const { return v >= node_begin_ && v < node_end_; }
   /// Local index of an owned node; precondition: Owns(v).
-  uint32_t OwnedIndex(NodeId v) const {
-    return partition_ == ShardingOptions::Partition::kRange
-               ? v - node_begin_
-               : v / num_shards_;
-  }
+  uint32_t OwnedIndex(NodeId v) const { return v - node_begin_; }
 
   /// Full adjacency rows of an owned node (all neighbors, global ids,
   /// ascending). Precondition: Owns(v).
@@ -143,12 +105,8 @@ class ShardSlice {
 
  private:
   uint32_t shard_ = 0;
-  uint64_t built_version_ = 0;
-  uint32_t num_shards_ = 1;
-  ShardingOptions::Partition partition_ = ShardingOptions::Partition::kRange;
-  NodeId node_begin_ = 0;  ///< kRange only
-  NodeId node_end_ = 0;    ///< kRange only
-  uint32_t num_owned_ = 0;
+  NodeId node_begin_ = 0;
+  NodeId node_end_ = 0;
 
   std::vector<uint32_t> out_offsets_;  ///< num_owned + 1
   std::vector<NodeId> out_targets_;
@@ -167,63 +125,26 @@ class ShardedSnapshot {
       std::shared_ptr<const GraphSnapshot> parent, ShardingOptions opts,
       ThreadPool* pool = nullptr);
 
-  /// Incremental re-slice after an edge batch: rebuilds only the shards in
-  /// `affected` (ascending, deduplicated — see AffectedShards) against the
-  /// new `parent` and shares every other slice with `prev`. The partition
-  /// (mode, K, range boundaries) is carried over unchanged so ownership is
-  /// stable. Falls back to a full Build when the node set changed.
-  static std::shared_ptr<const ShardedSnapshot> Rebuild(
-      std::shared_ptr<const GraphSnapshot> parent, const ShardedSnapshot& prev,
-      const std::vector<uint32_t>& affected, ThreadPool* pool = nullptr);
-
   /// The consistency token: the parent snapshot's version. Every slice
   /// describes exactly this frozen graph state.
   uint64_t version() const { return parent_->version(); }
   const GraphSnapshot& parent() const { return *parent_; }
-  const std::shared_ptr<const GraphSnapshot>& parent_ptr() const {
-    return parent_;
-  }
 
   uint32_t num_shards() const {
     return static_cast<uint32_t>(slices_.size());
   }
   const ShardSlice& slice(uint32_t s) const { return *slices_[s]; }
-  /// Build stamp of slice `s` (<= version(); strictly older for slices
-  /// Rebuild shared from a previous assembly).
-  uint64_t slice_version(uint32_t s) const {
-    return slices_[s]->built_version();
-  }
-  /// All build stamps as a per-slice version vector; the parity suite
-  /// checks max(slice_versions) == version() against the MVCC chain head.
-  VersionVector slice_versions() const;
-  const std::shared_ptr<const ShardSlice>& slice_ptr(uint32_t s) const {
-    return slices_[s];
-  }
 
-  /// Owning shard of `v`: O(1) for kHash, O(log K) for kRange.
+  /// Owning shard of `v`: O(log K).
   uint32_t owner(NodeId v) const;
 
-  /// Shards owning at least one endpoint of `touched` (ascending, unique) —
-  /// exactly the slices an edge batch over those endpoint pairs invalidates.
-  /// Slice contents depend only on the adjacency rows of owned nodes, so an
-  /// update batch's *affected area* (the nodes whose rows changed — for the
-  /// delta-insert maintenance path, the touched edge endpoints; membership
-  /// changes of cached view relations never live in slices) intersects a
-  /// slice iff its owner appears here. The node-list overload is the raw
-  /// form for callers that already flattened their endpoints.
-  std::vector<uint32_t> AffectedShards(
-      const std::vector<NodePair>& touched) const;
-  std::vector<uint32_t> AffectedShards(const std::vector<NodeId>& nodes) const;
-
-  const ShardingOptions& options() const { return opts_; }
   size_t total_replicas() const;
   size_t ApproxBytes() const;
 
  private:
   std::shared_ptr<const GraphSnapshot> parent_;
-  ShardingOptions opts_;
-  /// kRange: K+1 ascending cut points (bounds_[s] .. bounds_[s+1] is shard
-  /// s's interval). Empty for kHash.
+  /// K+1 ascending cut points (bounds_[s] .. bounds_[s+1] is shard s's
+  /// interval).
   std::vector<NodeId> bounds_;
   std::vector<std::shared_ptr<const ShardSlice>> slices_;
 };

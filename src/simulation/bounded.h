@@ -37,8 +37,9 @@ Status ComputeCandidateSets(const Pattern& q, const GraphSnapshot& g,
                             std::vector<std::vector<NodeId>>* cand);
 
 /// Single-pattern-node slice of ComputeCandidateSets (same label/predicate
-/// logic, ascending output) — the unit the sharded engine fans out per
-/// pattern node while building a candidate space.
+/// logic, ascending output) — the unit the edge-cut library
+/// (shard/shard_sim.h) fans out per pattern node while building a
+/// candidate space.
 void ComputeCandidateSet(const Pattern& q, uint32_t u, const GraphSnapshot& g,
                          std::vector<NodeId>* cand);
 

@@ -29,11 +29,11 @@
 ///  * via `Assign`/`AssignPreranked`-from-sorted-input, rank order equals
 ///    ascending node-id order, so iterating ranks 0..size(u)-1 yields a
 ///    sorted candidate list — matchers rely on this to emit sorted sim
-///    sets without re-sorting (the sharded engine additionally relies on
+///    sets without re-sorting (shard/shard_sim.h additionally relies on
 ///    it to give each shard's owned ranks a deterministic order);
 ///  * a built space is immutable-in-practice: every accessor is const and
-///    any number of threads may translate concurrently (the engine shares
-///    one space across all per-shard fixpoint tasks of a query).
+///    any number of threads may translate concurrently (shard/shard_sim.h
+///    shares one space across all per-shard fixpoint tasks of a query).
 
 #ifndef GPMV_SIMULATION_CANDIDATE_SPACE_H_
 #define GPMV_SIMULATION_CANDIDATE_SPACE_H_
@@ -79,7 +79,7 @@ class CandidateSpace {
   /// search needs ascending order) — such callers keep their own map.
   void AssignPreranked(uint32_t u, std::vector<NodeId> candidates);
 
-  /// Fan-out building (the sharded engine): shapes the space like
+  /// Fan-out building (shard/shard_sim.h): shapes the space like
   /// Reset(dense_inverse = true) but defers the per-pattern-node inverse
   /// fills to AssignPrerankedConcurrent, which distinct threads may call
   /// for *distinct* `u` concurrently (each touches only u's slots, and the

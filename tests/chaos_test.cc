@@ -3,11 +3,11 @@
 /// suite under TSan via `ctest -L chaos`): seeded fault schedules injected
 /// at the registered fault points (common/fault.h) must never change what
 /// the engine finally answers. For every schedule the faulted, streamed
-/// engine — after retries, quarantines, revivals, dropped refreeze fast
-/// paths and sharded-merge failovers — must end *bit-identical* to a
-/// fault-free batch oracle AND a fault-free per-op oracle: final Q(G) for
-/// every probe, the maintained view extensions their plans read, the edge
-/// count, and the stream accounting (zero silently dropped ops).
+/// engine — after retries, quarantines, revivals and dropped refreeze fast
+/// paths — must end *bit-identical* to a fault-free batch oracle AND a
+/// fault-free per-op oracle: final Q(G) for every probe, the maintained
+/// view extensions their plans read, the edge count, and the stream
+/// accounting (zero silently dropped ops).
 ///
 /// Two fault profiles sweep the failure domains:
 ///  * apply    — `stream.apply` fire-on-Nth schedules (including a
@@ -17,10 +17,8 @@
 ///               log. Exercises retry, quarantine, revival, watermark
 ///               reintegration.
 ///  * degrade  — `snapshot.refreeze` at probability 1.0 (every streamed
-///               commit loses the incremental-freeze fast path) and
-///               `shard.merge_round` on a sharded engine (every fan-out
-///               aborts mid-merge and fails over to the unsharded path).
-///               These points degrade, never error — no recovery step, the
+///               commit loses the incremental-freeze fast path). This
+///               point degrades, never errors — no recovery step, the
 ///               answers must simply not notice.
 ///
 /// The matrix is 25 base seeds x K ∈ {1, 4} appliers x both profiles =
@@ -109,12 +107,11 @@ std::vector<EdgeUpdate> MakeOps(const Graph& g, size_t count, uint64_t seed) {
   return ops;
 }
 
-std::unique_ptr<QueryEngine> MakeEngine(const ChaosFixture& f, uint32_t shards,
+std::unique_ptr<QueryEngine> MakeEngine(const ChaosFixture& f,
                                         FaultInjector* fault) {
   EngineOptions opts;
   opts.pool.num_threads = 2;
   opts.maintenance.enable_delta = true;
-  opts.sharding.num_shards = shards;
   opts.result_cache.budget_bytes = 0;  // compare evaluations, not memo hits
   opts.fault = fault;
   auto engine = std::make_unique<QueryEngine>(f.graph, opts);
@@ -163,9 +160,6 @@ void ArmProfile(FaultInjector* fault, Profile profile, uint64_t seed) {
     FaultPointSpec refreeze;
     refreeze.probability = 1.0;  // every commit loses the fast path
     fault->Arm("snapshot.refreeze", refreeze);
-    FaultPointSpec merge;
-    merge.probability = 1.0;  // every fan-out aborts at its first barrier
-    fault->Arm("shard.merge_round", merge);
   }
 }
 
@@ -179,11 +173,11 @@ TEST(ChaosEquivalenceTest, NoFaultScheduleChangesFinalAnswers) {
     const std::vector<EdgeUpdate> ops = MakeOps(f.graph, 96, 5000 + seed);
 
     // Fault-free oracles, computed once per base seed.
-    std::unique_ptr<QueryEngine> batched = MakeEngine(f, 1, nullptr);
+    std::unique_ptr<QueryEngine> batched = MakeEngine(f, nullptr);
     ASSERT_TRUE(batched->ApplyUpdates(UpdateStream::Coalesce(ops)).ok());
     const std::vector<MatchResult> oracle = Answers(batched.get(), f);
     const size_t final_edges = batched->num_graph_edges();
-    std::unique_ptr<QueryEngine> per_op = MakeEngine(f, 1, nullptr);
+    std::unique_ptr<QueryEngine> per_op = MakeEngine(f, nullptr);
     for (const EdgeUpdate& op : ops) {
       ASSERT_TRUE(per_op->ApplyUpdates({op}).ok());
     }
@@ -196,10 +190,7 @@ TEST(ChaosEquivalenceTest, NoFaultScheduleChangesFinalAnswers) {
                      " appliers=" + std::to_string(k));
         FaultInjector fault(9000 + seed * 13 + k);
         ArmProfile(&fault, profile, seed);
-        // The degrade profile runs sharded so shard.merge_round has a
-        // barrier to abort; the apply profile stays unsharded.
-        const uint32_t shards = profile == Profile::kDegrade ? 4 : 1;
-        std::unique_ptr<QueryEngine> engine = MakeEngine(f, shards, &fault);
+        std::unique_ptr<QueryEngine> engine = MakeEngine(f, &fault);
 
         ApplierPoolOptions po;
         po.num_appliers = k;

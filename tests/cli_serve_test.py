@@ -16,7 +16,10 @@ checks that:
     included;
   * a misspelt flag (`answer ... --minimun`, `match ... --duall`) and a flag
     missing its value (`stats <graph> --json`) exit with status 2 and the
-    usage text instead of running without them.
+    usage text instead of running without them;
+  * the retired sharding flags of `serve` (the shard count and the hash
+    partition switch) are usage errors too, so an old invocation fails
+    loudly instead of silently running unsharded.
 
 Registered with ctest (label `fast`) by the top-level CMakeLists.txt.
 """
@@ -133,6 +136,13 @@ class FlagTableTest(CliFixture):
     def test_flag_missing_its_value_is_rejected(self):
         r = self.run_cli("stats", self.graph, "--json")
         self.assert_usage_error(r, "--json requires a value")
+
+    def test_retired_sharding_flags_are_rejected(self):
+        for prefix, value in (("", ["2"]), ("hash-", [])):
+            flag = f"--{prefix}shards"
+            with self.subTest(flag=flag):
+                r = self.run_cli("serve", self.graph, self.views, flag, *value)
+                self.assert_usage_error(r, f"unknown argument '{flag}'")
 
 
 def main():

@@ -169,22 +169,5 @@ TEST(PlannerTest, BoundedCostIsGeometricOnDenseGraphsAndClampedAtE) {
   EXPECT_DOUBLE_EQ(c3, c_star);
 }
 
-TEST(PlannerTest, ShardFanoutMarksBoundedDirectPlans) {
-  Graph g = ChainABCGraph();
-  GraphStatistics gs = ComputeStatistics(g);
-  ViewSet views;
-  std::vector<ViewExtension> exts;
-  Pattern qb =
-      PatternBuilder().Node("A").Node("B").Edge("A", "B", 3).Build();
-  PlannerOptions opts;
-  opts.shard_fanout = true;
-  Result<QueryPlan> plan = PlanQuery(qb, views, exts, gs, opts);
-  ASSERT_TRUE(plan.ok());
-  EXPECT_EQ(plan->kind, PlanKind::kDirect);
-  // Bounded direct plans fan out now (frontier hand-off); before PR 7 the
-  // planner kept them global.
-  EXPECT_TRUE(plan->shard_fanout);
-}
-
 }  // namespace
 }  // namespace gpmv

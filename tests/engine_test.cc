@@ -9,8 +9,10 @@
 
 #include "pattern/pattern_builder.h"
 #include "simulation/bounded.h"
+#include "simulation/simulation.h"
 #include "test_util.h"
 #include "workload/graph_gen.h"
+#include "workload/pattern_gen.h"
 
 namespace gpmv {
 namespace {
@@ -347,6 +349,100 @@ TEST(QueryEngineTest, RefusedSubmitNeverCallsBack) {
   EXPECT_EQ(calls.load(), 0);
 }
 #endif  // GPMV_FAULT_INJECTION
+
+/// Engine-vs-direct differential across plan kinds (MatchJoin / partial /
+/// direct) and update batches: after every round, each answer equals a
+/// fresh (bounded) simulation on a reference Graph that received the same
+/// batches, and view-plan answers keep their plan kind.
+TEST(QueryEngineTest, AgreesWithDirectEvaluationAcrossPlansAndUpdates) {
+  RandomGraphOptions go;
+  go.num_nodes = 220;
+  go.num_edges = 720;
+  go.num_labels = 4;
+  go.seed = 123;
+  Graph reference = GenerateRandomGraph(go);
+
+  auto pattern = [](uint32_t nodes, uint32_t edges, uint32_t max_bound,
+                    uint64_t seed) {
+    RandomPatternOptions po;
+    po.num_nodes = nodes;
+    po.num_edges = edges;
+    po.label_pool = SyntheticLabels(4);
+    po.max_bound = max_bound;
+    po.seed = seed;
+    return GenerateRandomPattern(po);
+  };
+  // Six plain patterns, then three with path bounds up to 3.
+  std::vector<Pattern> queries;
+  for (uint64_t s = 1; s <= 6; ++s) {
+    queries.push_back(pattern(3 + s % 3, 3 + s % 3 + s % 2, 1, s * 31 + 7));
+  }
+  for (uint64_t s = 1; s <= 3; ++s) {
+    queries.push_back(pattern(3 + s % 2, 3 + s % 2, 3, s * 17 + 99));
+  }
+
+  EngineOptions opts;
+  opts.pool.num_threads = 1;
+  QueryEngine engine(reference, opts);
+
+  // Covering views for query 0 make it a MatchJoin plan; the others mix
+  // partial and direct plans.
+  CoveringViewOptions co;
+  co.edges_per_view = 2;
+  co.num_distractors = 1;
+  co.seed = 5;
+  ViewSet cover = GenerateCoveringViews(queries[0], co);
+  for (const ViewDefinition& def : cover.views()) {
+    ASSERT_TRUE(engine.RegisterView(def.name, def.pattern).ok());
+  }
+  ASSERT_TRUE(engine.WarmViews().ok());
+
+  // Alternate query rounds and update batches (mixed inserts + deletes,
+  // deterministic), comparing every answer after each round.
+  std::vector<PlanKind> first_plans;
+  size_t graph_walks = 0;
+  for (int round = 0; round < 4; ++round) {
+    auto snap = reference.Freeze();
+    for (size_t i = 0; i < queries.size(); ++i) {
+      const Pattern& q = queries[i];
+      QueryResponse resp = engine.Query(q);
+      ASSERT_TRUE(resp.status.ok()) << "round=" << round << " query=" << i;
+      Result<MatchResult> want = q.IsSimulationPattern()
+                                     ? MatchSimulation(q, *snap)
+                                     : MatchBoundedSimulation(q, *snap);
+      ASSERT_TRUE(want.ok());
+      want->Normalize();
+      EXPECT_TRUE(resp.result == *want) << "round=" << round << " query=" << i;
+      if (round == 0) {
+        first_plans.push_back(resp.plan);
+      } else if (first_plans[i] != PlanKind::kDirect) {
+        // Maintained views keep serving the view plans they served first.
+        EXPECT_EQ(resp.plan, first_plans[i])
+            << "round=" << round << " query=" << i;
+      }
+      if (resp.plan != PlanKind::kMatchJoin) ++graph_walks;
+    }
+    std::vector<EdgeUpdate> batch;
+    const NodeId base = static_cast<NodeId>(17 * (round + 1));
+    batch.push_back(EdgeUpdate::Insert(base, (base + 31) % 220));
+    batch.push_back(EdgeUpdate::Insert((base + 3) % 220, (base + 90) % 220));
+    batch.push_back(EdgeUpdate::Delete(base % 220, (base + 1) % 220));
+    ASSERT_TRUE(engine.ApplyUpdates(batch).ok());
+    for (const EdgeUpdate& up : batch) {
+      if (up.kind == EdgeUpdate::Kind::kDelete) {
+        (void)reference.RemoveEdge(up.u, up.v);
+      }
+    }
+    for (const EdgeUpdate& up : batch) {
+      if (up.kind == EdgeUpdate::Kind::kInsert) {
+        reference.AddEdgeIfAbsent(up.u, up.v);
+      }
+    }
+  }
+  EXPECT_EQ(first_plans[0], PlanKind::kMatchJoin);
+  EXPECT_GT(graph_walks, 0u);  // the graph-walking plans ran too
+  EXPECT_TRUE(engine.CheckCacheConsistency());
+}
 
 }  // namespace
 }  // namespace gpmv

@@ -4,8 +4,8 @@
 /// probability / spec-parsing semantics, exporter write-failure accounting
 /// (the pinned obs.export_failures counter + retry-next-interval contract),
 /// executor admission control (shed_when_saturated and the executor.task
-/// fault point), query deadlines (clean kDeadlineExceeded, no leaked pins,
-/// no cache drift), and the sharded merge-round fault's unsharded failover.
+/// fault point), and query deadlines (clean kDeadlineExceeded, no leaked
+/// pins, no cache drift).
 
 #include <gtest/gtest.h>
 
@@ -25,8 +25,6 @@
 #include "obs/exporter.h"
 #include "obs/metrics.h"
 #include "test_util.h"
-#include "workload/graph_gen.h"
-#include "workload/pattern_gen.h"
 
 namespace gpmv {
 namespace {
@@ -120,9 +118,9 @@ TEST(FaultInjectorTest, ArmFromSpecParsesSchedulesAndProbabilities) {
 }
 
 TEST(FaultInjectorTest, InjectedFaultStatusNamesThePoint) {
-  Status st = FaultInjector::InjectedFault("shard.merge_round");
+  Status st = FaultInjector::InjectedFault("stream.apply");
   EXPECT_EQ(st.code(), Status::Code::kIOError);
-  EXPECT_NE(st.ToString().find("injected fault: shard.merge_round"),
+  EXPECT_NE(st.ToString().find("injected fault: stream.apply"),
             std::string::npos);
 }
 
@@ -279,61 +277,6 @@ TEST(DeadlineTest, DeadlineBoundsReadYourWritesWait) {
   EXPECT_GE(engine.metrics()->TakeSnapshot().CounterValue(
                 "engine.deadline_exceeded"),
             1u);
-}
-
-// ---------------------------------------------------------------------------
-// Sharded merge-round fault: unsharded failover
-// ---------------------------------------------------------------------------
-
-TEST(ShardFaultTest, MergeRoundFaultFailsOverToUnshardedEvaluation) {
-  RandomGraphOptions go;
-  go.num_nodes = 220;
-  go.num_edges = 720;
-  go.num_labels = 4;
-  go.seed = 424;
-  const Graph g = GenerateRandomGraph(go);
-
-  // Fault-free sharded baseline records the answers and tells us which
-  // queries actually fan out (else this test would assert nothing).
-  EngineOptions base;
-  base.pool.num_threads = 2;
-  base.sharding.num_shards = 4;
-  QueryEngine baseline(g, base);
-
-  FaultInjector fault(21);
-  FaultPointSpec spec;
-  spec.probability = 1.0;  // every merge round dies
-  fault.Arm("shard.merge_round", spec);
-  EngineOptions fopts = base;
-  fopts.fault = &fault;
-  QueryEngine engine(g, fopts);
-
-  size_t sharded_used = 0;
-  for (uint64_t seed = 1; seed <= 6; ++seed) {
-    RandomPatternOptions po;
-    po.num_nodes = 3 + seed % 3;
-    po.num_edges = po.num_nodes + seed % 2;
-    po.label_pool = SyntheticLabels(4);
-    po.seed = seed * 31 + 7;
-    const Pattern q = GenerateRandomPattern(po);
-
-    QueryResponse want = baseline.Query(q);
-    ASSERT_TRUE(want.status.ok()) << "seed=" << seed;
-    if (want.sharded) ++sharded_used;
-    QueryResponse got = engine.Query(q);
-    ASSERT_TRUE(got.status.ok())
-        << "seed=" << seed << ": " << got.status.ToString();
-    EXPECT_FALSE(got.sharded) << "seed=" << seed;  // fan-out always aborted
-    EXPECT_TRUE(got.result == want.result) << "seed=" << seed;
-  }
-  // The suite is vacuous unless the fault-free plans actually fan out.
-  ASSERT_GT(sharded_used, 0u);
-
-  EXPECT_GE(engine.metrics()->TakeSnapshot().CounterValue(
-                "engine.shard_fallbacks"),
-            sharded_used);
-  EXPECT_GE(fault.fired("shard.merge_round"), sharded_used);
-  EXPECT_TRUE(engine.CheckCacheConsistency(/*expect_unpinned=*/true));
 }
 
 }  // namespace

@@ -17,7 +17,7 @@
 ///  * `AS OF ts` ≡ prefix-replay ground truth: for every stream timestamp
 ///    T, a historical query against the retained cut at T must be
 ///    bit-identical to a fresh engine that replayed exactly the op prefix
-///    <= T — across delta maintenance on/off × sharding K ∈ {1, 4}.
+///    <= T — with delta maintenance on and off.
 ///
 /// Deterministic throughout (no seeds): every stream is a fixed op list
 /// committed at explicit timestamps.
@@ -27,7 +27,6 @@
 #include <memory>
 #include <string>
 #include <thread>
-#include <tuple>
 #include <vector>
 
 #include "engine/query_engine.h"
@@ -322,17 +321,14 @@ std::vector<Pattern> AsOfProbes() {
   return probes;
 }
 
-class AsOfReplayTest
-    : public ::testing::TestWithParam<std::tuple<bool, uint32_t>> {
+class AsOfReplayTest : public ::testing::TestWithParam<bool> {
  protected:
-  bool enable_delta() const { return std::get<0>(GetParam()); }
-  uint32_t shards() const { return std::get<1>(GetParam()); }
+  bool enable_delta() const { return GetParam(); }
 
   std::unique_ptr<QueryEngine> MakeEngine(const Graph& g) const {
     EngineOptions opts;
     opts.pool.num_threads = 2;
     opts.maintenance.enable_delta = enable_delta();
-    opts.sharding.num_shards = shards();
     opts.mvcc.retain = 64;  // retain the whole stream for AS OF probing
     auto engine = std::make_unique<QueryEngine>(g, opts);
     // A registered view gives head queries a view plan while AS OF must
@@ -373,7 +369,7 @@ TEST_P(AsOfReplayTest, HistoricalCutsMatchPrefixReplayGroundTruth) {
       ASSERT_TRUE(hist.status.ok()) << hist.status.ToString();
       EXPECT_TRUE(hist.as_of);
       EXPECT_EQ(hist.applied_through_ts, t);
-      EXPECT_EQ(hist.plan, PlanKind::kDirect);  // historical: no views/shards
+      EXPECT_EQ(hist.plan, PlanKind::kDirect);  // historical: no views
 
       QueryResponse truth = replay->Query(q);
       ASSERT_TRUE(truth.status.ok()) << truth.status.ToString();
@@ -398,12 +394,9 @@ TEST_P(AsOfReplayTest, HistoricalCutsMatchPrefixReplayGroundTruth) {
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    DeltaByShards, AsOfReplayTest,
-    ::testing::Combine(::testing::Values(false, true),
-                       ::testing::Values(1u, 4u)),
-    [](const ::testing::TestParamInfo<std::tuple<bool, uint32_t>>& info) {
-      return std::string(std::get<0>(info.param) ? "delta" : "nodelta") +
-             "_k" + std::to_string(std::get<1>(info.param));
+    Delta, AsOfReplayTest, ::testing::Values(false, true),
+    [](const ::testing::TestParamInfo<bool>& info) {
+      return std::string(info.param ? "delta" : "nodelta");
     });
 
 TEST(AsOfTest, TargetOutsideRetainedWindowFailsNotFound) {

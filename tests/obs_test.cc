@@ -212,8 +212,8 @@ TEST(TraceTest, SpanTreeNestsAndCloses) {
   tr.Close(plan);
   {
     obs::SpanScope fix(&tr, "fixpoint");
-    obs::SpanScope fan(&tr, "shard.fanout");
-    fan.Attr("shards", static_cast<uint64_t>(2));
+    obs::SpanScope inner(&tr, "inner");
+    inner.Attr("rounds", static_cast<uint64_t>(2));
   }
   std::shared_ptr<const obs::TraceSpan> root = tr.Finish();
   ASSERT_NE(root, nullptr);
@@ -221,11 +221,11 @@ TEST(TraceTest, SpanTreeNestsAndCloses) {
   ASSERT_EQ(root->children.size(), 2u);
   EXPECT_EQ(root->children[0]->name, "plan");
   EXPECT_EQ(root->children[1]->name, "fixpoint");
-  const obs::TraceSpan* fan = root->Find("shard.fanout");
-  ASSERT_NE(fan, nullptr);
-  ASSERT_EQ(fan->attrs.size(), 1u);
-  EXPECT_EQ(fan->attrs[0].first, "shards");
-  EXPECT_EQ(fan->attrs[0].second, "2");
+  const obs::TraceSpan* inner = root->Find("inner");
+  ASSERT_NE(inner, nullptr);
+  ASSERT_EQ(inner->attrs.size(), 1u);
+  EXPECT_EQ(inner->attrs[0].first, "rounds");
+  EXPECT_EQ(inner->attrs[0].second, "2");
 }
 
 TEST(TraceTest, NullTraceScopesAreNoOps) {
@@ -273,7 +273,7 @@ TEST(SlowQueryLogTest, ThresholdAndSinks) {
 // ---------------------------------------------------- engine integration --
 
 Graph DiamondGraph() {
-  // A -> B -> D, A -> C -> D, repeated so shards have something to split.
+  // A -> B -> D, A -> C -> D, repeated eight times.
   Graph g;
   for (int rep = 0; rep < 8; ++rep) {
     NodeId a = g.AddNode("A");
@@ -299,8 +299,7 @@ TEST(EngineTraceTest, DirectPlanSpanShape) {
   EXPECT_EQ(resp.trace->name, "query");
   EXPECT_NE(resp.trace->Find("plan"), nullptr);
   EXPECT_NE(resp.trace->Find("fixpoint"), nullptr);
-  // Direct plan, no shards: no fan-out subtree; no queue.wait (sync Query).
-  EXPECT_EQ(resp.trace->Find("shard.fanout"), nullptr);
+  // Direct plan: no view pin; no queue.wait (sync Query).
   EXPECT_EQ(resp.trace->Find("queue.wait"), nullptr);
 }
 
@@ -334,22 +333,6 @@ TEST(EngineTraceTest, WarmMatchJoinSpanShapeAndSubmitQueueWait) {
     }
   }
   EXPECT_TRUE(root_plan);
-}
-
-TEST(EngineTraceTest, ShardedPlanEmitsFanoutSubtree) {
-  EngineOptions opts;
-  opts.obs.trace = true;
-  opts.sharding.num_shards = 2;
-  QueryEngine engine(DiamondGraph(), opts);
-  QueryResponse resp = engine.Query(testutil::ChainPattern({"A", "B"}));
-  ASSERT_TRUE(resp.status.ok());
-  ASSERT_TRUE(resp.sharded);
-  ASSERT_NE(resp.trace, nullptr);
-  const obs::TraceSpan* fan = resp.trace->Find("shard.fanout");
-  ASSERT_NE(fan, nullptr);
-  // One child per shard's local fixpoint, plus any merge rounds.
-  EXPECT_NE(resp.trace->Find("shard.0"), nullptr);
-  EXPECT_NE(resp.trace->Find("shard.1"), nullptr);
 }
 
 TEST(EngineTraceTest, ResultCacheHitIsVisibleInSpans) {

@@ -1,10 +1,10 @@
 /// \file shard_parity_test.cc
-/// \brief Randomized parity properties of sharded execution: for every
-/// shard count K ∈ {1, 2, 4, 7}, both partitioning modes, and across
-/// incremental refreezes, the sharded fixpoint and the sharded engine must
-/// produce results *bit-identical* to the unsharded paths — the
-/// per-shard/cross-shard decomposition is an execution strategy, never a
-/// semantics change.
+/// \brief Randomized parity properties of the edge-cut shard library: for
+/// every shard count K ∈ {1, 2, 4, 7} over degree-balanced range partitions,
+/// the sharded fixpoints must produce results *bit-identical* to the
+/// unsharded paths — the per-shard/cross-shard decomposition is an
+/// execution strategy, never a semantics change. (perfbench's replay times
+/// ShardedMatchBoundedSimulation against the one-thread fixpoint.)
 
 #include <gtest/gtest.h>
 
@@ -12,7 +12,6 @@
 #include <vector>
 
 #include "engine/executor.h"
-#include "engine/query_engine.h"
 #include "shard/shard_sim.h"
 #include "shard/sharded_snapshot.h"
 #include "simulation/bounded.h"
@@ -26,8 +25,6 @@ namespace gpmv {
 namespace {
 
 constexpr uint32_t kShardCounts[] = {1, 2, 4, 7};
-constexpr ShardingOptions::Partition kPartitions[] = {
-    ShardingOptions::Partition::kRange, ShardingOptions::Partition::kHash};
 
 Graph MakeGraph(uint64_t seed, size_t nodes = 160, size_t edges = 520) {
   RandomGraphOptions go;
@@ -59,20 +56,17 @@ TEST(ShardParityTest, RefinementMatchesUnshardedAcrossShardCountsAndModes) {
       std::vector<std::vector<NodeId>> expect;
       ASSERT_TRUE(RefineSimulation(q, *snap, space, dual, &expect).ok());
       for (uint32_t k : kShardCounts) {
-        for (auto partition : kPartitions) {
-          ShardingOptions opts;
-          opts.num_shards = k;
-          opts.partition = partition;
-          auto ss = ShardedSnapshot::Build(snap, opts);
-          std::vector<std::vector<NodeId>> got;
-          ShardSimStats stats;
-          ASSERT_TRUE(ShardedRefineSimulation(q, *ss, space, dual,
-                                              /*pool=*/nullptr, &got, &stats)
-                          .ok());
-          EXPECT_EQ(got, expect)
-              << "seed=" << seed << " K=" << k << " dual=" << dual;
-          EXPECT_EQ(stats.shards, k);
-        }
+        ShardingOptions opts;
+        opts.num_shards = k;
+        auto ss = ShardedSnapshot::Build(snap, opts);
+        std::vector<std::vector<NodeId>> got;
+        ShardSimStats stats;
+        ASSERT_TRUE(ShardedRefineSimulation(q, *ss, space, dual,
+                                            /*pool=*/nullptr, &got, &stats)
+                        .ok());
+        EXPECT_EQ(got, expect)
+            << "seed=" << seed << " K=" << k << " dual=" << dual;
+        EXPECT_EQ(stats.shards, k);
       }
     }
   }
@@ -90,26 +84,23 @@ TEST(ShardParityTest, MatchResultsEqualPlainAndDualEngines) {
     ASSERT_TRUE(plain.ok());
     Result<MatchResult> dual = MatchDualSimulation(q, *snap);
     ASSERT_TRUE(dual.ok());
-    // The engine's unsharded direct path serves plain patterns through the
-    // bounded matcher; parity must hold against it as well.
+    // The engine's direct path serves plain patterns through the bounded
+    // matcher; parity must hold against it as well.
     Result<MatchResult> bounded = MatchBoundedSimulation(q, *snap);
     ASSERT_TRUE(bounded.ok());
     EXPECT_TRUE(*plain == *bounded) << "plain/bounded disagree pre-sharding";
     for (uint32_t k : kShardCounts) {
-      for (auto partition : kPartitions) {
-        ShardingOptions opts;
-        opts.num_shards = k;
-        opts.partition = partition;
-        auto ss = ShardedSnapshot::Build(snap, opts);
-        Result<MatchResult> sharded =
-            ShardedMatchSimulation(q, *ss, &pool, /*dual=*/false);
-        ASSERT_TRUE(sharded.ok());
-        EXPECT_TRUE(*sharded == *plain) << "seed=" << seed << " K=" << k;
-        Result<MatchResult> sharded_dual =
-            ShardedMatchSimulation(q, *ss, &pool, /*dual=*/true);
-        ASSERT_TRUE(sharded_dual.ok());
-        EXPECT_TRUE(*sharded_dual == *dual) << "seed=" << seed << " K=" << k;
-      }
+      ShardingOptions opts;
+      opts.num_shards = k;
+      auto ss = ShardedSnapshot::Build(snap, opts);
+      Result<MatchResult> sharded =
+          ShardedMatchSimulation(q, *ss, &pool, /*dual=*/false);
+      ASSERT_TRUE(sharded.ok());
+      EXPECT_TRUE(*sharded == *plain) << "seed=" << seed << " K=" << k;
+      Result<MatchResult> sharded_dual =
+          ShardedMatchSimulation(q, *ss, &pool, /*dual=*/true);
+      ASSERT_TRUE(sharded_dual.ok());
+      EXPECT_TRUE(*sharded_dual == *dual) << "seed=" << seed << " K=" << k;
     }
   }
 }
@@ -174,7 +165,7 @@ TEST(ShardParityTest, BoundedPatternsRouteThroughBoundedEntry) {
   EXPECT_TRUE(*got == *expect);
 }
 
-/// Bounded parity: for every shard count and partitioning, the
+/// Bounded parity: for every shard count, the
 /// frontier-hand-off evaluation is bit-identical to MatchBoundedSimulation
 /// on the parent snapshot — including patterns with `*` (unbounded) edges
 /// and unit-bound patterns routed through the same entry.
@@ -190,27 +181,25 @@ TEST(ShardParityTest, BoundedMatchesUnshardedAcrossShardCountsAndModes) {
     Result<MatchResult> expect = MatchBoundedSimulation(qb, *snap);
     ASSERT_TRUE(expect.ok());
     for (uint32_t k : kShardCounts) {
-      for (auto partition : kPartitions) {
-        ShardingOptions opts;
-        opts.num_shards = k;
-        opts.partition = partition;
-        auto ss = ShardedSnapshot::Build(snap, opts);
-        ShardSimStats stats;
-        Result<MatchResult> got =
-            ShardedMatchBoundedSimulation(qb, *ss, &pool, nullptr, &stats);
-        ASSERT_TRUE(got.ok());
-        EXPECT_TRUE(*got == *expect) << "seed=" << seed << " K=" << k;
-        EXPECT_EQ(stats.shards, k);
-        if (k > 1) frontier_msgs += stats.frontier_msgs;
-      }
+      ShardingOptions opts;
+      opts.num_shards = k;
+      auto ss = ShardedSnapshot::Build(snap, opts);
+      ShardSimStats stats;
+      Result<MatchResult> got =
+          ShardedMatchBoundedSimulation(qb, *ss, &pool, nullptr, &stats);
+      ASSERT_TRUE(got.ok());
+      EXPECT_TRUE(*got == *expect) << "seed=" << seed << " K=" << k;
+      EXPECT_EQ(stats.shards, k);
+      if (k > 1) frontier_msgs += stats.frontier_msgs;
     }
   }
   // Some bounded evaluation crossed a shard boundary level by level.
   EXPECT_GT(frontier_msgs, 0u);
 }
 
-/// Bounded seeded parity (the engine's partial-views path): restricting
-/// candidates before the bounded fixpoint must shard identically too.
+/// Bounded seeded parity: restricting candidates before the bounded
+/// fixpoint (as the engine's partial-views plan does) must shard
+/// identically too.
 TEST(ShardParityTest, BoundedSeededEvaluationMatchesUnsharded) {
   for (uint64_t seed = 1; seed <= 4; ++seed) {
     Graph g = MakeGraph(seed + 300);
@@ -238,108 +227,6 @@ TEST(ShardParityTest, BoundedSeededEvaluationMatchesUnsharded) {
       EXPECT_TRUE(*got == *expect) << "seed=" << seed << " K=" << k;
     }
   }
-}
-
-/// Engine-level parity: the sharded engine must answer exactly like the
-/// unsharded engine across plan kinds (MatchJoin / partial / direct) and
-/// across update batches (incremental snapshot refreeze + per-shard slice
-/// rebuild between query rounds).
-TEST(ShardParityTest, EnginesAgreeAcrossPlansAndUpdates) {
-  for (auto partition : kPartitions) {
-    Graph g = MakeGraph(123, /*nodes=*/220, /*edges=*/720);
-
-    std::vector<Pattern> queries;
-    for (uint64_t s = 1; s <= 6; ++s) queries.push_back(MakePlainPattern(s));
-    // Bounded queries fan out too now (frontier hand-off); parity must
-    // survive the same update rounds.
-    for (uint64_t s = 1; s <= 3; ++s) queries.push_back(MakeBoundedPattern(s));
-
-    EngineOptions unsharded_opts;
-    unsharded_opts.pool.num_threads = 1;
-    QueryEngine unsharded(g, unsharded_opts);
-
-    EngineOptions sharded_opts = unsharded_opts;
-    sharded_opts.sharding.num_shards = 4;
-    sharded_opts.sharding.partition = partition;
-    QueryEngine sharded(g, sharded_opts);
-
-    // Covering views for query 0 make it a MatchJoin plan; the others mix
-    // partial and direct plans.
-    CoveringViewOptions co;
-    co.edges_per_view = 2;
-    co.num_distractors = 1;
-    co.seed = 5;
-    ViewSet cover = GenerateCoveringViews(queries[0], co);
-    for (const ViewDefinition& def : cover.views()) {
-      ASSERT_TRUE(unsharded.RegisterView(def.name, def.pattern).ok());
-      ASSERT_TRUE(sharded.RegisterView(def.name, def.pattern).ok());
-    }
-    ASSERT_TRUE(unsharded.WarmViews().ok());
-    ASSERT_TRUE(sharded.WarmViews().ok());
-
-    // Alternate query rounds and update batches (mixed inserts + deletes,
-    // deterministic), asserting responses identical after each round.
-    size_t sharded_used = 0;
-    for (int round = 0; round < 4; ++round) {
-      for (const Pattern& q : queries) {
-        QueryResponse a = unsharded.Query(q);
-        QueryResponse b = sharded.Query(q);
-        ASSERT_TRUE(a.status.ok());
-        ASSERT_TRUE(b.status.ok());
-        EXPECT_EQ(a.plan, b.plan);
-        EXPECT_TRUE(a.result == b.result)
-            << "round=" << round
-            << " partition=" << (partition == kPartitions[0] ? "range" : "hash");
-        if (b.sharded) ++sharded_used;
-      }
-      std::vector<EdgeUpdate> batch;
-      const NodeId base = static_cast<NodeId>(17 * (round + 1));
-      batch.push_back(EdgeUpdate::Insert(base, (base + 31) % 220));
-      batch.push_back(EdgeUpdate::Insert((base + 3) % 220, (base + 90) % 220));
-      batch.push_back(EdgeUpdate::Delete(base % 220, (base + 1) % 220));
-      ASSERT_TRUE(unsharded.ApplyUpdates(batch).ok());
-      ASSERT_TRUE(sharded.ApplyUpdates(batch).ok());
-    }
-    // Fan-out actually engaged for the graph-walking plans.
-    EXPECT_GT(sharded_used, 0u);
-    const obs::MetricsSnapshot m = sharded.metrics()->TakeSnapshot();
-    EXPECT_EQ(m.CounterValue("engine.queries_sharded"), sharded_used);
-    EXPECT_GT(m.CounterValue("shard.rounds"), 0u);
-    // Update batches rebuilt only affected slices and reused the rest.
-    EXPECT_GT(m.CounterValue("engine.slices_rebuilt"), 0u);
-    EXPECT_GT(m.CounterValue("engine.slices_reused"), 0u);
-    EXPECT_TRUE(sharded.CheckCacheConsistency());
-    EXPECT_TRUE(unsharded.CheckCacheConsistency());
-  }
-}
-
-/// Sequential-consistency of the sharded snapshot after ApplyUpdates
-/// returns: the published slice set carries the new version, so the next
-/// query fans out (no fallback) and sees the fresh graph.
-TEST(ShardParityTest, ShardedSnapshotIsFreshAfterUpdateReturns) {
-  Graph g = MakeGraph(77);
-  EngineOptions opts;
-  opts.pool.num_threads = 1;
-  opts.sharding.num_shards = 2;
-  QueryEngine engine(g, opts);
-  auto before = engine.sharded_snapshot();
-  ASSERT_NE(before, nullptr);
-  std::vector<EdgeUpdate> batch = {EdgeUpdate::Insert(0, 42),
-                                   EdgeUpdate::Delete(1, 2)};
-  ASSERT_TRUE(engine.ApplyUpdates(batch).ok());
-  auto after = engine.sharded_snapshot();
-  ASSERT_NE(after, nullptr);
-  EXPECT_GT(after->version(), before->version());
-
-  Pattern q = MakePlainPattern(3);
-  QueryResponse resp = engine.Query(q);
-  ASSERT_TRUE(resp.status.ok());
-  if (resp.plan != PlanKind::kMatchJoin) {
-    EXPECT_TRUE(resp.sharded);
-  }
-  EXPECT_EQ(engine.metrics()->TakeSnapshot().CounterValue(
-                "engine.shard_fallbacks"),
-            0u);
 }
 
 }  // namespace

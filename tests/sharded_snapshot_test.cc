@@ -2,12 +2,10 @@
 /// \brief Structure tests of the per-shard CSR slices: ownership is a
 /// partition, owned rows mirror the parent snapshot, replica tables hold
 /// exactly the referenced boundary nodes with correctly restricted rows,
-/// and incremental Rebuild shares untouched slices while matching a full
-/// Build structurally.
+/// and a parallel Build matches the serial one.
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <set>
 #include <vector>
 
@@ -98,27 +96,12 @@ TEST(ShardedSnapshotTest, RangeSlicesMirrorParent) {
   }
 }
 
-TEST(ShardedSnapshotTest, HashSlicesMirrorParent) {
-  Graph g = MakeGraph(11);
-  for (uint32_t k : {2u, 3u, 8u}) {
-    ShardingOptions opts;
-    opts.num_shards = k;
-    opts.partition = ShardingOptions::Partition::kHash;
-    auto ss = ShardedSnapshot::Build(g.Freeze(), opts);
-    CheckSlices(*ss);
-  }
-}
-
 TEST(ShardedSnapshotTest, MoreShardsThanNodes) {
   Graph g = MakeGraph(3, /*nodes=*/5, /*edges=*/8);
-  for (auto partition : {ShardingOptions::Partition::kRange,
-                         ShardingOptions::Partition::kHash}) {
-    ShardingOptions opts;
-    opts.num_shards = 7;
-    opts.partition = partition;
-    auto ss = ShardedSnapshot::Build(g.Freeze(), opts);
-    CheckSlices(*ss);
-  }
+  ShardingOptions opts;
+  opts.num_shards = 7;
+  auto ss = ShardedSnapshot::Build(g.Freeze(), opts);
+  CheckSlices(*ss);
 }
 
 TEST(ShardedSnapshotTest, ParallelBuildMatchesSerial) {
@@ -130,115 +113,6 @@ TEST(ShardedSnapshotTest, ParallelBuildMatchesSerial) {
   ThreadPool pool(po);
   auto parallel = ShardedSnapshot::Build(g.Freeze(), opts, &pool);
   CheckSlices(*parallel);
-}
-
-TEST(ShardedSnapshotTest, AffectedShardsCoversEndpointOwners) {
-  Graph g = MakeGraph(17);
-  ShardingOptions opts;
-  opts.num_shards = 4;
-  auto ss = ShardedSnapshot::Build(g.Freeze(), opts);
-  std::vector<NodePair> touched = {{0, 199}, {5, 6}, {120, 3}};
-  std::vector<uint32_t> affected = ss->AffectedShards(touched);
-  EXPECT_TRUE(std::is_sorted(affected.begin(), affected.end()));
-  EXPECT_EQ(std::adjacent_find(affected.begin(), affected.end()),
-            affected.end());
-  std::set<uint32_t> expect;
-  for (const NodePair& e : touched) {
-    expect.insert(ss->owner(e.first));
-    expect.insert(ss->owner(e.second));
-  }
-  EXPECT_EQ(std::set<uint32_t>(affected.begin(), affected.end()), expect);
-
-  // The node-list overload (the flattened affected-area form) agrees with
-  // the pair overload over the same endpoints.
-  std::vector<NodeId> nodes;
-  for (const NodePair& e : touched) {
-    nodes.push_back(e.first);
-    nodes.push_back(e.second);
-  }
-  EXPECT_EQ(ss->AffectedShards(nodes), affected);
-  EXPECT_EQ(ss->AffectedShards(std::vector<NodeId>{}),
-            std::vector<uint32_t>{});
-  EXPECT_EQ(ss->AffectedShards(std::vector<NodeId>{7}),
-            std::vector<uint32_t>{ss->owner(7)});
-}
-
-TEST(ShardedSnapshotTest, RebuildSharesUntouchedSlicesAndMatchesFullBuild) {
-  Graph g = MakeGraph(23);
-  ShardingOptions opts;
-  opts.num_shards = 4;
-  auto before = ShardedSnapshot::Build(g.Freeze(), opts);
-
-  // Edge batch confined to two endpoints.
-  const NodeId u = before->slice(1).owned_node(0);
-  const NodeId v = before->slice(2).owned_node(0);
-  std::vector<NodePair> touched;
-  if (g.HasEdge(u, v)) {
-    ASSERT_TRUE(g.RemoveEdge(u, v).ok());
-  } else {
-    ASSERT_TRUE(g.AddEdgeIfAbsent(u, v));
-  }
-  touched.emplace_back(u, v);
-
-  auto parent = g.Freeze();
-  std::vector<uint32_t> affected = before->AffectedShards(touched);
-  EXPECT_EQ(affected, (std::vector<uint32_t>{1, 2}));
-  auto rebuilt = ShardedSnapshot::Rebuild(parent, *before, affected);
-  EXPECT_EQ(rebuilt->version(), parent->version());
-  CheckSlices(*rebuilt);
-  // Untouched slices are shared by pointer; affected ones are fresh.
-  EXPECT_EQ(rebuilt->slice_ptr(0), before->slice_ptr(0));
-  EXPECT_EQ(rebuilt->slice_ptr(3), before->slice_ptr(3));
-  EXPECT_NE(rebuilt->slice_ptr(1), before->slice_ptr(1));
-  EXPECT_NE(rebuilt->slice_ptr(2), before->slice_ptr(2));
-}
-
-TEST(ShardedSnapshotTest, SliceVersionStampsFormAVersionVector) {
-  Graph g = MakeGraph(23);
-  ShardingOptions opts;
-  opts.num_shards = 4;
-  auto before = ShardedSnapshot::Build(g.Freeze(), opts);
-  const uint64_t v0 = before->version();
-  // A full build stamps every slice with the parent version.
-  for (uint32_t s = 0; s < before->num_shards(); ++s) {
-    EXPECT_EQ(before->slice_version(s), v0);
-  }
-  EXPECT_EQ(before->slice_versions().MinSlice(), v0);
-  EXPECT_EQ(before->slice_versions().MaxSlice(), v0);
-
-  const NodeId u = before->slice(1).owned_node(0);
-  const NodeId v = before->slice(2).owned_node(0);
-  ASSERT_TRUE(g.AddEdgeIfAbsent(u, v) || g.RemoveEdge(u, v).ok());
-  auto parent = g.Freeze();
-  auto rebuilt = ShardedSnapshot::Rebuild(
-      parent, *before, before->AffectedShards({NodePair{u, v}}));
-
-  // Reused slices keep their older stamp, rebuilt ones carry the new
-  // parent version: the assembly is a version vector whose max is the
-  // assembly version (the shape queries and the MVCC layer rely on).
-  const VersionVector vv = rebuilt->slice_versions();
-  EXPECT_EQ(vv.num_slices(), rebuilt->num_shards());
-  EXPECT_EQ(vv.slice(0), v0);
-  EXPECT_EQ(vv.slice(3), v0);
-  EXPECT_EQ(vv.slice(1), parent->version());
-  EXPECT_EQ(vv.slice(2), parent->version());
-  EXPECT_EQ(vv.MaxSlice(), rebuilt->version());
-  EXPECT_TRUE(before->slice_versions().CoveredBy(vv));
-}
-
-TEST(ShardedSnapshotTest, RangeBoundsAreStableAcrossRebuilds) {
-  Graph g = MakeGraph(29);
-  ShardingOptions opts;
-  opts.num_shards = 3;
-  auto before = ShardedSnapshot::Build(g.Freeze(), opts);
-  // A batch that changes degrees must not move the ownership cut points.
-  ASSERT_TRUE(g.AddEdgeIfAbsent(0, 1) || g.RemoveEdge(0, 1).ok());
-  auto rebuilt =
-      ShardedSnapshot::Rebuild(g.Freeze(), *before, {before->owner(0),
-                                                     before->owner(1)});
-  for (NodeId v = 0; v < g.num_nodes(); ++v) {
-    EXPECT_EQ(before->owner(v), rebuilt->owner(v));
-  }
 }
 
 TEST(ShardedSnapshotTest, ApproxBytesAndReplicaCountsArePositive) {

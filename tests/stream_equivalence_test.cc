@@ -13,9 +13,9 @@
 ///  * the *per-op* oracle: every raw op applied as its own singleton batch,
 ///    in timestamp order — pure sequential semantics, no canonicalization.
 ///
-/// The whole matrix runs across delta maintenance on/off × sharding
-/// K ∈ {1, 4}, so the streamed path is pinned against every update-path
-/// configuration the engine has. FlushAndWait quiesces the applier before
+/// The whole matrix runs with delta maintenance on and off, so the
+/// streamed path is pinned against every update-path configuration the
+/// engine has. FlushAndWait quiesces the applier before
 /// each comparison, which is what makes the checks deterministic.
 ///
 /// The multi-applier suite extends the oracle to wider pools: the same
@@ -35,7 +35,6 @@
 #include <cstdlib>
 #include <memory>
 #include <string>
-#include <tuple>
 #include <vector>
 
 #include "common/random.h"
@@ -110,11 +109,10 @@ std::vector<EdgeUpdate> MakeOps(const Graph& g, size_t count, uint64_t seed) {
 }
 
 std::unique_ptr<QueryEngine> MakeEngine(const EquivalenceFixture& f,
-                                        bool enable_delta, uint32_t shards) {
+                                        bool enable_delta) {
   EngineOptions opts;
   opts.pool.num_threads = 2;
   opts.maintenance.enable_delta = enable_delta;
-  opts.sharding.num_shards = shards;
   opts.result_cache.budget_bytes = 0;  // compare evaluations, not memo hits
   auto engine = std::make_unique<QueryEngine>(f.graph, opts);
   for (const ViewDefinition& def : f.views.views()) {
@@ -144,11 +142,9 @@ std::vector<MatchResult> Answers(QueryEngine* engine,
   return out;
 }
 
-class StreamEquivalenceTest
-    : public ::testing::TestWithParam<std::tuple<bool, uint32_t>> {
+class StreamEquivalenceTest : public ::testing::TestWithParam<bool> {
  protected:
-  bool enable_delta() const { return std::get<0>(GetParam()); }
-  uint32_t shards() const { return std::get<1>(GetParam()); }
+  bool enable_delta() const { return GetParam(); }
 };
 
 TEST_P(StreamEquivalenceTest, StreamedMatchesBatchAndPerOpOracles) {
@@ -159,7 +155,7 @@ TEST_P(StreamEquivalenceTest, StreamedMatchesBatchAndPerOpOracles) {
 
     // Streamed: through the queue + applier, in micro-batches.
     std::unique_ptr<QueryEngine> streamed =
-        MakeEngine(f, enable_delta(), shards());
+        MakeEngine(f, enable_delta());
     {
       ApplierPoolOptions po;
       po.num_appliers = 1;
@@ -172,12 +168,12 @@ TEST_P(StreamEquivalenceTest, StreamedMatchesBatchAndPerOpOracles) {
 
     // Oracle 1: canonical last-op-wins batch, applied in one call.
     std::unique_ptr<QueryEngine> batched =
-        MakeEngine(f, enable_delta(), shards());
+        MakeEngine(f, enable_delta());
     ASSERT_TRUE(batched->ApplyUpdates(UpdateStream::Coalesce(ops)).ok());
 
     // Oracle 2: raw sequential singleton batches.
     std::unique_ptr<QueryEngine> per_op =
-        MakeEngine(f, enable_delta(), shards());
+        MakeEngine(f, enable_delta());
     for (const EdgeUpdate& op : ops) {
       ASSERT_TRUE(per_op->ApplyUpdates({op}).ok());
     }
@@ -211,12 +207,9 @@ TEST_P(StreamEquivalenceTest, StreamedMatchesBatchAndPerOpOracles) {
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    DeltaByShards, StreamEquivalenceTest,
-    ::testing::Combine(::testing::Values(false, true),
-                       ::testing::Values(1u, 4u)),
-    [](const ::testing::TestParamInfo<std::tuple<bool, uint32_t>>& info) {
-      return std::string(std::get<0>(info.param) ? "delta" : "nodelta") +
-             "_k" + std::to_string(std::get<1>(info.param));
+    Delta, StreamEquivalenceTest, ::testing::Values(false, true),
+    [](const ::testing::TestParamInfo<bool>& info) {
+      return std::string(info.param ? "delta" : "nodelta");
     });
 
 TEST(StreamQuiesceTest, FlushBoundariesGiveDeterministicIntermediateStates) {
@@ -226,8 +219,8 @@ TEST(StreamQuiesceTest, FlushBoundariesGiveDeterministicIntermediateStates) {
   // Stream in two halves with a flush between; an engine fed the same two
   // halves as plain batches must agree at BOTH boundaries — the quiesce
   // point is a real consistent cut, not just an eventual state.
-  std::unique_ptr<QueryEngine> streamed = MakeEngine(f, true, 1);
-  std::unique_ptr<QueryEngine> oracle = MakeEngine(f, true, 1);
+  std::unique_ptr<QueryEngine> streamed = MakeEngine(f, true);
+  std::unique_ptr<QueryEngine> oracle = MakeEngine(f, true);
   ApplierPoolOptions po;
   po.num_appliers = 1;
   ApplierPool pool(streamed.get(), po);
@@ -317,10 +310,10 @@ TEST(MultiApplierEquivalenceTest, ScheduleExplorationMatchesOracles) {
     const std::vector<EdgeUpdate> ops = MakeOps(f.graph, 64, 5000 + seed);
 
     // Sequential oracles, computed once per base stream.
-    std::unique_ptr<QueryEngine> batched = MakeEngine(f, true, 1);
+    std::unique_ptr<QueryEngine> batched = MakeEngine(f, true);
     ASSERT_TRUE(batched->ApplyUpdates(UpdateStream::Coalesce(ops)).ok());
     const std::vector<MatchResult> ba = Answers(batched.get(), f);
-    std::unique_ptr<QueryEngine> per_op = MakeEngine(f, true, 1);
+    std::unique_ptr<QueryEngine> per_op = MakeEngine(f, true);
     for (const EdgeUpdate& op : ops) {
       ASSERT_TRUE(per_op->ApplyUpdates({op}).ok());
     }
@@ -338,7 +331,7 @@ TEST(MultiApplierEquivalenceTest, ScheduleExplorationMatchesOracles) {
       for (uint64_t sched = 0; sched < kSchedulesPerWidth; ++sched) {
         SCOPED_TRACE("appliers=" + std::to_string(k) +
                      " schedule=" + std::to_string(sched));
-        std::unique_ptr<QueryEngine> engine = MakeEngine(f, true, 1);
+        std::unique_ptr<QueryEngine> engine = MakeEngine(f, true);
         ApplierPoolOptions po;
         po.num_appliers = k;
         po.max_batch = 8;  // several micro-batches per slice

@@ -7,8 +7,8 @@ src/obs/exporter.cc) plus the cross-line stream constraints: seq strictly
 increasing from 1 with no gaps, ts_ms non-decreasing, counters monotone,
 and each histogram's count equal to the sum of its (right-zero-padded)
 buckets. The schema's `required_metrics` section additionally pins the
-metric names every engine registers up front (bounded-delta and sharding
-counters, MVCC and stream gauges, a few histograms): each must appear in
+metric names every engine registers up front (bounded-delta counters,
+MVCC and stream gauges, a few histograms): each must appear in
 every snapshot line. Exits non-zero listing every violation.
 
 kStatsResult frames served over the socket front end carry the same

@@ -12,7 +12,6 @@
 ///   gpmv_cli serve <graph> <queries> [--views <views>] [--threads N]
 ///                  [--cache-mb M] [--result-cache-mb M] [--warm]
 ///                  [--advise K] [--updates <file>] [--no-delta]
-///                  [--shards K] [--hash-shards]
 ///                  [--stream <file>] [--stream-rate N] [--max-lag-ms M]
 ///                  [--appliers N] [--as-of T]
 ///                  [--metrics-out <file>] [--metrics-interval-ms N]
@@ -32,10 +31,8 @@
 /// through the stream — deletions refresh cached extensions decrementally
 /// and insertions run the localized delta-simulation path (`--no-delta`
 /// forces per-batch re-materialization instead). `--result-cache-mb` sizes
-/// the full-result memo in front of the view cache (0 disables it). `--shards K` slices the frozen snapshot into K
-/// per-shard CSR partitions (shard/sharded_snapshot.h) and fans
-/// graph-walking plans out across them (`--hash-shards` selects the hash
-/// edge-cut instead of degree-balanced ranges).
+/// the full-result memo in front of the view cache (0 disables it). Every
+/// graph-walking plan runs one fixpoint on the engine's frozen snapshot.
 ///
 /// `--stream <file>` ingests the same update-file format *concurrently*
 /// with the queries instead of as one stop-the-world batch: a producer
@@ -55,8 +52,8 @@
 /// Time travel: `--as-of T` runs every query `AS OF` stream timestamp T —
 /// each pins the newest retained prefix-consistent cut with watermark <= T
 /// from the engine's MVCC snapshot chain (graph/mvcc.h) and evaluates
-/// directly on that frozen graph (views/shards reflect only the head, so
-/// historical plans never fan out). A query can override per-query with an
+/// directly on that frozen graph (views reflect only the head, so
+/// historical plans are always direct). A query can override per-query with an
 /// `@asof<ts>` name suffix in the query file (`view q3@asof17`); suffixed
 /// names win over the global flag. AS OF misses (T predates the retained
 /// window) report as FAIL/NotFound per query, not a serve error.
@@ -82,7 +79,7 @@
 /// epoll server (net/server.h): query/update/stats frames multiplexed onto
 /// the engine's worker pool and an ApplierPool of `--appliers` ingest
 /// slices. `--updates`/`--stream` are file-driven and therefore mutually
-/// exclusive with `--port`; everything else (views, warm, shards, metrics,
+/// exclusive with `--port`; everything else (views, warm, metrics,
 /// fault spec) composes. Port 0 binds an ephemeral port; the bound port is
 /// printed as `listening on port N` (stdout, flushed) — the loadgen and CI
 /// smoke wait for that line. The server exits cleanly on a kShutdown frame
@@ -153,7 +150,6 @@ int Usage() {
       "  gpmv_cli serve <graph> <queries> [--views <views>] [--threads N]\n"
       "                 [--cache-mb M] [--result-cache-mb M] [--warm]\n"
       "                 [--advise K] [--updates <file>] [--no-delta]\n"
-      "                 [--shards K] [--hash-shards]\n"
       "                 [--stream <file>] [--stream-rate N] "
       "[--max-lag-ms M]\n"
       "                 [--appliers N] [--as-of T]\n"
@@ -599,14 +595,12 @@ int CmdServe(const Args& args) {
   // Budgets are given in MiB and shifted into bytes: anything larger would
   // wrap the shift (2^44 MiB << 20 is 0 with a 64-bit size_t).
   constexpr size_t kMaxBudgetMb = std::numeric_limits<size_t>::max() >> 20;
-  size_t threads = 0, cache_mb = 0, result_cache_mb = 0, advise = 0,
-         shards = 0;
+  size_t threads = 0, cache_mb = 0, result_cache_mb = 0, advise = 0;
   if (!NumericFlag(args, "--threads", 0, &threads) ||
       !NumericFlag(args, "--cache-mb", 64, &cache_mb, kMaxBudgetMb) ||
       !NumericFlag(args, "--result-cache-mb", 8, &result_cache_mb,
                    kMaxBudgetMb) ||
-      !NumericFlag(args, "--advise", 0, &advise) ||
-      !NumericFlag(args, "--shards", 1, &shards)) {
+      !NumericFlag(args, "--advise", 0, &advise)) {
     return Usage();
   }
   opts.pool.num_threads = threads;
@@ -618,10 +612,6 @@ int CmdServe(const Args& args) {
   opts.cache.budget_bytes = cache_mb << 20;
   opts.result_cache.budget_bytes = result_cache_mb << 20;
   opts.maintenance.enable_delta = !args.Has("--no-delta");
-  opts.sharding.num_shards = static_cast<uint32_t>(shards);
-  if (args.Has("--hash-shards")) {
-    opts.sharding.partition = ShardingOptions::Partition::kHash;
-  }
 
   size_t metrics_interval_ms = 0, slow_query_ms = 0;
   if (!NumericFlag(args, "--metrics-interval-ms", 1000,
@@ -800,14 +790,6 @@ int CmdServe(const Args& args) {
               queries.card(), engine.num_graph_nodes(),
               engine.num_graph_edges(), engine.num_views(),
               engine.num_worker_threads());
-  if (auto ss = engine.sharded_snapshot()) {
-    std::printf("sharding: %u %s slices, %zu boundary replicas, %zu bytes\n",
-                ss->num_shards(),
-                opts.sharding.partition == ShardingOptions::Partition::kHash
-                    ? "hash"
-                    : "range",
-                ss->total_replicas(), ss->ApproxBytes());
-  }
   Stopwatch wall;
 
   // Concurrent streamed ingestion: producer thread pushes the op file
@@ -989,9 +971,9 @@ const std::vector<Command>& Commands() {
       {"serve",
        1,
        2,
-       {"--warm", "--hash-shards", "--no-delta", "--trace", "--no-metrics"},
+       {"--warm", "--no-delta", "--trace", "--no-metrics"},
        {"--views", "--threads", "--cache-mb", "--result-cache-mb", "--advise",
-        "--updates", "--shards", "--stream", "--stream-rate", "--max-lag-ms",
+        "--updates", "--stream", "--stream-rate", "--max-lag-ms",
         "--appliers", "--as-of", "--port", "--metrics-out",
         "--metrics-interval-ms", "--prom-out", "--slow-query-ms",
         "--slow-query-log", "--fault-spec"},

@@ -41,10 +41,11 @@ ContainmentMapping BuildMapping(const Pattern& q,
 
 Result<std::vector<ViewMatchResult>> ComputeAllViewMatches(
     const Pattern& q, const ViewSet& views) {
+  QueryMatchContext ctx(q);
   std::vector<ViewMatchResult> matches;
   matches.reserve(views.card());
   for (const ViewDefinition& def : views.views()) {
-    Result<ViewMatchResult> vm = ComputeViewMatch(def.pattern, q);
+    Result<ViewMatchResult> vm = ctx.Match(def.pattern);
     GPMV_RETURN_NOT_OK(vm.status());
     matches.push_back(std::move(vm).value());
   }
@@ -119,15 +120,20 @@ Result<ContainmentMapping> MinimalContainment(const Pattern& q,
 
 Result<ContainmentMapping> MinimumContainment(const Pattern& q,
                                               const ViewSet& views) {
-  Result<std::vector<ViewMatchResult>> matches_or =
+  Result<std::vector<ViewMatchResult>> matches =
       ComputeAllViewMatches(q, views);
-  GPMV_RETURN_NOT_OK(matches_or.status());
-  const std::vector<ViewMatchResult>& matches = *matches_or;
+  GPMV_RETURN_NOT_OK(matches.status());
+  return MinimumContainmentFromMatches(q, *matches);
+}
+
+ContainmentMapping MinimumContainmentFromMatches(
+    const Pattern& q, const std::vector<ViewMatchResult>& matches) {
   const size_t ne = q.num_edges();
+  const uint32_t nv = static_cast<uint32_t>(matches.size());
 
   std::vector<char> covered(ne, 0);
   size_t covered_count = 0;
-  std::vector<char> used(views.card(), 0);
+  std::vector<char> used(nv, 0);
   std::vector<uint32_t> selected;
 
   // Greedy set cover: repeatedly take the view covering the most still-
@@ -135,7 +141,7 @@ Result<ContainmentMapping> MinimumContainment(const Pattern& q,
   while (covered_count < ne) {
     uint32_t best = kInvalidNode;
     size_t best_gain = 0;
-    for (uint32_t vi = 0; vi < views.card(); ++vi) {
+    for (uint32_t vi = 0; vi < nv; ++vi) {
       if (used[vi]) continue;
       size_t gain = 0;
       for (uint32_t e : matches[vi].covered) gain += covered[e] ? 0 : 1;

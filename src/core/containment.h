@@ -15,6 +15,13 @@
 ///  * ExactMinimumContainment — exhaustive optimum for small view sets,
 ///    used by tests and the Fig. 8(h) harness to gauge the approximation.
 ///
+/// Every problem starts from the same first phase, ComputeAllViewMatches:
+/// one QueryMatchContext per query computes Q's distances and reachability
+/// once and matches every view against them, so Q's side costs three flat
+/// arrays per query instead of two |Q|×|Q| matrices per view. Callers
+/// that need the matches as well (the engine's planner) compute them once
+/// and hand them to MinimumContainmentFromMatches.
+///
 /// A query with an isolated node is reported as not contained: edge-level
 /// coverage can never witness matches for such a node (the paper assumes
 /// connected patterns).
@@ -70,11 +77,18 @@ Result<ContainmentMapping> MinimalContainment(const Pattern& q,
 Result<ContainmentMapping> MinimumContainment(const Pattern& q,
                                               const ViewSet& views);
 
+/// The greedy of MinimumContainment over view matches the caller already
+/// holds (`matches` as ComputeAllViewMatches returns them for `q`), so a
+/// caller that also needs the matches themselves computes them once.
+ContainmentMapping MinimumContainmentFromMatches(
+    const Pattern& q, const std::vector<ViewMatchResult>& matches);
+
 /// Exhaustive minimum (exponential in card(V); requires card(V) ≤ 24).
 Result<ContainmentMapping> ExactMinimumContainment(const Pattern& q,
                                                    const ViewSet& views);
 
-/// Shared first phase: the view match of every view against `q`.
+/// Shared first phase: the view match of every view against `q`, through
+/// one QueryMatchContext (Q's side is computed once, not once per view).
 Result<std::vector<ViewMatchResult>> ComputeAllViewMatches(
     const Pattern& q, const ViewSet& views);
 

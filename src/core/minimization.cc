@@ -8,91 +8,6 @@ namespace gpmv {
 
 namespace {
 
-/// Nonempty weighted distances of the pattern (cheapest nonempty path;
-/// `*` edges are untraversable for finite budgets), plus reachability for
-/// `*` bounds — mirrors view_match.cc's semantics.
-struct PatternMetrics {
-  std::vector<std::vector<uint64_t>> ndist;
-  std::vector<std::vector<char>> reach;
-};
-
-PatternMetrics ComputeMetrics(const Pattern& q) {
-  PatternMetrics m;
-  const size_t n = q.num_nodes();
-  std::vector<std::vector<uint64_t>> dist = q.WeightedDistances();
-  m.ndist.assign(n, std::vector<uint64_t>(n, kInfDistance));
-  for (const PatternEdge& e : q.edges()) {
-    uint64_t w = (e.bound == kUnbounded) ? kInfDistance : e.bound;
-    if (w == kInfDistance) continue;
-    for (size_t t = 0; t < n; ++t) {
-      if (dist[e.dst][t] == kInfDistance) continue;
-      uint64_t via = w + dist[e.dst][t];
-      if (via < m.ndist[e.src][t]) m.ndist[e.src][t] = via;
-    }
-  }
-  m.reach.assign(n, std::vector<char>(n, 0));
-  const auto adj = q.Adjacency();
-  for (size_t s = 0; s < n; ++s) {
-    std::vector<uint32_t> stack(adj[s].begin(), adj[s].end());
-    while (!stack.empty()) {
-      uint32_t v = stack.back();
-      stack.pop_back();
-      if (m.reach[s][v]) continue;
-      m.reach[s][v] = 1;
-      for (uint32_t w : adj[v]) {
-        if (!m.reach[s][w]) stack.push_back(w);
-      }
-    }
-  }
-  return m;
-}
-
-/// rel[v][u] — node v of the pattern simulates node u (every data node
-/// matching u also matches v, on every graph). The same fixpoint as the
-/// view-match relation, with the pattern playing both roles.
-std::vector<std::vector<char>> SelfSimulation(const Pattern& q) {
-  const size_t n = q.num_nodes();
-  const PatternMetrics m = ComputeMetrics(q);
-  std::vector<std::vector<char>> rel(n, std::vector<char>(n, 0));
-  for (size_t v = 0; v < n; ++v) {
-    for (size_t u = 0; u < n; ++u) {
-      rel[v][u] = QueryNodeMatchesViewNode(q.node(u), q.node(v)) ? 1 : 0;
-    }
-  }
-  bool changed = true;
-  while (changed) {
-    changed = false;
-    for (size_t v = 0; v < n; ++v) {
-      for (size_t u = 0; u < n; ++u) {
-        if (!rel[v][u]) continue;
-        bool ok = true;
-        for (uint32_t ev : q.out_edges(static_cast<uint32_t>(v))) {
-          const PatternEdge& pe = q.edge(ev);
-          bool found = false;
-          for (size_t u2 = 0; u2 < n && !found; ++u2) {
-            if (!rel[pe.dst][u2]) continue;
-            if (pe.bound == kUnbounded) {
-              found = m.reach[u][u2] != 0;
-            } else {
-              found = m.ndist[u][u2] != kInfDistance &&
-                      m.ndist[u][u2] <= pe.bound;
-            }
-          }
-          if (!found) {
-            ok = false;
-            break;
-          }
-        }
-        if (!ok) {
-          rel[v][u] = 0;
-          changed = true;
-        }
-      }
-    }
-  }
-  return rel;
-}
-
 bool SameCondition(const PatternNode& a, const PatternNode& b) {
   return a.label == b.label && a.pred.Implies(b.pred) && b.pred.Implies(a.pred);
 }
@@ -101,7 +16,11 @@ bool SameCondition(const PatternNode& a, const PatternNode& b) {
 
 std::vector<uint32_t> SimilarityClasses(const Pattern& q) {
   const size_t n = q.num_nodes();
-  const auto rel = SelfSimulation(q);
+  // Self-simulation: node v simulates node u when every data node matching
+  // u also matches v, on every graph — the view-match relation with the
+  // pattern playing both roles.
+  QueryMatchContext self(q);
+  self.Simulate(q);
   std::vector<uint32_t> cls(n, static_cast<uint32_t>(-1));
   uint32_t next = 0;
   for (uint32_t u = 0; u < n; ++u) {
@@ -112,7 +31,8 @@ std::vector<uint32_t> SimilarityClasses(const Pattern& q) {
       // Mutual similarity with identical search conditions (merging nodes
       // with weaker/stronger conditions is unsound for the quotient's
       // candidate filter).
-      if (rel[u][v] && rel[v][u] && SameCondition(q.node(u), q.node(v))) {
+      if (self.Simulates(u, v) && self.Simulates(v, u) &&
+          SameCondition(q.node(u), q.node(v))) {
         cls[v] = next;
       }
     }

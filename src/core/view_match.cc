@@ -11,50 +11,6 @@ bool QueryNodeMatchesViewNode(const PatternNode& qu, const PatternNode& vw) {
 
 namespace {
 
-/// Nonempty-path weighted distances over the query pattern: ndist[u][u'] is
-/// the least total bound of a path with >= 1 edge from u to u'
-/// (kInfDistance if none). Differs from WeightedDistances on the diagonal,
-/// where it is the cheapest cycle through u.
-std::vector<std::vector<uint64_t>> NonemptyDistances(const Pattern& q) {
-  std::vector<std::vector<uint64_t>> dist = q.WeightedDistances();
-  const size_t n = q.num_nodes();
-  std::vector<std::vector<uint64_t>> ndist(n,
-                                           std::vector<uint64_t>(n, kInfDistance));
-  for (const PatternEdge& e : q.edges()) {
-    uint64_t w = (e.bound == kUnbounded) ? kInfDistance : e.bound;
-    if (w == kInfDistance) continue;
-    for (size_t t = 0; t < n; ++t) {
-      if (dist[e.dst][t] == kInfDistance) continue;
-      uint64_t via = w + dist[e.dst][t];
-      if (via < ndist[e.src][t]) ndist[e.src][t] = via;
-    }
-  }
-  return ndist;
-}
-
-/// reach[u][u'] — is there a nonempty path from u to u' in the pattern,
-/// traversing edges of any bound (including `*`)? This is what a `*` view
-/// bound needs: reachability, not a finite-weight certificate.
-std::vector<std::vector<char>> NonemptyReachability(const Pattern& q) {
-  const size_t n = q.num_nodes();
-  std::vector<std::vector<char>> reach(n, std::vector<char>(n, 0));
-  const auto adj = q.Adjacency();
-  for (size_t s = 0; s < n; ++s) {
-    // BFS from s's successors marks all targets of nonempty paths.
-    std::vector<uint32_t> stack(adj[s].begin(), adj[s].end());
-    while (!stack.empty()) {
-      uint32_t v = stack.back();
-      stack.pop_back();
-      if (reach[s][v]) continue;
-      reach[s][v] = 1;
-      for (uint32_t w : adj[v]) {
-        if (!reach[s][w]) stack.push_back(w);
-      }
-    }
-  }
-  return reach;
-}
-
 /// Does a query-node distance certify a view-edge bound?
 bool DistanceWithin(uint64_t ndist, bool reachable, uint32_t view_bound) {
   if (view_bound == kUnbounded) return reachable;
@@ -71,24 +27,56 @@ bool BoundCovered(uint32_t query_bound, uint32_t view_bound) {
 
 }  // namespace
 
-Result<ViewMatchResult> ComputeViewMatch(const Pattern& view,
-                                         const Pattern& q) {
-  if (view.num_nodes() == 0 || q.num_nodes() == 0) {
-    return Status::InvalidArgument("empty pattern");
+QueryMatchContext::QueryMatchContext(const Pattern& q)
+    : q_(q),
+      n_(q.num_nodes()),
+      ndist_(n_ * n_, kInfDistance),
+      reach_(n_ * n_, 0) {
+  const size_t n = n_;
+  for (const PatternEdge& e : q.edges()) {
+    const size_t i = e.src * n + e.dst;
+    reach_[i] = 1;
+    if (e.bound != kUnbounded && e.bound < ndist_[i]) ndist_[i] = e.bound;
   }
-  const size_t nv = view.num_nodes();
-  const size_t nq = q.num_nodes();
-
-  // rel[w][u] — view node w can simulate query node u.
-  std::vector<std::vector<char>> rel(nv, std::vector<char>(nq, 0));
-  for (size_t w = 0; w < nv; ++w) {
-    for (size_t u = 0; u < nq; ++u) {
-      rel[w][u] = QueryNodeMatchesViewNode(q.node(u), view.node(w)) ? 1 : 0;
+  // Floyd-Warshall (distances) and Warshall (reachability) over the edges
+  // alone: the diagonal starts infinite, so every path stays nonempty and
+  // the diagonal ends as the cheapest cycle. Patterns are tiny.
+  for (size_t k = 0; k < n; ++k) {
+    const uint64_t* dk = &ndist_[k * n];
+    const char* rk = &reach_[k * n];
+    for (size_t i = 0; i < n; ++i) {
+      uint64_t* di = &ndist_[i * n];
+      char* ri = &reach_[i * n];
+      if (ri[k]) {
+        for (size_t j = 0; j < n; ++j) ri[j] |= rk[j];
+      }
+      if (di[k] == kInfDistance) continue;
+      for (size_t j = 0; j < n; ++j) {
+        if (dk[j] == kInfDistance) continue;
+        const uint64_t via = di[k] + dk[j];
+        if (via < di[j]) di[j] = via;
+      }
     }
   }
+}
 
-  const std::vector<std::vector<uint64_t>> ndist = NonemptyDistances(q);
-  const std::vector<std::vector<char>> reach = NonemptyReachability(q);
+bool QueryMatchContext::Relate(const Pattern& view, bool stop_at_empty_row) {
+  const size_t nv = view.num_nodes();
+  const size_t n = n_;
+  // Most views that fail to match Q fail on the node conditions alone,
+  // before any fixpoint work.
+  rel_.assign(nv * n, 0);
+  for (size_t w = 0; w < nv; ++w) {
+    bool any = false;
+    for (size_t u = 0; u < n; ++u) {
+      const bool m =
+          QueryNodeMatchesViewNode(q_.node(static_cast<uint32_t>(u)),
+                                   view.node(static_cast<uint32_t>(w)));
+      rel_[w * n + u] = m ? 1 : 0;
+      any = any || m;
+    }
+    if (!any && stop_at_empty_row) return false;
+  }
 
   // Fixpoint: (w, u) needs, for every view edge (w, w', kV), some u' with
   // (w', u') related and a nonempty path u ~> u' within kV. Patterns are
@@ -97,56 +85,68 @@ Result<ViewMatchResult> ComputeViewMatch(const Pattern& view,
   while (changed) {
     changed = false;
     for (size_t w = 0; w < nv; ++w) {
-      for (size_t u = 0; u < nq; ++u) {
-        if (!rel[w][u]) continue;
-        bool ok = true;
+      for (size_t u = 0; u < n; ++u) {
+        if (!rel_[w * n + u]) continue;
+        const uint64_t* du = &ndist_[u * n];
+        const char* ru = &reach_[u * n];
         for (uint32_t ev : view.out_edges(static_cast<uint32_t>(w))) {
           const PatternEdge& ve = view.edge(ev);
+          const char* rel_dst = &rel_[ve.dst * n];
           bool found = false;
-          for (size_t u2 = 0; u2 < nq && !found; ++u2) {
-            found = rel[ve.dst][u2] &&
-                    DistanceWithin(ndist[u][u2], reach[u][u2] != 0, ve.bound);
+          for (size_t u2 = 0; u2 < n && !found; ++u2) {
+            found = rel_dst[u2] && DistanceWithin(du[u2], ru[u2] != 0, ve.bound);
           }
           if (!found) {
-            ok = false;
+            rel_[w * n + u] = 0;
+            changed = true;
             break;
           }
-        }
-        if (!ok) {
-          rel[w][u] = 0;
-          changed = true;
         }
       }
     }
   }
 
-  ViewMatchResult result;
-  result.per_view_edge.assign(view.num_edges(), {});
+  // A row that started empty is still empty here.
+  for (size_t w = 0; w < nv; ++w) {
+    const char* row = &rel_[w * n];
+    if (std::find(row, row + n, 1) == row + n) return false;
+  }
+  return true;
+}
 
+Result<ViewMatchResult> QueryMatchContext::Match(const Pattern& view) {
+  if (view.num_nodes() == 0 || n_ == 0) {
+    return Status::InvalidArgument("empty pattern");
+  }
+  const size_t n = n_;
+  ViewMatchResult result;
+  result.per_view_edge.resize(view.num_edges());
   // The view itself must match Q (every view node nonempty); otherwise the
   // view match is empty by definition (V !E_sim Q).
-  for (size_t w = 0; w < nv; ++w) {
-    bool any = false;
-    for (size_t u = 0; u < nq; ++u) any = any || rel[w][u];
-    if (!any) return result;
-  }
+  if (!Relate(view, /*stop_at_empty_row=*/true)) return result;
 
   for (uint32_t ev = 0; ev < view.num_edges(); ++ev) {
     const PatternEdge& ve = view.edge(ev);
     auto& covered_edges = result.per_view_edge[ev];
-    for (uint32_t e = 0; e < q.num_edges(); ++e) {
-      const PatternEdge& qe = q.edge(e);
-      if (rel[ve.src][qe.src] && rel[ve.dst][qe.dst] &&
+    for (uint32_t e = 0; e < q_.num_edges(); ++e) {
+      const PatternEdge& qe = q_.edge(e);
+      if (rel_[ve.src * n + qe.src] && rel_[ve.dst * n + qe.dst] &&
           BoundCovered(qe.bound, ve.bound)) {
         covered_edges.push_back(e);
       }
     }
-    for (uint32_t e : covered_edges) result.covered.push_back(e);
+    result.covered.insert(result.covered.end(), covered_edges.begin(),
+                          covered_edges.end());
   }
   std::sort(result.covered.begin(), result.covered.end());
   result.covered.erase(std::unique(result.covered.begin(), result.covered.end()),
                        result.covered.end());
   return result;
+}
+
+Result<ViewMatchResult> ComputeViewMatch(const Pattern& view,
+                                         const Pattern& q) {
+  return QueryMatchContext(q).Match(view);
 }
 
 }  // namespace gpmv

@@ -16,10 +16,19 @@
 /// edge e only when fe(e) ≤ kV. The latter is a sound strengthening of the
 /// paper's weighted-distance rule — see DESIGN.md §4; on all examples of the
 /// paper (Fig. 6, Example 9) the two coincide.
+///
+/// The query side of that simulation — Q's nonempty weighted distances and
+/// nonempty reachability — depends on Q alone, so QueryMatchContext
+/// computes it once per query (flat |Q|×|Q| arrays) and then matches any
+/// number of views against it, reusing one relation buffer. Containment
+/// (containment.h), view selection and rewriting build one context per
+/// query; ComputeViewMatch is the one-view convenience over it, and
+/// minimization (minimization.h) simulates a pattern over itself with it.
 
 #ifndef GPMV_CORE_VIEW_MATCH_H_
 #define GPMV_CORE_VIEW_MATCH_H_
 
+#include <cstdint>
 #include <vector>
 
 #include "common/status.h"
@@ -35,9 +44,51 @@ struct ViewMatchResult {
   std::vector<uint32_t> covered;
 };
 
-/// Computes M^Q_V for view pattern `view` over query `q`. Handles both
-/// plain (all bounds 1) and bounded patterns; a plain view applied to a
-/// bounded query (and vice versa) is handled by the same weighted rule.
+/// Query-side state of view matching for one query `q`, which must outlive
+/// the context. Not thread-safe (Match reuses a member buffer); build one
+/// per thread.
+class QueryMatchContext {
+ public:
+  explicit QueryMatchContext(const Pattern& q);
+
+  /// M^Q_V for view pattern `view` over the context's query. Handles both
+  /// plain (all bounds 1) and bounded patterns; a plain view applied to a
+  /// bounded query (and vice versa) is handled by the same weighted rule.
+  /// InvalidArgument when either pattern is empty.
+  Result<ViewMatchResult> Match(const Pattern& view);
+
+  /// Computes the maximum simulation of `view`'s nodes over the query's
+  /// (the relation behind Match), in full: rows may end empty. Minimization
+  /// runs it with the query itself as the view.
+  void Simulate(const Pattern& view) { (void)Relate(view, false); }
+
+  /// After Simulate: does view node `w` simulate query node `u`?
+  bool Simulates(uint32_t w, uint32_t u) const {
+    return rel_[w * n_ + u] != 0;
+  }
+
+ private:
+  /// Fills rel_ with the maximum simulation of `view` over the query and
+  /// returns whether every view node simulates some query node. With
+  /// `stop_at_empty_row` it returns false as soon as a row empties, leaving
+  /// rel_ incomplete (Match needs no more).
+  bool Relate(const Pattern& view, bool stop_at_empty_row);
+
+  const Pattern& q_;
+  size_t n_;
+  /// ndist_[u*n+t]: least total bound of a path with >= 1 edge from u to t
+  /// (kInfDistance if none; `*` edges contribute none). The diagonal holds
+  /// the cheapest cycle through u.
+  std::vector<uint64_t> ndist_;
+  /// reach_[u*n+t]: is there a nonempty path u ~> t over edges of any
+  /// bound (including `*`)? A `*` view bound needs exactly this.
+  std::vector<char> reach_;
+  /// rel_[w*n+u]: view node w can (still) simulate query node u.
+  std::vector<char> rel_;
+};
+
+/// Computes M^Q_V for view pattern `view` over query `q` (one view; use a
+/// QueryMatchContext to match many views against one query).
 Result<ViewMatchResult> ComputeViewMatch(const Pattern& view,
                                          const Pattern& q);
 

@@ -51,17 +51,17 @@ Result<ViewSelectionResult> SelectViews(const std::vector<Pattern>& workload,
   const size_t nq = workload.size();
   const size_t nc = candidates.card();
 
-  // coverage[c][i] — edges of query i that candidate c covers.
-  std::vector<std::vector<EdgeBits>> coverage(nc);
-  for (uint32_t c = 0; c < nc; ++c) {
-    coverage[c].reserve(nq);
-    for (size_t i = 0; i < nq; ++i) {
+  // coverage[c][i] — edges of query i that candidate c covers. One
+  // query-side context per workload query serves every candidate.
+  std::vector<std::vector<EdgeBits>> coverage(nc, std::vector<EdgeBits>(nq));
+  for (size_t i = 0; i < nq; ++i) {
+    QueryMatchContext ctx(workload[i]);
+    for (uint32_t c = 0; c < nc; ++c) {
       EdgeBits bits(workload[i].num_edges());
-      Result<ViewMatchResult> vm =
-          ComputeViewMatch(candidates.view(c).pattern, workload[i]);
+      Result<ViewMatchResult> vm = ctx.Match(candidates.view(c).pattern);
       GPMV_RETURN_NOT_OK(vm.status());
       for (uint32_t e : vm->covered) bits.Set(e);
-      coverage[c].push_back(std::move(bits));
+      coverage[c][i] = std::move(bits);
     }
   }
 

@@ -1,7 +1,7 @@
 #include "engine/planner.h"
 
 #include <algorithm>
-#include <unordered_map>
+#include <string>
 
 #include "graph/traversal.h"  // kUnbounded
 
@@ -38,54 +38,30 @@ double BallEdges(uint32_t bound, const GraphStatistics& gs) {
   return std::max(1.0, std::min(sum, whole_graph));
 }
 
-using LabelCounts = std::unordered_map<std::string, size_t>;
-
-LabelCounts BuildLabelCounts(const GraphStatistics& gs) {
-  LabelCounts counts;
-  counts.reserve(gs.label_histogram.size());
-  for (const auto& [label, count] : gs.label_histogram) {
-    counts.emplace(label, count);
+/// Nodes carrying `label` in the graph `gs` describes (0 when absent), read
+/// straight off the histogram: graphs carry a handful of labels, so a scan
+/// is cheaper than building a map on every plan.
+double LabelCount(const GraphStatistics& gs, const std::string& label) {
+  for (const auto& [name, count] : gs.label_histogram) {
+    if (name == label) return static_cast<double>(count);
   }
-  return counts;
+  return 0.0;
 }
 
-/// Per-pattern-node candidate-set size estimates from the label histogram.
-std::vector<double> EstimateCandidates(const Pattern& q,
-                                       const GraphStatistics& gs,
-                                       const LabelCounts& label_count) {
-  std::vector<double> cand(q.num_nodes());
-  for (uint32_t u = 0; u < q.num_nodes(); ++u) {
-    const PatternNode& pn = q.node(u);
-    if (pn.label.empty()) {
-      cand[u] = static_cast<double>(gs.num_nodes);
-    } else {
-      auto it = label_count.find(pn.label);
-      cand[u] = it == label_count.end() ? 0.0 : static_cast<double>(it->second);
-    }
-  }
-  return cand;
-}
-
-double EstimateDirectCostWithCounts(const Pattern& q,
-                                    const GraphStatistics& gs,
-                                    const LabelCounts& label_count) {
-  std::vector<double> cand = EstimateCandidates(q, gs, label_count);
-  double cost = 0.0;
-  for (uint32_t u = 0; u < q.num_nodes(); ++u) cost += cand[u];
-  for (uint32_t e = 0; e < q.num_edges(); ++e) {
-    const PatternEdge& pe = q.edge(e);
-    cost += cand[pe.src] * BallEdges(pe.bound, gs);
-  }
-  return cost;
+/// Candidate-set size estimate of one pattern node (a wildcard matches
+/// every node).
+double EstimateCandidates(const PatternNode& pn, const GraphStatistics& gs) {
+  return pn.label.empty() ? static_cast<double>(gs.num_nodes)
+                          : LabelCount(gs, pn.label);
 }
 
 /// Estimated pairs a cold view edge materializes: candidate sources times
 /// the per-candidate ball size, never more than |E| for unit bounds.
 double EstimateViewEdgePairs(const Pattern& view, uint32_t e,
-                             const std::vector<double>& cand,
                              const GraphStatistics& gs) {
   const PatternEdge& pe = view.edge(e);
-  const double pairs = cand[pe.src] * BallEdges(pe.bound, gs);
+  const double pairs =
+      EstimateCandidates(view.node(pe.src), gs) * BallEdges(pe.bound, gs);
   if (pe.bound == 1) return std::min(pairs, static_cast<double>(gs.num_edges));
   return pairs;
 }
@@ -116,7 +92,15 @@ const char* PlanKindName(PlanKind kind) {
 }
 
 double EstimateDirectCost(const Pattern& q, const GraphStatistics& gs) {
-  return EstimateDirectCostWithCounts(q, gs, BuildLabelCounts(gs));
+  double cost = 0.0;
+  for (uint32_t u = 0; u < q.num_nodes(); ++u) {
+    cost += EstimateCandidates(q.node(u), gs);
+  }
+  for (uint32_t e = 0; e < q.num_edges(); ++e) {
+    const PatternEdge& pe = q.edge(e);
+    cost += EstimateCandidates(q.node(pe.src), gs) * BallEdges(pe.bound, gs);
+  }
+  return cost;
 }
 
 Result<QueryPlan> PlanQuery(const Pattern& q, const ViewSet& views,
@@ -139,8 +123,7 @@ Result<QueryPlan> PlanQuery(const Pattern& q, const ViewSet& views,
     plan.minimized = IdentityMinimization(q);
   }
   const Pattern& mq = plan.minimized.pattern;
-  const LabelCounts label_count = BuildLabelCounts(gs);
-  plan.est_direct_cost = EstimateDirectCostWithCounts(mq, gs, label_count);
+  plan.est_direct_cost = EstimateDirectCost(mq, gs);
 
   // Degenerate queries (no edges, isolated nodes) and a disabled cost
   // advantage always evaluate directly; so do an empty registry and
@@ -159,27 +142,27 @@ Result<QueryPlan> PlanQuery(const Pattern& q, const ViewSet& views,
                                    : exts[v].num_view_edges() > 0;
   };
   auto cold_view_cost = [&](uint32_t v) {
-    return EstimateDirectCostWithCounts(views.view(v).pattern, gs,
-                                        label_count);
+    return EstimateDirectCost(views.view(v).pattern, gs);
   };
   auto view_edge_pairs = [&](const ViewEdgeRef& ref) {
     if (is_live(ref.view)) {
       return static_cast<double>(exts[ref.view].edge(ref.edge).pairs.size());
     }
-    const Pattern& vp = views.view(ref.view).pattern;
-    std::vector<double> cand = EstimateCandidates(vp, gs, label_count);
-    return EstimateViewEdgePairs(vp, ref.edge, cand, gs);
+    return EstimateViewEdgePairs(views.view(ref.view).pattern, ref.edge, gs);
   };
 
-  Result<ContainmentMapping> mapping = MinimumContainment(mq, views);
-  GPMV_RETURN_NOT_OK(mapping.status());
+  // One pass of view matching serves both the containment check and, when
+  // Q is not contained, the partial cover.
+  Result<std::vector<ViewMatchResult>> vms = ComputeAllViewMatches(mq, views);
+  GPMV_RETURN_NOT_OK(vms.status());
+  ContainmentMapping mapping = MinimumContainmentFromMatches(mq, *vms);
 
-  if (mapping->contained) {
+  if (mapping.contained) {
     double est = 0.0;
-    for (uint32_t v : mapping->selected) {
+    for (uint32_t v : mapping.selected) {
       if (!is_live(v)) est += cold_view_cost(v);
     }
-    for (const auto& refs : mapping->lambda) {
+    for (const auto& refs : mapping.lambda) {
       for (const ViewEdgeRef& ref : refs) {
         est += kJoinPairFactor * view_edge_pairs(ref);
       }
@@ -187,7 +170,7 @@ Result<QueryPlan> PlanQuery(const Pattern& q, const ViewSet& views,
     plan.est_view_cost = est;
     if (est <= opts.view_cost_advantage * plan.est_direct_cost) {
       plan.kind = PlanKind::kMatchJoin;
-      plan.mapping = std::move(mapping).value();
+      plan.mapping = std::move(mapping);
       plan.views_needed = plan.mapping.selected;
       return plan;
     }
@@ -196,8 +179,6 @@ Result<QueryPlan> PlanQuery(const Pattern& q, const ViewSet& views,
   }
 
   // Not contained: can a subset of edges still be served from views?
-  Result<std::vector<ViewMatchResult>> vms = ComputeAllViewMatches(mq, views);
-  GPMV_RETURN_NOT_OK(vms.status());
   plan.partial_lambda.assign(mq.num_edges(), {});
   for (uint32_t v = 0; v < views.card(); ++v) {
     const ViewMatchResult& vm = (*vms)[v];

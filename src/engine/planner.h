@@ -9,12 +9,16 @@
 ///  1. minimize the query via the similarity quotient (minimization.h) —
 ///     every downstream step works on the smaller equivalent query, and the
 ///     engine expands match sets back through edge_map;
-///  2. run minimum containment against the registered view definitions;
+///  2. compute the view match of every registered view once
+///     (ComputeAllViewMatches: one query-side context for all views) and run
+///     minimum containment over those matches;
 ///  3. contained -> compare the estimated MatchJoin cost (merged view pairs,
 ///     plus materialization for cold views) against the estimated direct
-///     cost (label-index candidates x degree, scaled by edge bounds);
+///     cost (candidates x degree, scaled by edge bounds; candidate counts
+///     are read straight off GraphStatistics::label_histogram);
 ///     pick kMatchJoin or kDirect;
-///  4. not contained -> if some query edges are covered, pick kPartialViews:
+///  4. not contained -> the same view matches give the partial cover; if
+///     some query edges are covered, pick kPartialViews:
 ///     the engine merges the covering view pairs into per-node candidate
 ///     seeds and runs direct evaluation restricted to them (sound: dropping
 ///     pattern edges only grows match sets, so view-derived candidates
